@@ -89,15 +89,28 @@ class LocalGraph(ABC):
         layers = self._layers(v, ell - 1)
         return tuple(sorted(u for layer in layers for u in layer))
 
+    def sphere_and_interior(self, v, ell):
+        """``(sphere(v, ell), ball_interior(v, ell))`` from one breadth-first search."""
+        if ell < 1:
+            raise ModelParameterError(f"radius must be positive, got {ell}")
+        layers = self._layers(v, ell)
+        interior = sorted(u for layer in layers[:-1] for u in layer)
+        return tuple(layers[-1]), tuple(interior)
+
     def ball(self, v, ell):
         """Closed ball of radius ``ell``: interior plus sphere, sorted."""
         layers = self._layers(v, ell)
         return tuple(sorted(u for layer in layers for u in layer))
 
-    # Hook for marginal caches: a hashable key identifying (v, context) up to
-    # any exact symmetry of the realization.  Default: no symmetry.
-    def context_key(self, v, items):
-        return (v, items)
+    def ball_class(self, v):
+        """Hashable class of ``v`` under the realization's exact symmetries.
+
+        Vertices of one class have sorted balls that are translates of each
+        other, element for element, and equal marginals under translated
+        contexts; marginal caches share entries within a class.  Default:
+        no symmetry, every vertex is its own class.
+        """
+        return v
 
     def format_vertex(self, v):
         return _format_vertex(v)
@@ -274,13 +287,10 @@ class Lattice(LocalGraph):
     def degree_bound(self):
         return 2 * self._dim
 
-    def context_key(self, v, items):
-        # The lattice is vertex transitive; translating the whole context so
-        # that v sits at the origin preserves every marginal exactly.
-        shifted = tuple(
-            (tuple(a - b for a, b in zip(w, v)), s) for w, s in items
-        )
-        return (None, shifted)
+    def ball_class(self, v):
+        # Translations preserve every marginal and the lexicographic order,
+        # so the sorted ball of v is the origin's shifted by v: one class.
+        return None
 
     def box(self, origin, shape):
         """Vertices of an axis-aligned box, canonically ordered."""
@@ -425,23 +435,19 @@ class LineGraph(LocalGraph):
     def degree_bound(self):
         return 2 * (self._base.degree_bound() - 1)
 
-    def context_key(self, v, items):
+    def ball_class(self, v):
+        # Over Z^d a translation by v[0] maps the edge v to the edge at the
+        # origin with the same direction; edges of different directions have
+        # different balls, so the direction is the class.
         if isinstance(self._base, Lattice):
-            origin = v[0]
-            def shift(edge):
-                return tuple(
-                    tuple(a - b for a, b in zip(endpoint, origin))
-                    for endpoint in edge
-                )
-            return (None, tuple((shift(w), s) for w, s in items))
-        return (v, items)
+            u, w = v
+            return tuple(b - a for a, b in zip(u, w))
+        return v
 
     def _parse_vertex(self, text):
         pair = _parse_tuple_vertex(text)
         if len(pair) != 2:
             raise ConfigError(f"line-graph vertex must be an endpoint pair: {text!r}")
-        if isinstance(self._base, FiniteGraph):
-            return pair
         return pair
 
 

@@ -105,9 +105,7 @@ def _ball_parts(graph, v, ell, spins):
     graph.check_vertex(v)
     if v in spins:
         raise ModelParameterError(f"target vertex {graph.format_vertex(v)} is already fixed")
-    sphere = graph.sphere(v, ell)
-    interior = graph.ball_interior(v, ell)
-    return sphere, interior
+    return graph.sphere_and_interior(v, ell)
 
 
 def _sphere_grouped_marginals(system, graph, v, sphere, interior, spins):
@@ -149,6 +147,12 @@ def min_marginals(system, graph, fixed, v, ell):
     spins = as_spin_dict(fixed)
     _check_spins(system, spins)
     sphere, interior = _ball_parts(graph, v, ell, spins)
+    return _min_marginals_on_ball(system, graph, v, sphere, interior, spins)
+
+
+def _min_marginals_on_ball(system, graph, v, sphere, interior, spins):
+    """``min_marginals`` for a caller that already holds v's sphere and ball
+    interior and a validated context ``spins`` that leaves v free."""
     mu, s = _sphere_grouped_marginals(system, graph, v, sphere, interior, spins)
     p = mu.min(axis=0)
     out = np.empty(system.q + 1)

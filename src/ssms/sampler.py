@@ -30,7 +30,7 @@ from .errors import (
     InvalidProbabilitiesError,
     ModelParameterError,
 )
-from .marginals import NEG_TOL, conditional_marginal, min_marginals
+from .marginals import NEG_TOL, _min_marginals_on_ball, conditional_marginal
 from .spinsys import PartialConfiguration, as_spin_dict, _check_spins
 
 DEFAULT_BUDGET = 10**7
@@ -156,11 +156,6 @@ class IntervalPartition:
         return idx + 1
 
 
-def build_intervals(p):
-    """IntervalPartition from a minimum-marginals vector (index 0 = zone mass)."""
-    return IntervalPartition(p)
-
-
 @dataclass
 class RecursionStats:
     """Counters for one top-level call or an aggregated window run."""
@@ -209,11 +204,15 @@ class RunReport:
 class MarginalCache:
     """Pure memoization of ball marginals for one (system, graph, radius).
 
-    Keys are the target vertex together with the context restricted to its
-    radius-ell ball, routed through the graph's ``context_key`` hook so that
-    exact symmetries (lattice translations) share entries.  Cached values are
-    deterministic functions of their keys, so lookups never change sampling
-    behavior, only speed.
+    The key of a lookup at v is ``(cls, code)``: ``cls`` is the graph's
+    ``ball_class(v)`` and ``code`` reads the context restricted to v's
+    radius-ell ball as an integer in base q+1 over the sorted ball, with
+    digit 0 for an unassigned vertex.  Vertices of one class have balls that
+    are translates in the same order, so on Z^d and its line graphs
+    translated contexts share one entry; a line-graph edge's class is its
+    direction, so edges of different orientations never do.  Cached values
+    are deterministic functions of their keys, so lookups never change
+    sampling behavior, only speed.
     """
 
     def __init__(self, system, graph, ell):
@@ -223,29 +222,36 @@ class MarginalCache:
         self._balls = {}
         self._min = {}
         self._cond = {}
+        self._radix = system.q + 1
 
     def ball_parts(self, v):
+        """(sphere, interior, sorted ball, ball class) of v, computed once."""
         parts = self._balls.get(v)
         if parts is None:
-            sphere = self.graph.sphere(v, self.ell)
-            interior = self.graph.ball_interior(v, self.ell)
+            sphere, interior = self.graph.sphere_and_interior(v, self.ell)
             ball = tuple(sorted(interior + sphere))
-            parts = (sphere, interior, ball)
+            parts = (sphere, interior, ball, self.graph.ball_class(v))
             self._balls[v] = parts
         return parts
 
-    def _key(self, v, lam, ball):
-        items = tuple((w, lam[w]) for w in ball if w in lam)
-        return self.graph.context_key(v, items)
+    def _key(self, cls, ball, lam):
+        radix = self._radix
+        get = lam.get
+        code = 0
+        for w in ball:
+            code = code * radix + get(w, 0)
+        return cls, code
 
     def min_intervals(self, v, lam):
         """(p vector, IntervalPartition) for v under the context ``lam``."""
-        sphere, interior, ball = self.ball_parts(v)
-        key = self._key(v, lam, ball)
+        sphere, interior, ball, cls = self.ball_parts(v)
+        key = self._key(cls, ball, lam)
         hit = self._min.get(key)
         if hit is None:
             restricted = {w: lam[w] for w in ball if w in lam}
-            p = min_marginals(self.system, self.graph, restricted, v, self.ell)
+            p = _min_marginals_on_ball(
+                self.system, self.graph, v, sphere, interior, restricted
+            )
             hit = (p, IntervalPartition(p))
             p.flags.writeable = False
             self._min[key] = hit
@@ -253,8 +259,8 @@ class MarginalCache:
 
     def sphere_conditional(self, v, lam):
         """Marginal of v once its whole sphere (and maybe more) is assigned."""
-        sphere, interior, ball = self.ball_parts(v)
-        key = self._key(v, lam, ball)
+        sphere, interior, ball, cls = self.ball_parts(v)
+        key = self._key(cls, ball, lam)
         hit = self._cond.get(key)
         if hit is None:
             restricted = {w: lam[w] for w in ball if w in lam}
@@ -316,8 +322,7 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
     whole-graph oracle instead of recursing.
     """
     stack = [_Frame(v, 1, h)]
-    result = None
-    while stack:
+    while True:
         f = stack[-1]
         if f.y is None:
             stats.total_calls += 1
@@ -330,56 +335,39 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
                 stats.max_depth = f.depth
             if f.h == 0:
                 mu = cache.whole_graph_marginal(f.v, lam)
-                y = rng.next_double()
-                spin = _locate_cumulative(mu, y)
-                if stats.trace is not None:
-                    stats.trace.append((f.v, f.depth, False))
-                stack.pop()
-                result = spin
-                if stack:
-                    parent = stack[-1]
-                    lam[f.v] = spin
-                    parent.added.append(f.v)
-                    parent.child_idx += 1
-                continue
-            p, part = cache.min_intervals(f.v, lam)
-            f.y = rng.next_double()
-            f.part = part
-            spin = part.locate(f.y)
+                spin = _locate_cumulative(mu, rng.next_double())
+            else:
+                _, part = cache.min_intervals(f.v, lam)
+                f.y = rng.next_double()
+                f.part = part
+                spin = part.locate(f.y)
             if stats.trace is not None:
                 stats.trace.append((f.v, f.depth, spin == 0))
-            if spin != 0:
-                stack.pop()
-                result = spin
-                if stack:
-                    parent = stack[-1]
-                    lam[f.v] = spin
-                    parent.added.append(f.v)
-                    parent.child_idx += 1
+            if spin == 0:
+                stats.indecision_events += 1
+                sphere = cache.ball_parts(f.v)[0]
+                f.sphere_free = [w for w in sphere if w not in lam]
+                f.added = []
+        if f.added is not None:
+            if f.child_idx < len(f.sphere_free):
+                w = f.sphere_free[f.child_idx]
+                child_h = None if f.h is None else f.h - 1
+                stack.append(_Frame(w, f.depth + 1, child_h))
                 continue
-            stats.indecision_events += 1
-            sphere = cache.ball_parts(f.v)[0]
-            f.sphere_free = [w for w in sphere if w not in lam]
-            f.added = []
-        if f.child_idx < len(f.sphere_free):
-            w = f.sphere_free[f.child_idx]
-            child_h = None if f.h is None else f.h - 1
-            stack.append(_Frame(w, f.depth + 1, child_h))
-            continue
-        # Sphere fully assigned: subdivide the indecision zone and resolve v,
-        # then discard the intermediate sphere spins.
-        mu = cache.sphere_conditional(f.v, lam)
-        spin = f.part.locate_zone(f.y, mu)
-        for w in f.added:
-            del lam[w]
+            # Sphere fully assigned: subdivide the indecision zone and resolve
+            # v, then discard the intermediate sphere spins.
+            mu = cache.sphere_conditional(f.v, lam)
+            spin = f.part.locate_zone(f.y, mu)
+            for w in f.added:
+                del lam[w]
+        # Frame complete: pop it and hand its spin to the parent.
         stack.pop()
-        result = spin
-        if stack:
-            parent = stack[-1]
-            lam[f.v] = spin
-            parent.added.append(f.v)
-            parent.child_idx += 1
-    return result
+        if not stack:
+            return spin
+        parent = stack[-1]
+        lam[f.v] = spin
+        parent.added.append(f.v)
+        parent.child_idx += 1
 
 
 def _prepare_context(system, graph, fixed):

@@ -1,0 +1,154 @@
+"""Marginal-cache keys: integer ball codes against the direct computations.
+
+The cache keys a lookup at v by ``(graph.ball_class(v), code)``, where
+``code`` reads the context on v's sorted ball in base q+1.  These checks hold
+the cache to the uncached marginal routines, bit for bit, including when an
+entry was filled at a translate of v, and check the ball-order invariant the
+translation sharing rests on.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ssms import (
+    Lattice,
+    LineGraph,
+    RegularTree,
+    coloring,
+    conditional_marginal,
+    grid_graph,
+    hardcore,
+    ising,
+    min_marginals,
+)
+from ssms.sampler import MarginalCache
+
+# Graph and radius, with the systems drawn there.  Colorings are used only
+# where q exceeds the degree, so every drawn partial coloring extends to the
+# whole ball.
+CASES = {
+    "z1-ell2": (Lattice(1), 2, (hardcore(1.0), ising(1.5), coloring(3))),
+    "z2-ell1": (Lattice(2), 1, (hardcore(1.0), ising(1.5), coloring(5))),
+    "z2-ell2": (Lattice(2), 2, (hardcore(0.3), ising(1.5))),
+    "z3-ell1": (Lattice(3), 1, (hardcore(1.0), ising(1.5))),
+    "line:z2-ell1": (LineGraph(Lattice(2)), 1, (hardcore(1.0), ising(1.5))),
+    "tree:3-ell2": (RegularTree(3), 2, (hardcore(1.0), ising(1.5), coloring(4))),
+    "grid4x4-ell2": (grid_graph(4, 4), 2, (hardcore(1.0), ising(1.5), coloring(5))),
+}
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def _vertex(data, graph):
+    coord = st.integers(-4, 4)
+    if graph.kind == "lattice":
+        return tuple(data.draw(st.lists(coord, min_size=graph.dim, max_size=graph.dim)))
+    if graph.kind == "line":
+        d = graph.base.dim
+        u = tuple(data.draw(st.lists(coord, min_size=d, max_size=d)))
+        i = data.draw(st.integers(0, d - 1))
+        return (u, u[:i] + (u[i] + 1,) + u[i + 1:])
+    if graph.kind == "tree":
+        depth = data.draw(st.integers(0, 3))
+        path = [data.draw(st.integers(0, graph.degree - 1))] if depth else []
+        path += [data.draw(st.integers(0, graph.degree - 2)) for _ in range(depth - 1)]
+        return tuple(path)
+    return data.draw(st.sampled_from(graph.vertices()))
+
+
+def _translate(graph, w, t):
+    if graph.kind == "lattice":
+        return tuple(a + b for a, b in zip(w, t))
+    return tuple(tuple(a + b for a, b in zip(end, t)) for end in w)
+
+
+def _contexts(data, system, graph, v, ell):
+    """A feasible context on v's ball that leaves v free, and its variants
+    that differ from it at exactly one ball vertex.
+
+    Spins are drawn vertex by vertex in ball order; a drawn spin that clashes
+    with an assigned ball neighbor is replaced by the first compatible one, so
+    the whole assignment has positive weight on the ball, and every context
+    returned, being a part of it, is feasible.  A cache key that ignored any
+    one ball vertex would give a variant the entry of the base context.
+    """
+    ball = graph.ball(v, ell)
+    full = {}
+    for w in ball:
+        wanted = data.draw(st.integers(1, system.q))
+        ok = [
+            s for s in range(1, system.q + 1)
+            if system.b[s - 1] > 0
+            and all(system.A[s - 1, full[x] - 1] > 0 for x in graph.neighbors(w) if x in full)
+        ]
+        full[w] = wanted if wanted in ok else ok[0]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(ball), max_size=len(ball)))
+    base = {w: s for (w, s), k in zip(full.items(), keep) if k and w != v}
+    variants = [base]
+    for w in ball:
+        if w != v:
+            variant = {x: s for x, s in full.items() if (x in base) != (x == w)}
+            variants.append(variant)
+    return variants
+
+
+def _restricted(graph, v, ell, lam):
+    """The context on v's sorted ball and the support the cache would use."""
+    ball = graph.ball(v, ell)
+    restricted = {w: lam[w] for w in ball if w in lam}
+    support = [w for w in ball if w not in restricted] + list(restricted)
+    return restricted, support
+
+
+@pytest.mark.parametrize("graph,ell,systems", CASES.values(), ids=CASES.keys())
+@PROPERTY
+@given(data=st.data())
+def test_cache_equals_direct_marginals(graph, ell, systems, data):
+    system = data.draw(st.sampled_from(systems))
+    v = _vertex(data, graph)
+    contexts = _contexts(data, system, graph, v, ell)
+    sphere = graph.sphere(v, ell)
+    cache = MarginalCache(system, graph, ell)
+    translated = graph.kind in ("lattice", "line")
+    if translated:
+        # Fill one cache at translates of v, so the lookups at v must hit.
+        d = graph.dim if graph.kind == "lattice" else graph.base.dim
+        for lam in contexts:
+            t = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)))
+            lam_t = {_translate(graph, w, t): s for w, s in lam.items()}
+            vt = _translate(graph, v, t)
+            cache.min_intervals(vt, lam_t)
+            if all(w in lam for w in sphere):
+                cache.sphere_conditional(vt, lam_t)
+    sizes = (len(cache._min), len(cache._cond))
+    for lam in contexts:
+        restricted, support = _restricted(graph, v, ell, lam)
+        p, _ = cache.min_intervals(v, lam)
+        assert np.array_equal(p, min_marginals(system, graph, restricted, v, ell))
+        if all(w in lam for w in sphere):
+            mu = cache.sphere_conditional(v, lam)
+            assert np.array_equal(mu, conditional_marginal(system, graph, v, restricted, support))
+    if translated:
+        assert (len(cache._min), len(cache._cond)) == sizes
+
+
+@pytest.mark.parametrize("graph", [Lattice(1), Lattice(2), Lattice(3), LineGraph(Lattice(2))],
+                         ids=["z1", "z2", "z3", "line:z2"])
+@PROPERTY
+@given(data=st.data())
+def test_sorted_ball_is_a_translate_of_its_class_representative(graph, data):
+    v = _vertex(data, graph)
+    ell = data.draw(st.integers(1, 3))
+    if graph.kind == "lattice":
+        origin = (0,) * graph.dim
+        shift = v
+        assert graph.ball_class(v) is None
+    else:
+        direction = graph.ball_class(v)
+        origin = ((0,) * len(direction), direction)
+        shift = v[0]
+        assert graph.ball_class(origin) == direction
+    back = tuple(-c for c in shift)
+    assert tuple(_translate(graph, w, back) for w in graph.ball(v, ell)) == graph.ball(origin, ell)

@@ -13,6 +13,7 @@ from ssms import (
     cycle_graph,
     graph_from_spec,
     grid_graph,
+    hardcore,
     line_graph,
     load_edge_list,
     path_graph,
@@ -20,6 +21,7 @@ from ssms import (
     star_graph,
 )
 from ssms.errors import ConfigError, InvalidVertexError, ModelParameterError
+from ssms.sampler import MarginalCache
 
 
 def test_path_graph_structure():
@@ -114,12 +116,17 @@ def test_lattice_growth_bound_matches_sphere_sizes():
             assert g.growth_bound(ell) == len(g.sphere(origin, ell))
 
 
-def test_lattice_context_key_translation_invariant():
+def test_lattice_translated_contexts_share_one_cache_entry():
     z2 = Lattice(2)
-    items = (((1, 0), 2), ((0, 1), 1))
-    shifted = (((4, 5), 2), ((3, 6), 1))
-    assert z2.context_key((0, 0), items) == z2.context_key((3, 5), shifted)
-    assert z2.context_key((0, 0), items) != z2.context_key((0, 0), shifted)
+    cache = MarginalCache(hardcore(1.0), z2, 1)
+    ctx = {(1, 0): 2, (0, 1): 1}
+    shifted = {(4, 5): 2, (3, 6): 1}
+    first = cache.min_intervals((0, 0), ctx)
+    assert cache.min_intervals((3, 5), shifted) is first
+    assert len(cache._min) == 1
+    # The translate read at the origin is a different (empty) ball context.
+    assert cache.min_intervals((0, 0), shifted) is not first
+    assert len(cache._min) == 2
 
 
 def test_lattice_box_canonical_order():

@@ -9,6 +9,7 @@ from ssms import (
     FiniteGraph,
     IntervalPartition,
     Lattice,
+    LineGraph,
     RandomSource,
     WindowSampler,
     bounded_ssms,
@@ -16,6 +17,7 @@ from ssms import (
     cycle_graph,
     grid_graph,
     hardcore,
+    min_marginals,
     partition_function,
     path_graph,
     sample_window,
@@ -29,7 +31,7 @@ from ssms.errors import (
     InvalidVertexError,
     ModelParameterError,
 )
-from ssms.sampler import budget_from_env
+from ssms.sampler import MarginalCache, budget_from_env
 
 # First four variates of the stream seeded with 42, frozen as a regression
 # pin after checking them against an outside implementation of the same
@@ -232,6 +234,25 @@ def test_cache_does_not_change_the_stream():
         assert (ra.total_calls, ra.max_depth, ra.indecision_events) == (
             rb.total_calls, rb.max_depth, rb.indecision_events,
         )
+
+
+def test_line_graph_edge_orientations_do_not_share_cache_entries():
+    # Fix every vertex the two balls share, one of them occupied, so that the
+    # context reads the same from a horizontal and a vertical edge at the
+    # origin while their marginals differ; only the direction tells them apart.
+    g = LineGraph(Lattice(2))
+    system = hardcore(1.0)
+    across, up = ((0, 0), (1, 0)), ((0, 0), (0, 1))
+    shared = set(g.ball(across, 2)) & set(g.ball(up, 2)) - {across, up}
+    ctx = {w: 1 for w in shared}
+    ctx[((0, 1), (1, 1))] = 2
+    cache = MarginalCache(system, g, 2)
+    warm, _ = cache.min_intervals(across, ctx)
+    assert list(warm) == list(min_marginals(system, g, ctx, across, 2))
+    got, _ = cache.min_intervals(up, ctx)
+    want = min_marginals(system, g, ctx, up, 2)
+    assert list(want) != list(warm)
+    assert list(got) == list(want)
 
 
 def test_bounded_frontier_uses_exact_oracle():
