@@ -20,7 +20,8 @@ import json
 import os
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 from .errors import (
     BudgetExhaustedError,
@@ -29,7 +30,9 @@ from .errors import (
     InternalError,
     InvalidProbabilitiesError,
     ModelParameterError,
+    NotSeparatingError,
 )
+from .graph import FiniteGraph
 from .marginals import NEG_TOL, _min_marginals_on_ball, conditional_marginal
 from .spinsys import PartialConfiguration, as_spin_dict, _check_spins
 
@@ -113,10 +116,6 @@ class IntervalPartition:
     def zone_start(self):
         return self.cum[-1]
 
-    def lengths(self):
-        """Interval lengths in index order 0..q (0 = indecision zone)."""
-        return self.p
-
     def locate(self, y):
         """Spin index owning y, or 0 when y falls in the indecision zone."""
         if not 0.0 <= y < 1.0:
@@ -173,7 +172,11 @@ class RecursionStats:
 
 @dataclass
 class RunReport:
-    """Window-run summary: sampled spins plus recursion statistics."""
+    """Window-run summary: sampled spins plus recursion statistics.
+
+    ``window`` holds the graph's vertices; ``format_vertex`` renders them as
+    text when the report is serialized.
+    """
 
     seed: int
     model: str
@@ -184,6 +187,7 @@ class RunReport:
     max_depth: int
     indecision_events: int
     wall_time_ms: float
+    format_vertex: object = field(repr=False, compare=False)
 
     def to_json(self, deterministic=False):
         """Serialize; ``deterministic`` nulls the wall time so identical
@@ -192,13 +196,21 @@ class RunReport:
             "seed": self.seed,
             "model": self.model,
             "radius": self.radius,
-            "window": self.window,
+            "window": [self.format_vertex(v) for v in self.window],
             "total_calls": self.total_calls,
             "max_depth": self.max_depth,
             "indecision_events": self.indecision_events,
             "wall_time_ms": None if deterministic else self.wall_time_ms,
         }
         return json.dumps(doc, indent=2) + "\n"
+
+
+_BallFrame = namedtuple("_BallFrame", "graph v sphere interior")
+
+
+def _on_frame(ball, lam):
+    """The context on the sorted ``ball``, keyed by frame labels 1..n."""
+    return {i: lam[w] for i, w in enumerate(ball, 1) if w in lam}
 
 
 class MarginalCache:
@@ -210,9 +222,15 @@ class MarginalCache:
     digit 0 for an unassigned vertex.  Vertices of one class have balls that
     are translates in the same order, so on Z^d and its line graphs
     translated contexts share one entry; a line-graph edge's class is its
-    direction, so edges of different orientations never do.  Cached values
-    are deterministic functions of their keys, so lookups never change
-    sampling behavior, only speed.
+    direction, so edges of different orientations never do.
+
+    A miss is enumerated on the class's ball frame: the ball's induced
+    subgraph as a ``FiniteGraph`` with the i-th sorted ball vertex labelled
+    i, built once per class.  Relabelling keeps the ball order and the
+    sorted neighbor lists, so the enumeration multiplies the same factors
+    in the same order as on the graph itself and the marginals are
+    bit-identical.  Cached values are deterministic functions of their keys,
+    so lookups never change sampling behavior, only speed.
     """
 
     def __init__(self, system, graph, ell):
@@ -220,19 +238,38 @@ class MarginalCache:
         self.graph = graph
         self.ell = ell
         self._balls = {}
+        self._frames = {}
         self._min = {}
         self._cond = {}
         self._radix = system.q + 1
 
     def ball_parts(self, v):
-        """(sphere, interior, sorted ball, ball class) of v, computed once."""
+        """(sphere, sorted ball, ball class) of v, computed once."""
         parts = self._balls.get(v)
         if parts is None:
             sphere, interior = self.graph.sphere_and_interior(v, self.ell)
             ball = tuple(sorted(interior + sphere))
-            parts = (sphere, interior, ball, self.graph.ball_class(v))
+            cls = self.graph.ball_class(v)
+            if cls not in self._frames:
+                self._frames[cls] = self._frame(v, sphere, interior, ball)
+            parts = (sphere, ball, cls)
             self._balls[v] = parts
         return parts
+
+    def _frame(self, v, sphere, interior, ball):
+        label = {w: i for i, w in enumerate(ball, 1)}
+        edges = [
+            (i, j)
+            for w, i in label.items()
+            for u in self.graph.neighbors(w)
+            if (j := label.get(u, 0)) > i
+        ]
+        return _BallFrame(
+            FiniteGraph(len(ball), edges),
+            label[v],
+            tuple(label[w] for w in sphere),
+            tuple(label[w] for w in interior),
+        )
 
     def _key(self, cls, ball, lam):
         radix = self._radix
@@ -244,13 +281,14 @@ class MarginalCache:
 
     def min_intervals(self, v, lam):
         """(p vector, IntervalPartition) for v under the context ``lam``."""
-        sphere, interior, ball, cls = self.ball_parts(v)
+        _, ball, cls = self.ball_parts(v)
         key = self._key(cls, ball, lam)
         hit = self._min.get(key)
         if hit is None:
-            restricted = {w: lam[w] for w in ball if w in lam}
+            frame = self._frames[cls]
             p = _min_marginals_on_ball(
-                self.system, self.graph, v, sphere, interior, restricted
+                self.system, frame.graph, frame.v, frame.sphere, frame.interior,
+                _on_frame(ball, lam),
             )
             hit = (p, IntervalPartition(p))
             p.flags.writeable = False
@@ -259,13 +297,22 @@ class MarginalCache:
 
     def sphere_conditional(self, v, lam):
         """Marginal of v once its whole sphere (and maybe more) is assigned."""
-        sphere, interior, ball, cls = self.ball_parts(v)
+        sphere, ball, cls = self.ball_parts(v)
         key = self._key(cls, ball, lam)
         hit = self._cond.get(key)
         if hit is None:
-            restricted = {w: lam[w] for w in ball if w in lam}
-            support = [w for w in ball if w not in restricted] + list(restricted)
-            mu = conditional_marginal(self.system, self.graph, v, restricted, support)
+            # On the frame every ball vertex's neighbors lie in the ball, so
+            # only this check keeps a free sphere vertex from going unnoticed.
+            for w in sphere:
+                if w not in lam:
+                    fmt = self.graph.format_vertex
+                    raise NotSeparatingError(
+                        f"sphere vertex {fmt(w)} of {fmt(v)} is unassigned"
+                    )
+            frame = self._frames[cls]
+            restricted = _on_frame(ball, lam)
+            support = [i for i in range(1, len(ball) + 1) if i not in restricted] + list(restricted)
+            mu = conditional_marginal(self.system, frame.graph, frame.v, restricted, support)
             mu.flags.writeable = False
             hit = mu
             self._cond[key] = hit
@@ -381,7 +428,7 @@ def _prepare_context(system, graph, fixed):
 class WindowSampler:
     """Reusable sampling context: one marginal cache, many seeded runs."""
 
-    def __init__(self, system, graph, ell, budget=None, use_cache=True):
+    def __init__(self, system, graph, ell, budget=None):
         if ell < 1:
             raise ModelParameterError(f"radius must be >= 1, got {ell}")
         self.system = system
@@ -390,13 +437,7 @@ class WindowSampler:
         self.budget = budget_from_env() if budget is None else int(budget)
         if self.budget < 1:
             raise ModelParameterError(f"budget must be positive, got {budget}")
-        self.use_cache = use_cache
         self._cache = MarginalCache(system, graph, ell)
-
-    def _fresh_cache(self):
-        if self.use_cache:
-            return self._cache
-        return MarginalCache(self.system, self.graph, self.ell)
 
     def sample_spin(self, v, seed_or_rng, fixed=None, trace=False):
         """One spin for ``v`` under ``fixed``; returns (spin, stats)."""
@@ -408,7 +449,7 @@ class WindowSampler:
             )
         rng = seed_or_rng if hasattr(seed_or_rng, "next_double") else RandomSource(seed_or_rng)
         stats = RecursionStats(trace=[] if trace else None)
-        spin = _run(self._fresh_cache(), lam, v, rng, stats, self.budget)
+        spin = _run(self._cache, lam, v, rng, stats, self.budget)
         return spin, stats
 
     def sample_spin_bounded(self, v, h, seed_or_rng, fixed=None, trace=False):
@@ -425,7 +466,7 @@ class WindowSampler:
             )
         rng = seed_or_rng if hasattr(seed_or_rng, "next_double") else RandomSource(seed_or_rng)
         stats = RecursionStats(trace=[] if trace else None)
-        spin = _run(self._fresh_cache(), lam, v, rng, stats, self.budget, h=h)
+        spin = _run(self._cache, lam, v, rng, stats, self.budget, h=h)
         return spin, stats
 
     def sample_window(self, window, seed_or_rng, fixed=None):
@@ -445,13 +486,12 @@ class WindowSampler:
                     f"window vertex {self.graph.format_vertex(v)} is already fixed"
                 )
         rng = seed_or_rng if hasattr(seed_or_rng, "next_double") else RandomSource(seed_or_rng)
-        cache = self._fresh_cache()
         total = RecursionStats()
         t0 = time.perf_counter()
         out = {}
         for v in window:
             stats = RecursionStats()
-            spin = _run(cache, lam, v, rng, stats, self.budget)
+            spin = _run(self._cache, lam, v, rng, stats, self.budget)
             lam[v] = spin
             out[v] = spin
             total.merge(stats)
@@ -461,12 +501,13 @@ class WindowSampler:
             seed=getattr(rng, "seed", -1),
             model=self.system.label,
             radius=self.ell,
-            window=[self.graph.format_vertex(v) for v in window],
+            window=window,
             spins=spins,
             total_calls=total.total_calls,
             max_depth=total.max_depth,
             indecision_events=total.indecision_events,
             wall_time_ms=wall_ms,
+            format_vertex=self.graph.format_vertex,
         )
         return spins, report
 

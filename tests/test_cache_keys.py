@@ -4,7 +4,8 @@ The cache keys a lookup at v by ``(graph.ball_class(v), code)``, where
 ``code`` reads the context on v's sorted ball in base q+1.  These checks hold
 the cache to the uncached marginal routines, bit for bit, including when an
 entry was filled at a translate of v, and check the ball-order invariant the
-translation sharing rests on.
+translation sharing rests on.  Misses are enumerated on a ball frame shared by
+the class, so the same checks hold the frames to the graph itself.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from ssms import (
     ising,
     min_marginals,
 )
+from ssms.bruteforce import ENUM_CAP
 from ssms.sampler import MarginalCache
 
 # Graph and radius, with the systems drawn there.  Colorings are used only
@@ -34,6 +36,7 @@ CASES = {
     "z2-ell2": (Lattice(2), 2, (hardcore(0.3), ising(1.5))),
     "z3-ell1": (Lattice(3), 1, (hardcore(1.0), ising(1.5))),
     "line:z2-ell1": (LineGraph(Lattice(2)), 1, (hardcore(1.0), ising(1.5))),
+    "line:z2-ell2": (LineGraph(Lattice(2)), 2, (hardcore(1.0), ising(1.5))),
     "tree:3-ell2": (RegularTree(3), 2, (hardcore(1.0), ising(1.5), coloring(4))),
     "grid4x4-ell2": (grid_graph(4, 4), 2, (hardcore(1.0), ising(1.5), coloring(5))),
 }
@@ -64,9 +67,16 @@ def _translate(graph, w, t):
     return tuple(tuple(a + b for a, b in zip(end, t)) for end in w)
 
 
-def _contexts(data, system, graph, v, ell):
+def _contexts(data, system, graph, v, ell, max_free=12):
     """A feasible context on v's ball that leaves v free, and its variants
     that differ from it at exactly one ball vertex.
+
+    A base context that would leave more than ``max_free`` ball vertices
+    besides v free has its free sphere vertices fixed, and then interior
+    ones past the first ``max_free``, so a large ball stays quick to
+    enumerate and such a context conditions v on its whole sphere.
+    ``max_free`` is lowered where needed to keep v and one more free vertex
+    within the enumeration cap.
 
     Spins are drawn vertex by vertex in ball order; a drawn spin that clashes
     with an assigned ball neighbor is replaced by the first compatible one, so
@@ -85,7 +95,14 @@ def _contexts(data, system, graph, v, ell):
         ]
         full[w] = wanted if wanted in ok else ok[0]
     keep = data.draw(st.lists(st.booleans(), min_size=len(ball), max_size=len(ball)))
-    base = {w: s for (w, s), k in zip(full.items(), keep) if k and w != v}
+    free = [w for w, k in zip(ball, keep) if not k and w != v]
+    while system.q ** (max_free + 2) > ENUM_CAP:
+        max_free -= 1
+    pinned = set()
+    if len(free) > max_free:
+        sphere = graph.sphere(v, ell)
+        pinned = set(free) - set([w for w in free if w not in sphere][:max_free])
+    base = {w: s for (w, s), k in zip(full.items(), keep) if (k or w in pinned) and w != v}
     variants = [base]
     for w in ball:
         if w != v:
@@ -112,6 +129,14 @@ def test_cache_equals_direct_marginals(graph, ell, systems, data):
     sphere = graph.sphere(v, ell)
     cache = MarginalCache(system, graph, ell)
     translated = graph.kind in ("lattice", "line")
+    if graph.kind == "line":
+        # Look up an edge of another direction first: a ball frame shared
+        # across directions would then give v the wrong ball geometry.
+        u, w = v
+        i = next(i for i, (a, b) in enumerate(zip(u, w)) if a != b)
+        j = (i + 1) % len(u)
+        other = (u, u[:j] + (u[j] + 1,) + u[j + 1:])
+        cache.min_intervals(other, {x: 1 for x in graph.ball(other, ell) if x != other})
     if translated:
         # Fill one cache at translates of v, so the lookups at v must hit.
         d = graph.dim if graph.kind == "lattice" else graph.base.dim

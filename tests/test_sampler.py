@@ -30,6 +30,7 @@ from ssms.errors import (
     InvalidProbabilitiesError,
     InvalidVertexError,
     ModelParameterError,
+    NotSeparatingError,
 )
 from ssms.sampler import MarginalCache, budget_from_env
 
@@ -88,7 +89,7 @@ def test_interval_partition_with_zone():
     assert part.locate(0.5) == 0
     assert part.locate(0.75) == 0
     assert part.q == 2
-    assert part.lengths() == (0.5, 0.5, 0.0)
+    assert part.p == (0.5, 0.5, 0.0)
 
 
 def test_interval_partition_quarters():
@@ -223,13 +224,14 @@ def test_success_is_budget_invariant():
 
 
 def test_cache_does_not_change_the_stream():
+    # One sampler reused across seeds draws from a warm cache and shared ball
+    # frames; a fresh sampler per seed computes every marginal anew.
     z2 = Lattice(2)
     window = z2.box((0, 0), (3, 3))
-    cached = WindowSampler(hardcore(0.3), z2, 2, use_cache=True)
-    uncached = WindowSampler(hardcore(0.3), z2, 2, use_cache=False)
+    reused = WindowSampler(hardcore(0.3), z2, 2)
     for seed in (1, 5, 11):
-        sa, ra = cached.sample_window(window, seed)
-        sb, rb = uncached.sample_window(window, seed)
+        sa, ra = reused.sample_window(window, seed)
+        sb, rb = WindowSampler(hardcore(0.3), z2, 2).sample_window(window, seed)
         assert sa == sb
         assert (ra.total_calls, ra.max_depth, ra.indecision_events) == (
             rb.total_calls, rb.max_depth, rb.indecision_events,
@@ -253,6 +255,18 @@ def test_line_graph_edge_orientations_do_not_share_cache_entries():
     want = min_marginals(system, g, ctx, up, 2)
     assert list(want) != list(warm)
     assert list(got) == list(want)
+
+
+def test_sphere_conditional_names_an_unassigned_sphere_vertex():
+    z2 = Lattice(2)
+    v = (3, -2)
+    sphere = z2.sphere(v, 2)
+    missing = sphere[5]
+    lam = {w: 1 for w in z2.ball(v, 2) if w not in (v, missing)}
+    cache = MarginalCache(hardcore(0.3), z2, 2)
+    with pytest.raises(NotSeparatingError) as err:
+        cache.sphere_conditional(v, lam)
+    assert z2.format_vertex(missing) in str(err.value)
 
 
 def test_bounded_frontier_uses_exact_oracle():
