@@ -126,7 +126,7 @@ def make_run_config(args):
         budget=budget,
         csv_path=args.csv,
         json_path=args.json,
-        pgm_path=args.pgm,
+        pgm_path=args.pgm or "sample.pgm",
     )
 
 
@@ -153,7 +153,7 @@ def write_pgm(path, box, spins):
 def cmd_sample(args):
     cfg = make_run_config(args)
     wants_pgm = cfg.box is not None and cfg.system.q == 2
-    if args.pgm_requested and not wants_pgm:
+    if args.pgm is not None and not wants_pgm:
         raise ConfigError("--pgm needs a box window and a two-spin model")
     if cfg.graph.is_finite():
         # catches systems with no feasible configuration at all, such as
@@ -254,7 +254,8 @@ def build_parser():
                         help="call budget per window vertex (default from SSMS_BUDGET)")
     sample.add_argument("--csv", default="sample.csv")
     sample.add_argument("--json", default="report.json")
-    sample.add_argument("--pgm", default="sample.pgm")
+    sample.add_argument("--pgm", default=None,
+                        help="PGM output path (default sample.pgm; box windows of two-spin models)")
     sample.set_defaults(func=cmd_sample)
 
     est = subs.add_parser("estimate-mixing",
@@ -277,8 +278,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sample":
-        args.pgm_requested = "--pgm" in (argv if argv is not None else sys.argv[1:])
     try:
         return args.func(args)
     except SsmsError as exc:

@@ -17,7 +17,7 @@ import io
 
 import numpy as np
 
-from .bruteforce import weight_tensor
+from .bruteforce import Support, weight_tensor
 from .errors import (
     DimensionMismatchError,
     InfeasibleBoundaryError,
@@ -88,7 +88,7 @@ def conditional_marginal(system, graph, v, fixed, support):
                     f"free vertex {graph.format_vertex(u)} has neighbor "
                     f"{graph.format_vertex(w)} outside the support"
                 )
-    free, W = weight_tensor(system, graph, support, spins)
+    free, W = weight_tensor(Support(system, graph, support), support, spins)
     jv = free.index(v)
     axes = tuple(j for j in range(len(free)) if j != jv)
     totals = W.sum(axis=axes) if axes else W
@@ -108,19 +108,20 @@ def _ball_parts(graph, v, ell, spins):
     return graph.sphere_and_interior(v, ell)
 
 
-def _sphere_grouped_marginals(system, graph, v, sphere, interior, spins):
+def _sphere_grouped_marginals(ball, v, sphere, interior, spins):
     """Matrix of conditional marginals of v, one row per free sphere assignment.
 
-    Free sphere vertices are enumerated lexicographically (canonical vertex
-    order, spins ascending); rows with zero total weight are infeasible and
-    returned masked out.
+    ``ball`` is the compiled ``Support`` on sphere and interior.  Free sphere
+    vertices are enumerated lexicographically (canonical vertex order, spins
+    ascending); rows with zero total weight are infeasible and returned
+    masked out.
     """
-    q = system.q
+    q = ball.system.q
     sphere_free = [w for w in sphere if w not in spins]
     interior_free = [w for w in interior if w not in spins]
     fixed = {w: spins[w] for w in list(sphere) + list(interior) if w in spins}
     support = sphere_free + interior_free + list(fixed)
-    free, W = weight_tensor(system, graph, support, fixed)
+    free, W = weight_tensor(ball, support, fixed)
     s = len(sphere_free)
     jv = free.index(v)
     keep = tuple(range(s)) + (jv,)
@@ -147,15 +148,17 @@ def min_marginals(system, graph, fixed, v, ell):
     spins = as_spin_dict(fixed)
     _check_spins(system, spins)
     sphere, interior = _ball_parts(graph, v, ell, spins)
-    return _min_marginals_on_ball(system, graph, v, sphere, interior, spins)
+    ball = Support(system, graph, sphere + interior)
+    return _min_marginals_on_ball(ball, v, sphere, interior, spins)
 
 
-def _min_marginals_on_ball(system, graph, v, sphere, interior, spins):
+def _min_marginals_on_ball(ball, v, sphere, interior, spins):
     """``min_marginals`` for a caller that already holds v's sphere and ball
-    interior and a validated context ``spins`` that leaves v free."""
-    mu, s = _sphere_grouped_marginals(system, graph, v, sphere, interior, spins)
+    interior, the ``Support`` compiled on them, and a validated context
+    ``spins`` that leaves v free."""
+    mu, s = _sphere_grouped_marginals(ball, v, sphere, interior, spins)
     p = mu.min(axis=0)
-    out = np.empty(system.q + 1)
+    out = np.empty(ball.system.q + 1)
     out[1:] = p
     if s == 0:
         out[0] = 0.0
@@ -176,7 +179,8 @@ def mixing_rate_estimate(system, graph, v, ell, fixed=None):
     spins = as_spin_dict(fixed)
     _check_spins(system, spins)
     sphere, interior = _ball_parts(graph, v, ell, spins)
-    mu, _ = _sphere_grouped_marginals(system, graph, v, sphere, interior, spins)
+    ball = Support(system, graph, sphere + interior)
+    mu, _ = _sphere_grouped_marginals(ball, v, sphere, interior, spins)
     if mu.shape[0] == 1:
         return 0.0
     # TV(a, b) is the largest gap in probability a and b give a common spin

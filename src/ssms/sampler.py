@@ -23,6 +23,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 
+from .bruteforce import Support
 from .errors import (
     BudgetExhaustedError,
     ConfigError,
@@ -205,7 +206,7 @@ class RunReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-_BallFrame = namedtuple("_BallFrame", "graph v sphere interior")
+_BallFrame = namedtuple("_BallFrame", "graph v sphere interior support")
 
 
 def _on_frame(ball, lam):
@@ -226,11 +227,12 @@ class MarginalCache:
 
     A miss is enumerated on the class's ball frame: the ball's induced
     subgraph as a ``FiniteGraph`` with the i-th sorted ball vertex labelled
-    i, built once per class.  Relabelling keeps the ball order and the
-    sorted neighbor lists, so the enumeration multiplies the same factors
-    in the same order as on the graph itself and the marginals are
-    bit-identical.  Cached values are deterministic functions of their keys,
-    so lookups never change sampling behavior, only speed.
+    i, built once per class together with its compiled enumeration
+    ``Support``, so a min miss walks no edges.  Relabelling keeps the ball
+    order and the sorted neighbor lists, so the enumeration multiplies the
+    same factors in the same order as on the graph itself and the marginals
+    are bit-identical.  Cached values are deterministic functions of their
+    keys, so lookups never change sampling behavior, only speed.
     """
 
     def __init__(self, system, graph, ell):
@@ -264,11 +266,13 @@ class MarginalCache:
             for u in self.graph.neighbors(w)
             if (j := label.get(u, 0)) > i
         ]
+        graph = FiniteGraph(len(ball), edges)
         return _BallFrame(
-            FiniteGraph(len(ball), edges),
+            graph,
             label[v],
             tuple(label[w] for w in sphere),
             tuple(label[w] for w in interior),
+            Support(self.system, graph, label.values()),
         )
 
     def _key(self, cls, ball, lam):
@@ -287,8 +291,7 @@ class MarginalCache:
         if hit is None:
             frame = self._frames[cls]
             p = _min_marginals_on_ball(
-                self.system, frame.graph, frame.v, frame.sphere, frame.interior,
-                _on_frame(ball, lam),
+                frame.support, frame.v, frame.sphere, frame.interior, _on_frame(ball, lam)
             )
             hit = (p, IntervalPartition(p))
             p.flags.writeable = False
@@ -439,25 +442,19 @@ class WindowSampler:
             raise ModelParameterError(f"budget must be positive, got {budget}")
         self._cache = MarginalCache(system, graph, ell)
 
-    def sample_spin(self, v, seed_or_rng, fixed=None, trace=False):
-        """One spin for ``v`` under ``fixed``; returns (spin, stats)."""
-        lam = _prepare_context(self.system, self.graph, fixed)
-        self.graph.check_vertex(v)
-        if v in lam:
-            raise ModelParameterError(
-                f"vertex {self.graph.format_vertex(v)} is already assigned"
-            )
-        rng = seed_or_rng if hasattr(seed_or_rng, "next_double") else RandomSource(seed_or_rng)
-        stats = RecursionStats(trace=[] if trace else None)
-        spin = _run(self._cache, lam, v, rng, stats, self.budget)
-        return spin, stats
+    def sample_spin(self, v, seed_or_rng, fixed=None, trace=False, h=None):
+        """One spin for ``v`` under ``fixed``; returns (spin, stats).
 
-    def sample_spin_bounded(self, v, h, seed_or_rng, fixed=None, trace=False):
-        """Depth-bounded variant; exact-oracle fallback needs a finite graph."""
-        if not self.graph.is_finite():
-            raise FiniteOnlyError("bounded sampling requires a finite graph")
-        if h < 0:
-            raise ModelParameterError(f"depth bound must be >= 0, got {h}")
+        With a depth allowance ``h`` the run follows the unbounded one draw
+        for draw until a call is entered with no allowance left; that call
+        samples from the exact whole-graph conditional instead of recursing,
+        so ``h`` needs a finite graph.
+        """
+        if h is not None:
+            if not self.graph.is_finite():
+                raise FiniteOnlyError("bounded sampling requires a finite graph")
+            if h < 0:
+                raise ModelParameterError(f"depth bound must be >= 0, got {h}")
         lam = _prepare_context(self.system, self.graph, fixed)
         self.graph.check_vertex(v)
         if v in lam:
@@ -512,29 +509,16 @@ class WindowSampler:
         return spins, report
 
 
-def ssms(system, graph, fixed, v, ell, seed_or_rng, budget=None, trace=False):
+def ssms(system, graph, fixed, v, ell, seed_or_rng, budget=None, trace=False, h=None):
     """Draw the spin of ``v`` exactly from its conditional distribution.
 
     Returns ``(config, stats)`` where config extends ``fixed`` by the single
     assignment at ``v``; any sphere spins sampled along the way are discarded.
+    A depth allowance ``h`` (finite graphs only) caps the recursion; see
+    ``WindowSampler.sample_spin``.
     """
     sampler = WindowSampler(system, graph, ell, budget=budget)
-    spin, stats = sampler.sample_spin(v, seed_or_rng, fixed, trace=trace)
-    base = fixed if isinstance(fixed, PartialConfiguration) else PartialConfiguration(
-        as_spin_dict(fixed)
-    )
-    return base.with_spin(v, spin), stats
-
-
-def bounded_ssms(system, graph, fixed, v, ell, h, seed_or_rng, budget=None, trace=False):
-    """Depth-bounded variant of ``ssms`` (finite graphs only).
-
-    Identical to the unbounded sampler while the recursion stays above the
-    depth allowance; a call entered with no allowance left samples from the
-    exact whole-graph conditional instead of recursing.
-    """
-    sampler = WindowSampler(system, graph, ell, budget=budget)
-    spin, stats = sampler.sample_spin_bounded(v, h, seed_or_rng, fixed, trace=trace)
+    spin, stats = sampler.sample_spin(v, seed_or_rng, fixed, trace=trace, h=h)
     base = fixed if isinstance(fixed, PartialConfiguration) else PartialConfiguration(
         as_spin_dict(fixed)
     )

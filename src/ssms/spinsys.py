@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .bruteforce import weight_tensor
+from .bruteforce import Support, weight_tensor
 from .errors import (
     DegenerateSystemError,
     FiniteOnlyError,
@@ -224,7 +224,7 @@ def partition_function(system, graph):
     if not graph.is_finite():
         raise FiniteOnlyError("partition function requires a finite graph")
     support = list(graph.vertices())
-    _, W = weight_tensor(system, graph, support, {})
+    _, W = weight_tensor(Support(system, graph, support), support, {})
     z = float(W.sum())
     if z <= 0.0:
         raise DegenerateSystemError(
@@ -244,5 +244,5 @@ def is_feasible(system, graph, config, support):
     if not domain <= set(support):
         raise MissingSpinError("configuration assigns vertices outside the support")
     fixed = {v: spins[v] for v in support if v in spins}
-    _, W = weight_tensor(system, graph, support, fixed)
+    _, W = weight_tensor(Support(system, graph, support), support, fixed)
     return bool(W.max() > 0.0)

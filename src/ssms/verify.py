@@ -25,11 +25,11 @@ from .analysis import (
     lemma1_check,
     verify_tree_bound,
 )
-from .bruteforce import weight_tensor
+from .bruteforce import Support, weight_tensor
 from .errors import BudgetExhaustedError, UnknownSuiteError
 from .graph import FiniteGraph, Lattice, cycle_graph, grid_graph, path_graph, petersen_graph
 from .marginals import estimate_mixing_rate
-from .sampler import RandomSource, WindowSampler, bounded_ssms, ssms
+from .sampler import RandomSource, WindowSampler, ssms
 from .spinsys import coloring, hardcore, is_feasible, ising
 
 
@@ -94,7 +94,7 @@ NONTERMINATING_CELLS = frozenset(
 def exact_joint_distribution(system, graph):
     """(vertices, probability vector over all q^n spin tuples, C order)."""
     support = list(graph.vertices())
-    free, w = weight_tensor(system, graph, support, {})
+    free, w = weight_tensor(Support(system, graph, support), support, {})
     flat = w.ravel()
     return free, flat / flat.sum()
 
@@ -293,7 +293,7 @@ def coupling_suite(seed=1, seeds=1_000, h=10):
         for _ in range(seeds):
             s = seeder.next_uint64()
             free, stats = ssms(system, graph, {}, 1, ell, RandomSource(s))
-            capped, _ = bounded_ssms(system, graph, {}, 1, ell, h, RandomSource(s))
+            capped, _ = ssms(system, graph, {}, 1, ell, RandomSource(s), h=h)
             if stats.max_depth < h:
                 subset += 1
                 equal += free.spin(1) == capped.spin(1)

@@ -17,6 +17,7 @@ from ssms import (
     Lattice,
     LineGraph,
     RegularTree,
+    SpinSystem,
     coloring,
     conditional_marginal,
     grid_graph,
@@ -27,18 +28,25 @@ from ssms import (
 from ssms.bruteforce import ENUM_CAP
 from ssms.sampler import MarginalCache
 
+# Non-unit fields on every spin and an all-ones row for spin 1: the compiled
+# enumeration skips that row, and the other entries (neither 0 nor 1) make
+# any change in the order of the factors show in the last bits.
+THREE_SPIN = SpinSystem(
+    3, [0.7, 1.3, 2.1], [[1.0, 1.0, 1.0], [1.0, 0.3, 1.7], [1.0, 1.7, 2.9]], label="three-spin"
+)
+
 # Graph and radius, with the systems drawn there.  Colorings are used only
 # where q exceeds the degree, so every drawn partial coloring extends to the
 # whole ball.
 CASES = {
     "z1-ell2": (Lattice(1), 2, (hardcore(1.0), ising(1.5), coloring(3))),
     "z2-ell1": (Lattice(2), 1, (hardcore(1.0), ising(1.5), coloring(5))),
-    "z2-ell2": (Lattice(2), 2, (hardcore(0.3), ising(1.5))),
+    "z2-ell2": (Lattice(2), 2, (hardcore(0.3), ising(1.5), THREE_SPIN)),
     "z3-ell1": (Lattice(3), 1, (hardcore(1.0), ising(1.5))),
     "line:z2-ell1": (LineGraph(Lattice(2)), 1, (hardcore(1.0), ising(1.5))),
     "line:z2-ell2": (LineGraph(Lattice(2)), 2, (hardcore(1.0), ising(1.5))),
     "tree:3-ell2": (RegularTree(3), 2, (hardcore(1.0), ising(1.5), coloring(4))),
-    "grid4x4-ell2": (grid_graph(4, 4), 2, (hardcore(1.0), ising(1.5), coloring(5))),
+    "grid4x4-ell2": (grid_graph(4, 4), 2, (hardcore(1.0), ising(1.5), coloring(5), THREE_SPIN)),
 }
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -145,6 +145,16 @@ def test_pgm_requires_two_spin_box(run_cli, tmp_path, p3_file):
     assert "box window" in res.stderr
 
     res = run_cli(
+        "sample", "--model", "ising", "--lambda", "1.5",
+        "--graph", f"file:{p3_file}", "--window", "list:1;3",
+        "--radius", "1", "--seed", "3", "--pgm=out.pgm",
+        cwd=tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("config-error:")
+    assert not (tmp_path / "out.pgm").exists()
+
+    res = run_cli(
         "sample", "--model", "coloring", "--q", "5",
         "--graph", "z2", "--window", "box:2x2@0,0",
         "--radius", "2", "--seed", "3", "--pgm", "out.pgm",

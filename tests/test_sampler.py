@@ -12,7 +12,6 @@ from ssms import (
     LineGraph,
     RandomSource,
     WindowSampler,
-    bounded_ssms,
     coloring,
     cycle_graph,
     grid_graph,
@@ -275,22 +274,22 @@ def test_bounded_frontier_uses_exact_oracle():
     # the five independent sets
     z = partition_function(hardcore(1.0), path_graph(3))
     assert z == pytest.approx(5.0)
-    cfg, stats = bounded_ssms(
-        hardcore(1.0), path_graph(3), {}, 2, 1, 0, FakeRng([0.1])
+    cfg, stats = ssms(
+        hardcore(1.0), path_graph(3), {}, 2, 1, FakeRng([0.1]), h=0
     )
     assert cfg.spin(2) == 1
     assert stats.total_calls == 1
-    cfg, _ = bounded_ssms(
-        hardcore(1.0), path_graph(3), {}, 2, 1, 0, FakeRng([0.85])
+    cfg, _ = ssms(
+        hardcore(1.0), path_graph(3), {}, 2, 1, FakeRng([0.85]), h=0
     )
     assert cfg.spin(2) == 2
 
 
 def test_bounded_needs_finite_graph():
     with pytest.raises(FiniteOnlyError):
-        bounded_ssms(hardcore(0.3), Lattice(2), {}, (0, 0), 1, 3, 7)
+        ssms(hardcore(0.3), Lattice(2), {}, (0, 0), 1, 7, h=3)
     with pytest.raises(ModelParameterError):
-        bounded_ssms(hardcore(1.0), path_graph(3), {}, 2, 1, -1, 7)
+        ssms(hardcore(1.0), path_graph(3), {}, 2, 1, 7, h=-1)
 
 
 def test_bounded_agrees_with_unbounded_on_shallow_runs():
@@ -299,8 +298,8 @@ def test_bounded_agrees_with_unbounded_on_shallow_runs():
     for seed in range(200):
         cfg, stats = ssms(hardcore(1.0), path_graph(3), {}, 2, 1,
                           RandomSource(seed))
-        bcfg, bstats = bounded_ssms(hardcore(1.0), path_graph(3), {}, 2, 1, h,
-                                    RandomSource(seed))
+        bcfg, bstats = ssms(hardcore(1.0), path_graph(3), {}, 2, 1,
+                            RandomSource(seed), h=h)
         if stats.max_depth <= h:
             assert bcfg == cfg
             assert bstats.total_calls == stats.total_calls
