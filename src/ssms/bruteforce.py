@@ -6,14 +6,19 @@ by broadcasting, so no index arrays are ever built.  Enumeration refuses
 more than q^k = 2^22 assignments.
 
 Enumeration is split in two.  ``Support`` compiles what does not depend on
-the fixed spins: each vertex's later neighbours inside the support, the
-spins whose interaction row is all ones, and the field tensor for each free
-count.  ``weight_tensor`` then takes one fixed/free pattern and support
-order.  A caller that enumerates one support many times (a ball frame of
-the sampler's marginal cache) compiles it once; every other caller compiles
-a one-shot support.  A call copies the memoized field tensor and multiplies
-only the interaction factors that are not all ones; since x * 1.0 == x,
-the weights are bit-identical to multiplying every factor in turn.
+the fixed spins: each vertex's neighbours inside the support and, for each
+free count, the field tensor and the interaction factors shaped to
+broadcast, with the all-ones rows marked.  ``weight_tensor`` then takes one
+fixed/free pattern and support order.  A caller that enumerates one support
+many times (a ball frame of the sampler's marginal cache) compiles it once;
+every other caller compiles a one-shot support.  A call copies the memoized
+field tensor and multiplies only the interaction factors that are not all
+ones; since x * 1.0 == x, the weights are bit-identical to multiplying
+every factor in turn.
+
+``Support.monotone`` also records whether the Gibbs measure on the support
+is monotone, which lets the worst-case marginals read only the two
+extremal boundaries (see ``marginals``).
 """
 
 import numpy as np
@@ -27,22 +32,23 @@ class Support:
     """Compiled enumeration of ``system`` on the vertex set ``vertices`` of
     ``graph``, for any fixed/free split and any order of those vertices."""
 
-    __slots__ = ("system", "later", "unit", "_fields")
+    __slots__ = ("system", "adjacent", "later", "monotone", "_b", "_A", "_fields", "_axes")
 
     def __init__(self, system, graph, vertices):
         members = set(vertices)
         self.system = system
-        self.later = {
-            u: tuple(sorted(w for w in graph.neighbors(u) if w in members and u < w))
-            for u in members
+        # Neighbor lists come sorted, so the filtered ones stay sorted.
+        self.adjacent = {
+            u: tuple(w for w in graph._neighbors(u) if w in members) for u in members
         }
-        # Spins s whose row A[s-1, :] is all ones; A is symmetric, so the
-        # column is too.  A fixed vertex with such a spin weighs nothing on
-        # its neighbours.
-        self.unit = frozenset(
-            s for s in range(1, system.q + 1) if bool(np.all(system.A[s - 1] == 1.0))
-        )
+        self.later = {u: tuple(w for w in nb if u < w) for u, nb in self.adjacent.items()}
+        self.monotone = _is_monotone(system.A, self.adjacent)
+        # Python floats for the scalar factors: the same doubles, cheaper
+        # arithmetic.
+        self._b = system.b.tolist()
+        self._A = system.A.tolist()
         self._fields = {}
+        self._axes = {}
 
     def field(self, k):
         """Read-only product of the field vector over k free axes."""
@@ -57,6 +63,60 @@ class Support:
             self._fields[k] = W
         return W
 
+    def axes(self, k):
+        """Interaction factors shaped for k free axes: ``rows[s - 1][j]`` is
+        row s of A on axis j, and ``pairs`` maps axes j1 < j2 to A across
+        them, filled on first use.
+
+        ``rows[s - 1]`` is None when that row is all ones: A is symmetric,
+        so the column is too, and a fixed vertex with spin s weighs nothing
+        on its neighbours.
+        """
+        hit = self._axes.get(k)
+        if hit is None:
+            q = self.system.q
+            rows = [
+                None if np.all(a == 1.0)
+                else [a.reshape((1,) * j + (q,) + (1,) * (k - 1 - j)) for j in range(k)]
+                for a in self.system.A
+            ]
+            hit = self._axes[k] = (rows, {})
+        return hit
+
+
+def _is_monotone(A, adjacent):
+    """Whether the Gibbs measure with interaction ``A`` on the graph
+    ``adjacent`` is monotone.
+
+    Attractive A (q = 2, A11 * A22 >= A12^2) with no zero entry is monotone
+    on any graph.  Repulsive A (A11 * A22 <= A12^2) with at most one zero
+    entry, on the diagonal, is monotone on a bipartite graph: flipping the
+    spins of one side makes it attractive.
+    """
+    if A.shape != (2, 2):
+        return False
+    a11, a12, a22 = A[0, 0], A[0, 1], A[1, 1]
+    if a11 > 0 and a12 > 0 and a22 > 0 and a11 * a22 >= a12 * a12:
+        return True
+    if not (a12 > 0 and max(a11, a22) > 0 and a11 * a22 <= a12 * a12):
+        return False
+    # Two-colour every component of the support's induced graph.
+    side = {}
+    for root in adjacent:
+        if root in side:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w in adjacent[u]:
+                if w not in side:
+                    side[w] = 1 - side[u]
+                    stack.append(w)
+                elif side[w] == side[u]:
+                    return False
+    return True
+
 
 def weight_tensor(compiled, support, fixed):
     """Joint weights of all free-spin assignments on ``support``.
@@ -70,8 +130,7 @@ def weight_tensor(compiled, support, fixed):
     zeroes the whole tensor.
     """
     later = compiled.later
-    system = compiled.system
-    q = system.q
+    q = compiled.system.q
     free = [v for v in support if v not in fixed]
     k = len(free)
     if q**k > ENUM_CAP:
@@ -79,17 +138,15 @@ def weight_tensor(compiled, support, fixed):
             f"enumeration of {q}^{k} assignments exceeds the {ENUM_CAP} cap"
         )
     pos = {v: j for j, v in enumerate(free)}
-    b = system.b
-    A = system.A
-    unit = compiled.unit
-
-    def on_axis(vec, j):
-        return vec.reshape((1,) * j + (q,) + (1,) * (k - 1 - j))
+    b = compiled._b
+    A = compiled._A
+    rows, pairs = compiled.axes(k)
 
     scalar = 1.0
     for v in support:
-        if v in fixed:
-            scalar *= b[fixed[v] - 1]
+        s = fixed.get(v)
+        if s is not None:
+            scalar *= b[s - 1]
     W = compiled.field(k).copy()
 
     for u in support:
@@ -98,20 +155,24 @@ def weight_tensor(compiled, support, fixed):
             sw = fixed.get(w)
             if su is not None:
                 if sw is not None:
-                    scalar *= A[su - 1, sw - 1]
-                elif su not in unit:
-                    W *= on_axis(A[su - 1], pos[w])
+                    scalar *= A[su - 1][sw - 1]
+                elif rows[su - 1] is not None:
+                    W *= rows[su - 1][pos[w]]
             elif sw is not None:
-                if sw not in unit:
-                    W *= on_axis(A[sw - 1], pos[u])
+                if rows[sw - 1] is not None:
+                    W *= rows[sw - 1][pos[u]]
             else:
                 # A is symmetric, so the pair factor on axes (j1, j2) is A
                 # itself whichever endpoint comes first.
                 ju, jw = pos[u], pos[w]
-                j1, j2 = (ju, jw) if ju < jw else (jw, ju)
-                W *= A.reshape(
-                    (1,) * j1 + (q,) + (1,) * (j2 - j1 - 1) + (q,) + (1,) * (k - 1 - j2)
-                )
+                axes = (ju, jw) if ju < jw else (jw, ju)
+                P = pairs.get(axes)
+                if P is None:
+                    j1, j2 = axes
+                    P = pairs[axes] = compiled.system.A.reshape(
+                        (1,) * j1 + (q,) + (1,) * (j2 - j1 - 1) + (q,) + (1,) * (k - 1 - j2)
+                    )
+                W *= P
     if scalar != 1.0:
         W = W * scalar
     return free, W

@@ -86,3 +86,7 @@ class UnknownSuiteError(SsmsError):
 
 class ConfigError(SsmsError):
     code = "config-error"
+
+
+class RepeatedVertexError(SsmsError):
+    code = "repeated-vertex"

@@ -23,15 +23,21 @@ from .errors import (
 class LocalGraph(ABC):
     """Immutable graph exposing neighborhoods on demand.
 
-    Subclasses implement ``neighbors``, membership, ``growth_bound`` and the
+    Subclasses implement ``_neighbors``, membership, ``growth_bound`` and the
     textual vertex encoding; breadth-first sphere and ball queries are shared.
     """
 
     kind = "abstract"
 
-    @abstractmethod
     def neighbors(self, v):
         """Sorted tuple of the neighbors of ``v``."""
+        self.check_vertex(v)
+        return self._neighbors(v)
+
+    @abstractmethod
+    def _neighbors(self, v):
+        """``neighbors`` without validating ``v``: for vertices the package
+        generated itself, such as a breadth-first search's."""
 
     @abstractmethod
     def __contains__(self, v):
@@ -69,7 +75,7 @@ class LocalGraph(ABC):
         for _ in range(ell):
             nxt = []
             for u in frontier:
-                for w in self.neighbors(u):
+                for w in self._neighbors(u):
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)
@@ -213,8 +219,7 @@ class FiniteGraph(LocalGraph):
     def edges(self):
         return self._edges
 
-    def neighbors(self, v):
-        self.check_vertex(v)
+    def _neighbors(self, v):
         return self._adj[v]
 
     def __contains__(self, v):
@@ -257,13 +262,20 @@ class Lattice(LocalGraph):
     def dim(self):
         return self._dim
 
-    def neighbors(self, v):
-        self.check_vertex(v)
+    def _neighbors(self, v):
+        # Emitted sorted: v - e_0 < ... < v - e_{d-1} < v + e_{d-1} < ... < v + e_0.
+        x = list(v)
         out = []
-        for i in range(self._dim):
-            for step in (-1, 1):
-                out.append(v[:i] + (v[i] + step,) + v[i + 1 :])
-        return tuple(sorted(out))
+        d = self._dim
+        for i in range(d):
+            x[i] -= 1
+            out.append(tuple(x))
+            x[i] += 1
+        for i in range(d - 1, -1, -1):
+            x[i] += 1
+            out.append(tuple(x))
+            x[i] -= 1
+        return tuple(out)
 
     def __contains__(self, v):
         return (
@@ -329,13 +341,12 @@ class RegularTree(LocalGraph):
     def degree(self):
         return self._degree
 
-    def neighbors(self, v):
-        self.check_vertex(v)
+    def _neighbors(self, v):
         d = self._degree
         if v == ():
             return tuple((j,) for j in range(d))
-        children = [v + (j,) for j in range(d - 1)]
-        return tuple(sorted([v[:-1]] + children))
+        # The parent is a prefix of v, so it sorts before every child.
+        return (v[:-1],) + tuple(v + (j,) for j in range(d - 1))
 
     def __contains__(self, v):
         if not isinstance(v, tuple):
@@ -386,18 +397,16 @@ class LineGraph(LocalGraph):
     def base(self):
         return self._base
 
-    def neighbors(self, v):
-        self.check_vertex(v)
+    def _neighbors(self, v):
+        # The edges at u, read in the sorted order of u's neighbors, are
+        # sorted, and so are w's; the only edge at both is v itself, so the
+        # sort merges two runs with no duplicate.
         u, w = v
-        out = set()
-        for x in self._base.neighbors(u):
-            e = (u, x) if u < x else (x, u)
-            out.add(e)
-        for x in self._base.neighbors(w):
-            e = (w, x) if w < x else (x, w)
-            out.add(e)
-        out.discard(v)
-        return tuple(sorted(out))
+        adjacent = self._base._neighbors
+        out = [(x, u) if x < u else (u, x) for x in adjacent(u) if x != w]
+        out += [(x, w) if x < w else (w, x) for x in adjacent(w) if x != u]
+        out.sort()
+        return tuple(out)
 
     def __contains__(self, v):
         if not (isinstance(v, tuple) and len(v) == 2):
@@ -407,7 +416,7 @@ class LineGraph(LocalGraph):
             return False
         if not u < w:
             return False
-        return w in self._base.neighbors(u)
+        return w in self._base._neighbors(u)
 
     def is_finite(self):
         return self._base.is_finite()
@@ -416,7 +425,7 @@ class LineGraph(LocalGraph):
         base = self._base
         out = set()
         for u in base.vertices():
-            for w in base.neighbors(u):
+            for w in base._neighbors(u):
                 out.add((u, w) if u < w else (w, u))
         return tuple(sorted(out))
 

@@ -1,15 +1,28 @@
 """Conditional and worst-case ball marginals.
 
-Everything here is exhaustive: a conditional marginal enumerates all free
-assignments of a separating support, and the worst-case ("minimum") marginals
-additionally range over every feasible boundary assignment of a sphere.  The
-minimum marginals of a vertex v at radius ell are
+A conditional marginal enumerates all free assignments of a separating
+support.  The worst-case ("minimum") marginals of a vertex v at radius ell
+are
 
     p_v^i = min over feasible tau on sphere(v, ell) \\ Lambda of
             P[ sigma_v = i | context, tau ],
 
-and the leftover mass p_v^0 = 1 - sum_i p_v^i is the zone of indecision that
-drives the sampler's recursion.
+and the leftover mass p_v^0 = 1 - sum_i p_v^i is the zone of indecision
+that drives the sampler's recursion.
+
+In general the minimum ranges over every feasible boundary tau, enumerated
+together with the ball's interior.  A monotone two-spin system (see
+``Support.monotone``) needs only the two extremal boundaries: "every free
+sphere vertex spin 1" and "every free sphere vertex spin 2", except that
+where A has a zero diagonal entry A_ss, a free sphere vertex next to a fixed
+vertex of spin s takes the other spin.  The least and greatest feasible
+boundaries are among these two (on a repulsive system, in the order that
+flips the spins of one side of the bipartite ball; the sphere lies on one
+side), and P[sigma_v = 2 | tau] is monotone in tau over the feasible
+boundaries (Holley's inequality; Propp and Wilson's extremal states), so
+each spin's minimum and the widest gap between two boundaries both sit at
+the extremes.  That takes two enumerations of the free interior instead of
+one of sphere and interior together.
 """
 
 import csv
@@ -27,7 +40,7 @@ from .errors import (
     ModelParameterError,
     NotSeparatingError,
 )
-from .spinsys import as_spin_dict, _check_spins
+from .spinsys import as_spin_dict, _check_spins, _distinct
 
 # Probabilities this far below zero are treated as roundoff; anything worse
 # indicates a real defect and is escalated.
@@ -70,7 +83,7 @@ def conditional_marginal(system, graph, v, fixed, support):
     spins = as_spin_dict(fixed)
     _check_spins(system, spins)
     support = list(support)
-    support_set = set(support)
+    support_set = _distinct(support)
     graph.check_vertex(v)
     if v not in support_set:
         raise NotSeparatingError(f"target vertex {graph.format_vertex(v)} not in support")
@@ -82,7 +95,7 @@ def conditional_marginal(system, graph, v, fixed, support):
         graph.check_vertex(u)
         if u in spins:
             continue
-        for w in graph.neighbors(u):
+        for w in graph._neighbors(u):
             if w not in support_set:
                 raise NotSeparatingError(
                     f"free vertex {graph.format_vertex(u)} has neighbor "
@@ -108,26 +121,56 @@ def _ball_parts(graph, v, ell, spins):
     return graph.sphere_and_interior(v, ell)
 
 
-def _sphere_grouped_marginals(ball, v, sphere, interior, spins):
-    """Matrix of conditional marginals of v, one row per free sphere assignment.
+def _extremal_boundaries(ball, sphere_free, spins):
+    """The two extremal assignments of the free sphere vertices of a monotone
+    ``ball``: all spin 1 and all spin 2, except that spin s with A_ss = 0
+    yields to the other spin next to a fixed vertex of spin s."""
+    A = ball.system.A
+    adjacent = ball.adjacent
+    out = []
+    for x in (1, 2):
+        tau = dict.fromkeys(sphere_free, x)
+        if A[x - 1, x - 1] == 0.0:
+            for u, s in spins.items():
+                if s == x:
+                    for w in adjacent.get(u, ()):
+                        if w in tau:
+                            tau[w] = 3 - x
+        out.append(tau)
+    return out
 
-    ``ball`` is the compiled ``Support`` on sphere and interior.  Free sphere
-    vertices are enumerated lexicographically (canonical vertex order, spins
-    ascending); rows with zero total weight are infeasible and returned
-    masked out.
+
+def _sphere_grouped_marginals(ball, v, sphere, interior, spins):
+    """Matrix of conditional marginals of v, one row per boundary scanned.
+
+    ``ball`` is the compiled ``Support`` on sphere and interior.  A monotone
+    ball with a free sphere vertex scans its two extremal boundaries; any
+    other scans every free sphere assignment, lexicographically (canonical
+    vertex order, spins ascending).  Rows with zero total weight are
+    infeasible and returned masked out.  Also returns the number of free
+    sphere vertices.
     """
     q = ball.system.q
     sphere_free = [w for w in sphere if w not in spins]
     interior_free = [w for w in interior if w not in spins]
     fixed = {w: spins[w] for w in list(sphere) + list(interior) if w in spins}
-    support = sphere_free + interior_free + list(fixed)
-    free, W = weight_tensor(ball, support, fixed)
     s = len(sphere_free)
-    jv = free.index(v)
-    keep = tuple(range(s)) + (jv,)
-    drop = tuple(j for j in range(len(free)) if j not in keep)
-    M = W.sum(axis=drop) if drop else W
-    M = M.reshape(q**s, q)
+    if s and ball.monotone:
+        # v first among the free vertices, so its axis leads.
+        support = [v] + [w for w in interior_free if w != v] + list(fixed) + sphere_free
+        rows = []
+        for tau in _extremal_boundaries(ball, sphere_free, spins):
+            _, W = weight_tensor(ball, support, {**fixed, **tau})
+            rows.append(W.reshape(q, -1).sum(axis=1))
+        M = np.array(rows)
+    else:
+        support = sphere_free + interior_free + list(fixed)
+        free, W = weight_tensor(ball, support, fixed)
+        jv = free.index(v)
+        keep = tuple(range(s)) + (jv,)
+        drop = tuple(j for j in range(len(free)) if j not in keep)
+        M = W.sum(axis=drop) if drop else W
+        M = M.reshape(q**s, q)
     totals = M.sum(axis=1)
     feasible = totals > 0.0
     if not feasible.any():
@@ -144,6 +187,14 @@ def min_marginals(system, graph, fixed, v, ell):
     Returns a vector of length q+1: entry i (1-based) is p_v^i and entry 0 is
     the zone of indecision p_v^0 = 1 - sum_i p_v^i.  With an empty free
     sphere the conditional marginal is exact and p_v^0 is identically 0.
+
+    A monotone two-spin system on the ball (attractive, or repulsive on a
+    bipartite ball; see ``Support.monotone``) reads only the two extremal
+    boundaries, where each spin's minimum is attained (module docstring),
+    so on Z^2 radius 3 takes two 2^13-cell enumerations of the interior
+    rather than one over 2^25 cells.  Every other system enumerates every
+    boundary together with the interior.  Either path raises
+    ``TooLargeError`` past ``ENUM_CAP``.
     """
     spins = as_spin_dict(fixed)
     _check_spins(system, spins)
@@ -174,7 +225,9 @@ def mixing_rate_estimate(system, graph, v, ell, fixed=None):
     """Largest TV distance between v's marginals under any two feasible boundaries.
 
     This is the empirical decay-of-correlation rate at radius ell for the
-    probe context; one or zero free sphere vertices give a rate of 0.
+    probe context; a single feasible boundary gives a rate of 0.  On a
+    monotone system the widest gap lies between the two extremal boundaries,
+    so only those are scanned, as in ``min_marginals``.
     """
     spins = as_spin_dict(fixed)
     _check_spins(system, spins)

@@ -263,7 +263,7 @@ class MarginalCache:
         edges = [
             (i, j)
             for w, i in label.items()
-            for u in self.graph.neighbors(w)
+            for u in self.graph._neighbors(w)
             if (j := label.get(u, 0)) > i
         ]
         graph = FiniteGraph(len(ball), edges)

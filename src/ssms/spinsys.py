@@ -19,6 +19,7 @@ from .errors import (
     FiniteOnlyError,
     MissingSpinError,
     ModelParameterError,
+    RepeatedVertexError,
 )
 
 # Weights must stay representable in double precision through products over
@@ -193,6 +194,14 @@ def _check_spins(system, spins):
             )
 
 
+def _distinct(support):
+    """The set of the listed ``support``; a vertex listed twice is an error."""
+    members = set(support)
+    if len(members) != len(support):
+        raise RepeatedVertexError("support lists a vertex more than once")
+    return members
+
+
 def config_weight(system, graph, config, support=None):
     """Weight of a full configuration on ``support`` (default: its domain).
 
@@ -210,10 +219,10 @@ def config_weight(system, graph, config, support=None):
     b = system.b
     A = system.A
     weight = 1.0
-    in_support = set(support)
+    in_support = _distinct(support)
     for v in support:
         weight *= b[spins[v] - 1]
-        for w in graph.neighbors(v):
+        for w in graph._neighbors(v):
             if w in in_support and v < w:
                 weight *= A[spins[v] - 1, spins[w] - 1]
     return weight
@@ -240,8 +249,7 @@ def is_feasible(system, graph, config, support):
     support = list(support)
     for v in support:
         graph.check_vertex(v)
-    domain = set(spins)
-    if not domain <= set(support):
+    if not set(spins) <= _distinct(support):
         raise MissingSpinError("configuration assigns vertices outside the support")
     fixed = {v: spins[v] for v in support if v in spins}
     _, W = weight_tensor(Support(system, graph, support), support, fixed)

@@ -88,8 +88,9 @@ def _verdict(num, kinds):
         )
     if num == 6 and "xfail" in kinds:
         return (
-            "FAIL as stated (supercritical runs exhaust any call budget, "
-            "confirmed); the subcritical variant passes the bracket"
+            "FAIL as stated at radius 2 (supercritical runs exhaust any call "
+            "budget, confirmed); the stated check passes at radius 3, and "
+            "the subcritical variant passes the bracket"
         )
     if "xfail" in kinds:
         return "FAIL (expected)"

@@ -131,6 +131,14 @@ def test_criterion_6_window_bracket_as_stated():
     lattice_occupation_check(0.5, 2, 10_000, seed=1, budget=10**5)
 
 
+def test_criterion_6_window_bracket_radius3():
+    # the stated check at radius 3, where the extremal-boundary marginals
+    # keep the enumeration within the cap; runs complete within the budget
+    res = lattice_occupation_check(0.5, 3, 10_000, seed=1, budget=10**5)
+    assert res.passed
+    assert res.lo < res.hi
+
+
 def test_criterion_6_window_bracket_subcritical():
     # same oracle and tolerance at an activity where the recursion is
     # contractive; demonstrates the bracketing check itself is sound

@@ -112,6 +112,20 @@ def test_verify_tree_bound_needs_enough_runs():
         verify_tree_bound(fake_runs([1] * 999), 2.0)
 
 
+def test_verify_tree_bound_on_z2_at_radius_three():
+    # ising(1.2) on Z^2 is contractive at radius 3 (alpha about 0.50), so
+    # the paper's bound 1 / (1 - alpha) on the expected calls applies.
+    system, z2 = ising(1.2), Lattice(2)
+    bound = branching_bound(system, z2, 3, estimate_mixing_rate(system, z2, [3]))
+    assert bound.contractive
+    assert bound.alpha == pytest.approx(0.503, abs=1e-3)
+    sampler = WindowSampler(system, z2, 3, budget=10**5)
+    runs = [sampler.sample_spin((0, 0), seed)[1] for seed in range(2000)]
+    check = verify_tree_bound(runs, bound)
+    assert check.passed
+    assert check.runs == 2000
+
+
 def test_lemma1_check_path_center():
     res = lemma1_check(hardcore(1.0), path_graph(3), {}, 2, 1)
     assert res.passed

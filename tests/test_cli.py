@@ -182,6 +182,21 @@ def test_estimate_mixing_stdout_and_file_agree(run_cli, tmp_path):
     assert first[0] == "1" and float(first[1]) == 0.0 and first[4] == "1"
 
 
+def test_estimate_mixing_reaches_radius_three_on_z2(run_cli, tmp_path):
+    res = run_cli(
+        "estimate-mixing", "--model", "ising", "--lambda", "1.2",
+        "--graph", "z2", "--ells", "1,2,3",
+        cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.strip().splitlines()
+    assert lines[0] == "ell,f_hat,growth,alpha,is_least_contractive"
+    rows = {int(r[0]): r for r in (line.split(",") for line in lines[1:])}
+    assert sorted(rows) == [1, 2, 3]
+    assert float(rows[3][3]) < 1.0 and rows[3][4] == "1"
+    assert rows[1][4] == rows[2][4] == "0"
+
+
 def test_verify_command_csv(run_cli, tmp_path):
     res = run_cli("verify", "lemma1", "--seed", "1", "--out", "suite.csv",
                   cwd=tmp_path)

@@ -1,0 +1,183 @@
+"""Extremal-boundary min marginals against the exhaustive boundary scan.
+
+On a monotone two-spin system ``min_marginals`` and ``mixing_rate_estimate``
+read only the two extremal sphere boundaries (see the ``marginals`` module
+docstring); every other system scans every boundary.  The property here
+holds both to a reference that conditions v on each assignment of its free
+sphere vertices in turn, on every drawn instance, and checks which path
+each instance took.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ssms import (
+    Lattice,
+    LineGraph,
+    RegularTree,
+    SpinSystem,
+    coloring,
+    conditional_marginal,
+    grid_graph,
+    hardcore,
+    ising,
+    min_marginals,
+)
+from ssms.bruteforce import Support
+from ssms.errors import InfeasibleBoundaryError, InfeasibleContextError, TooLargeError
+from ssms.marginals import _sphere_grouped_marginals, mixing_rate_estimate
+
+SYSTEMS = {
+    "hardcore": hardcore(0.7),
+    "ising": ising(1.5),
+    "antiferromagnetic": SpinSystem(2, [1.0, 1.3], [[0.5, 1.0], [1.0, 0.7]]),
+    "zero-field": SpinSystem(2, [1.0, 0.0], [[1.4, 1.0], [1.0, 1.4]]),
+    "zero-diagonal": SpinSystem(2, [0.8, 1.1], [[0.0, 1.2], [1.2, 0.6]]),
+    "zero-off-diagonal": SpinSystem(2, [1.0, 0.9], [[1.3, 0.0], [0.0, 0.8]]),
+    "coloring": coloring(3),
+    "three-spin": SpinSystem(
+        3, [0.7, 1.3, 2.1], [[1.0, 1.0, 1.0], [1.0, 0.3, 1.7], [1.0, 1.7, 2.9]]
+    ),
+}
+
+# Graph, its largest radius drawn, and the vertices drawn at.
+GRAPHS = {
+    "z1": (Lattice(1), 3, [(0,), (5,)]),
+    "z2": (Lattice(2), 3, [(0, 0), (2, -1)]),
+    "z3": (Lattice(3), 2, [(0, 0, 0)]),
+    "grid4x4": (grid_graph(4, 4), 3, list(range(1, 17))),
+    "tree:3": (RegularTree(3), 3, [(), (1,), (0, 1)]),
+    "line:z2": (LineGraph(Lattice(2)), 2, [((0, 0), (1, 0)), ((0, 0), (0, 1))]),
+}
+
+# Systems whose compiled ball is monotone, per graph: every graph here but
+# line:z2, whose balls hold triangles, is bipartite.
+ATTRACTIVE = {"ising", "zero-field"}
+REPULSIVE = {"hardcore", "antiferromagnetic", "zero-diagonal"}
+
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+# Caps on the reference's work: boundaries scanned, and free interior
+# vertices enumerated per boundary.
+MAX_BOUNDARIES = 64
+MAX_INTERIOR_FREE = 10
+
+
+def expect_monotone(system_name, graph_name):
+    return system_name in ATTRACTIVE or (system_name in REPULSIVE and graph_name != "line:z2")
+
+
+def reference_rows(system, graph, v, ell, context):
+    """v's conditional marginal under each feasible assignment of its free
+    sphere vertices, by one conditional enumeration per assignment."""
+    sphere = graph.sphere(v, ell)
+    ball = graph.ball(v, ell)
+    free = [w for w in sphere if w not in context]
+    rows = []
+    for spins in itertools.product(range(1, system.q + 1), repeat=len(free)):
+        fixed = dict(context)
+        fixed.update(zip(free, spins))
+        try:
+            rows.append(conditional_marginal(system, graph, v, fixed, ball))
+        except InfeasibleBoundaryError:
+            pass
+    return rows, len(free)
+
+
+def draw_context(data, system, graph, v, ell):
+    """A context on v's ball that leaves v free, with few enough free vertices
+    for the reference.  Spins are repaired into a feasible assignment, unless
+    the draw says to keep them raw, which may make the context infeasible."""
+    ball = graph.ball(v, ell)
+    sphere = set(graph.sphere(v, ell))
+    raw = data.draw(st.booleans())
+    spins = {}
+    for w in ball:
+        s = data.draw(st.integers(1, system.q))
+        ok = [
+            t for t in range(1, system.q + 1)
+            if system.b[t - 1] > 0
+            and all(system.A[t - 1, spins[x] - 1] > 0 for x in graph.neighbors(w) if x in spins)
+        ]
+        spins[w] = s if raw or s in ok or not ok else ok[0]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(ball), max_size=len(ball)))
+    free = [w for w, k in zip(ball, keep) if not k and w != v]
+    free_sphere = [w for w in free if w in sphere]
+    free_interior = [w for w in free if w not in sphere]
+    max_sphere = 0
+    while system.q ** (max_sphere + 1) <= MAX_BOUNDARIES:
+        max_sphere += 1
+    still_free = set(free_sphere[:max_sphere] + free_interior[:MAX_INTERIOR_FREE])
+    return {w: s for w, s in spins.items() if w != v and w not in still_free}
+
+
+@pytest.mark.parametrize("system_name", SYSTEMS)
+@pytest.mark.parametrize("graph_name", GRAPHS)
+@PROPERTY
+@given(data=st.data())
+def test_dispatched_min_marginals_equal_exhaustive_scan(graph_name, system_name, data):
+    graph, max_ell, vertices = GRAPHS[graph_name]
+    system = SYSTEMS[system_name]
+    v = data.draw(st.sampled_from(vertices))
+    ell = data.draw(st.integers(1, max_ell))
+    context = draw_context(data, system, graph, v, ell)
+
+    sphere, interior = graph.sphere_and_interior(v, ell)
+    ball = Support(system, graph, sphere + interior)
+    assert ball.monotone == (system.q == 2 and expect_monotone(system_name, graph_name))
+
+    rows, free_sphere = reference_rows(system, graph, v, ell, context)
+    if not rows:
+        with pytest.raises(InfeasibleContextError):
+            min_marginals(system, graph, context, v, ell)
+        with pytest.raises(InfeasibleContextError):
+            mixing_rate_estimate(system, graph, v, ell, context)
+        return
+
+    # The path taken: at most the two extremal rows when monotone, else one
+    # row per feasible boundary.
+    mu, s = _sphere_grouped_marginals(ball, v, sphere, interior, context)
+    assert s == free_sphere
+    if ball.monotone and s:
+        assert mu.shape[0] <= 2
+    else:
+        assert mu.shape[0] == len(rows)
+
+    want = np.min(rows, axis=0)
+    got = min_marginals(system, graph, context, v, ell)
+    assert np.abs(got[1:] - want).max() <= 1e-12
+    assert got[0] == pytest.approx(0.0 if s == 0 else max(1.0 - want.sum(), 0.0), abs=1e-12)
+
+    pairwise = max(0.5 * float(np.abs(a - b).sum()) for a in rows for b in rows)
+    assert abs(mixing_rate_estimate(system, graph, v, ell, context) - pairwise) <= 1e-12
+
+
+def test_zero_diagonal_extreme_yields_next_to_a_fixed_spin():
+    # (2,) is occupied, so the sphere vertex (3,) must stay empty; the
+    # greatest feasible boundary occupies (-3,) alone, and an extreme that
+    # occupied both would be infeasible and leave only the empty one.
+    z1 = Lattice(1)
+    system = hardcore(1.0)
+    context = {(2,): 2}
+    rows, _ = reference_rows(system, z1, (0,), 3, context)
+    assert len(rows) == 2
+    want = np.min(rows, axis=0)
+    got = min_marginals(system, z1, context, (0,), 3)
+    np.testing.assert_allclose(got[1:], want, rtol=0, atol=1e-12)
+    assert got[1] < max(row[0] for row in rows)
+
+
+def test_z2_radius_three_fits_only_on_the_extremal_path():
+    # 12 sphere and 13 interior vertices: the exhaustive scan would need
+    # 2^25 cells, over the enumeration cap; two 2^13-cell enumerations do.
+    z2 = Lattice(2)
+    p = min_marginals(hardcore(0.5), z2, {}, (0, 0), 3)
+    assert p.sum() == pytest.approx(1.0)
+    assert 0.0 < p[0] < 1.0
+    assert mixing_rate_estimate(ising(1.2), z2, (0, 0), 3) == pytest.approx(0.0209564, abs=1e-6)
+    with pytest.raises(TooLargeError):
+        min_marginals(SYSTEMS["zero-off-diagonal"], z2, {}, (0, 0), 3)

@@ -108,6 +108,36 @@ def test_lattice_neighbors_and_spheres():
     assert not z2.is_finite()
 
 
+def test_neighbors_are_emitted_sorted():
+    # Neighbors are emitted in order, not sorted after the fact; check the
+    # order at vertices with negative, zero and positive coordinates.
+    cases = [(Lattice(d), [(0,) * d, tuple(range(-1, d - 1)), (3,) * d]) for d in (1, 2, 3, 4)]
+    lz = line_graph(Lattice(2))
+    cases.append((lz, [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((-2, 3), (-2, 4))]))
+    t = RegularTree(3)
+    cases.append((t, [(), (2,), (0, 1, 0)]))
+    for graph, vertices in cases:
+        for v in vertices:
+            nb = graph.neighbors(v)
+            assert list(nb) == sorted(nb)
+            assert len(set(nb)) == len(nb) == graph.degree_bound()
+            assert v not in nb
+            assert all(v in graph.neighbors(w) for w in nb)
+
+
+def test_neighbors_validates_the_vertex():
+    cases = [
+        (Lattice(2), [(0,), (0, 0.5), [0, 0], (True, 0)]),
+        (line_graph(Lattice(2)), [((1, 0), (0, 0)), ((0, 0), (1, 1)), (0, 0)]),
+        (RegularTree(3), [(0, 2), (3,), 0]),
+        (path_graph(3), [0, 4, (1,)]),
+    ]
+    for graph, bad in cases:
+        for v in bad:
+            with pytest.raises(InvalidVertexError):
+                graph.neighbors(v)
+
+
 def test_lattice_growth_bound_matches_sphere_sizes():
     for dim in (1, 2, 3):
         g = Lattice(dim)

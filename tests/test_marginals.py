@@ -27,6 +27,7 @@ from ssms.errors import (
     MissingRateError,
     ModelParameterError,
     NotSeparatingError,
+    RepeatedVertexError,
 )
 from ssms.marginals import mixing_rate_estimate
 
@@ -99,6 +100,17 @@ def test_marginal_on_lattice_needs_separating_context():
         conditional_marginal(
             hardcore(1.0), z2, (0, 0), {(1, 0): 1}, [(0, 0), (0, 1), (1, 0)]
         )
+
+
+def test_repeated_support_vertex_is_rejected():
+    # Listing vertex 2 twice used to walk its edges twice and give
+    # [0.5385, 0.4615] instead of [0.52, 0.48].
+    g = path_graph(3)
+    np.testing.assert_allclose(
+        conditional_marginal(ising(1.5), g, 3, {1: 1}, [1, 2, 3]), [0.52, 0.48]
+    )
+    with pytest.raises(RepeatedVertexError):
+        conditional_marginal(ising(1.5), g, 3, {1: 1}, [1, 2, 2, 3])
 
 
 def test_min_marginals_path_center():

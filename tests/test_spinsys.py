@@ -26,6 +26,7 @@ from ssms.errors import (
     DegenerateSystemError,
     MissingSpinError,
     ModelParameterError,
+    RepeatedVertexError,
 )
 
 
@@ -196,6 +197,15 @@ def test_is_feasible():
     assert not is_feasible(hc, g, {1: 2, 2: 2}, sup)
     assert is_feasible(coloring(3), complete_graph(3), {1: 1, 2: 2}, [1, 2, 3])
     assert not is_feasible(coloring(2), complete_graph(3), {}, [1, 2, 3])
+
+
+def test_repeated_support_vertex_is_rejected():
+    # A vertex listed twice would have its field and edges counted twice.
+    g = path_graph(3)
+    with pytest.raises(RepeatedVertexError):
+        is_feasible(ising(1.5), g, {1: 1}, [1, 2, 2, 3])
+    with pytest.raises(RepeatedVertexError):
+        config_weight(ising(1.5), g, {1: 1, 2: 1, 3: 2}, [1, 2, 3, 1])
 
 
 def test_labels_round_parameters_compactly():
