@@ -9,12 +9,16 @@ Enumeration is split in two.  ``Support`` compiles what does not depend on
 the fixed spins: each vertex's neighbours inside the support and, for each
 free count, the field tensor and the interaction factors shaped to
 broadcast, with the all-ones rows marked.  ``weight_tensor`` then takes one
-fixed/free pattern and support order.  A caller that enumerates one support
+fixed/free pattern and support order, on the whole compiled support or on
+any part of it: it enumerates the subgraph induced by the vertices it is
+given and reads no edge leaving them.  A caller that enumerates one support
 many times (a ball frame of the sampler's marginal cache) compiles it once;
 every other caller compiles a one-shot support.  A call copies the memoized
 field tensor and multiplies only the interaction factors that are not all
 ones; since x * 1.0 == x, the weights are bit-identical to multiplying
-every factor in turn.
+every factor in turn.  ``scaled_weights`` is the same enumeration with the
+pinned spins' scalar factor kept apart, for a caller that goes on to pin
+more vertices (the extremal boundaries of ``marginals``).
 
 ``Support.monotone`` also records whether the Gibbs measure on the support
 is monotone, which lets the worst-case marginals read only the two
@@ -121,50 +125,68 @@ def _is_monotone(A, adjacent):
 def weight_tensor(compiled, support, fixed):
     """Joint weights of all free-spin assignments on ``support``.
 
-    ``support`` lists the compiled support's vertices in any order.  Returns
-    ``(free, W)`` where ``free`` lists the unassigned support vertices in
-    support order and ``W`` has shape ``(q,) * len(free)``;
+    ``support`` lists any of the compiled support's vertices, in any order.
+    Returns ``(free, W)`` where ``free`` lists the unassigned support vertices
+    in support order and ``W`` has shape ``(q,) * len(free)``;
     ``W[s_1-1, ..., s_k-1]`` is the weight of the induced configuration on
-    G[support], with ``fixed`` vertices pinned.  Interactions between two
-    fixed vertices enter as a scalar factor, so an infeasible pinned pair
-    zeroes the whole tensor.
+    G[support], with ``fixed`` vertices pinned; fixed spins and edges outside
+    ``support`` are not read.  Interactions between two fixed vertices enter
+    as a scalar factor, so an infeasible pinned pair zeroes the whole tensor.
     """
+    free, W, scalar = scaled_weights(compiled, support, fixed)
+    if scalar != 1.0:
+        W = W * scalar
+    return free, W
+
+
+def scaled_weights(compiled, support, fixed):
+    """``weight_tensor`` as ``(free, W, scalar)`` with the weights
+    ``scalar * W``: the fields of the pinned spins and the interactions
+    between two of them are left in ``scalar``, for a caller that multiplies
+    in more factors before scaling."""
     later = compiled.later
     q = compiled.system.q
-    free = [v for v in support if v not in fixed]
+    b = compiled._b
+    A = compiled._A
+    scalar = 1.0
+    pinned = {}
+    pos = {}
+    for v in support:
+        s = fixed.get(v)
+        if s is None:
+            pos[v] = len(pos)
+        else:
+            pinned[v] = s
+            scalar *= b[s - 1]
+    free = list(pos)
     k = len(free)
     if q**k > ENUM_CAP:
         raise TooLargeError(
             f"enumeration of {q}^{k} assignments exceeds the {ENUM_CAP} cap"
         )
-    pos = {v: j for j, v in enumerate(free)}
-    b = compiled._b
-    A = compiled._A
     rows, pairs = compiled.axes(k)
-
-    scalar = 1.0
-    for v in support:
-        s = fixed.get(v)
-        if s is not None:
-            scalar *= b[s - 1]
     W = compiled.field(k).copy()
 
     for u in support:
-        su = fixed.get(u)
+        su = pinned.get(u)
         for w in later[u]:
-            sw = fixed.get(w)
+            sw = pinned.get(w)
+            if sw is None:
+                jw = pos.get(w)
+                if jw is None:
+                    continue  # outside the support
             if su is not None:
                 if sw is not None:
                     scalar *= A[su - 1][sw - 1]
                 elif rows[su - 1] is not None:
-                    W *= rows[su - 1][pos[w]]
+                    W *= rows[su - 1][jw]
             elif sw is not None:
                 if rows[sw - 1] is not None:
                     W *= rows[sw - 1][pos[u]]
             else:
                 # A is symmetric, so the pair factor on axes (j1, j2) is A
                 # itself whichever endpoint comes first.
-                ju, jw = pos[u], pos[w]
+                ju = pos[u]
                 axes = (ju, jw) if ju < jw else (jw, ju)
                 P = pairs.get(axes)
                 if P is None:
@@ -173,6 +195,4 @@ def weight_tensor(compiled, support, fixed):
                         (1,) * j1 + (q,) + (1,) * (j2 - j1 - 1) + (q,) + (1,) * (k - 1 - j2)
                     )
                 W *= P
-    if scalar != 1.0:
-        W = W * scalar
-    return free, W
+    return free, W, scalar

@@ -11,6 +11,7 @@ equal arguments give identical output.
 import math
 import re
 from abc import ABC, abstractmethod
+from operator import add, sub
 
 from .errors import (
     ConfigError,
@@ -117,6 +118,20 @@ class LocalGraph(ABC):
         no symmetry, every vertex is its own class.
         """
         return v
+
+    def translate(self, vertices, v0, v):
+        """Map ``vertices`` around ``v0`` onto the corresponding vertices
+        around ``v``, a vertex of the same ball class, keeping their order.
+
+        Realizations with nontrivial classes override this with the symmetry
+        their ``ball_class`` rests on.  Default: every class is a single
+        vertex, so v is v0 and ``vertices`` map to themselves.
+        """
+        if v != v0:
+            raise UnsupportedRealizationError(
+                f"{self.kind} graph has no symmetry taking {v0!r} to {v!r}"
+            )
+        return tuple(vertices)
 
     def format_vertex(self, v):
         return _format_vertex(v)
@@ -304,6 +319,10 @@ class Lattice(LocalGraph):
         # so the sorted ball of v is the origin's shifted by v: one class.
         return None
 
+    def translate(self, vertices, v0, v):
+        t = tuple(map(sub, v, v0))
+        return tuple([tuple(map(add, w, t)) for w in vertices])
+
     def box(self, origin, shape):
         """Vertices of an axis-aligned box, canonically ordered."""
         if len(origin) != self._dim or len(shape) != self._dim:
@@ -452,6 +471,14 @@ class LineGraph(LocalGraph):
             u, w = v
             return tuple(b - a for a, b in zip(u, w))
         return v
+
+    def translate(self, vertices, v0, v):
+        # Move both endpoints of each edge by the base symmetry that takes
+        # v0's first endpoint to v's; it preserves the endpoint order.
+        ends = self._base.translate(
+            [x for e in vertices for x in e], v0[0], v[0]
+        )
+        return tuple(zip(ends[::2], ends[1::2]))
 
     def _parse_vertex(self, text):
         pair = _parse_tuple_vertex(text)

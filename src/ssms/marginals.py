@@ -21,8 +21,16 @@ flips the spins of one side of the bipartite ball; the sphere lies on one
 side), and P[sigma_v = 2 | tau] is monotone in tau over the feasible
 boundaries (Holley's inequality; Propp and Wilson's extremal states), so
 each spin's minimum and the widest gap between two boundaries both sit at
-the extremes.  That takes two enumerations of the free interior instead of
-one of sphere and interior together.
+the extremes.  The free interior is enumerated once, with the fixed
+vertices.  The two extremes differ only in their boundary factors: the
+fields of the pinned sphere spins and their interactions with the interior
+and with each other.  Each extreme multiplies its own into a copy of the
+interior weights, so a miss takes one enumeration of the free interior
+instead of one of sphere and interior together.
+
+A conditional marginal with a compiled ``Support`` in hand (the sampler's
+ball frame) skips validation and compiling and runs only the enumeration
+tail, ``_conditional_on_support``.
 """
 
 import csv
@@ -30,7 +38,7 @@ import io
 
 import numpy as np
 
-from .bruteforce import Support, weight_tensor
+from .bruteforce import Support, scaled_weights, weight_tensor
 from .errors import (
     DimensionMismatchError,
     InfeasibleBoundaryError,
@@ -101,7 +109,13 @@ def conditional_marginal(system, graph, v, fixed, support):
                     f"free vertex {graph.format_vertex(u)} has neighbor "
                     f"{graph.format_vertex(w)} outside the support"
                 )
-    free, W = weight_tensor(Support(system, graph, support), support, spins)
+    return _conditional_on_support(Support(system, graph, support), v, support, spins)
+
+
+def _conditional_on_support(compiled, v, support, spins):
+    """``conditional_marginal`` for a caller that already holds the compiled
+    ``Support`` and a context ``spins`` that it has checked separates v."""
+    free, W = weight_tensor(compiled, support, spins)
     jv = free.index(v)
     axes = tuple(j for j in range(len(free)) if j != jv)
     totals = W.sum(axis=axes) if axes else W
@@ -121,22 +135,71 @@ def _ball_parts(graph, v, ell, spins):
     return graph.sphere_and_interior(v, ell)
 
 
-def _extremal_boundaries(ball, sphere_free, spins):
+def _extremal_boundaries(ball, sphere_free, fixed):
     """The two extremal assignments of the free sphere vertices of a monotone
     ``ball``: all spin 1 and all spin 2, except that spin s with A_ss = 0
     yields to the other spin next to a fixed vertex of spin s."""
-    A = ball.system.A
+    A = ball._A
     adjacent = ball.adjacent
     out = []
     for x in (1, 2):
         tau = dict.fromkeys(sphere_free, x)
-        if A[x - 1, x - 1] == 0.0:
-            for u, s in spins.items():
+        if A[x - 1][x - 1] == 0.0:
+            for u, s in fixed.items():
                 if s == x:
                     for w in adjacent.get(u, ()):
                         if w in tau:
                             tau[w] = 3 - x
         out.append(tau)
+    return out
+
+
+def _extremal_rows(ball, v, interior_free, fixed, sphere_free):
+    """Unnormalized marginal of v under each extremal boundary.
+
+    The weight on the ball minus the free sphere vertices is enumerated
+    once.  Each extreme then multiplies in only its boundary factors: the
+    field of each pinned sphere spin, A's row on each free interior
+    neighbour (skipped when all ones), and a scalar for each fixed or pinned
+    sphere neighbour.  The scalar continues the enumeration's own, so where
+    A holds only 0s and 1s the rows equal a whole-ball enumeration per
+    extreme bit for bit.
+    """
+    q = ball.system.q
+    # v first among the free vertices, so its axis leads.
+    inner = [v] + [w for w in interior_free if w != v] + list(fixed)
+    free, W, inner_scalar = scaled_weights(ball, inner, fixed)
+    pos = {w: j for j, w in enumerate(free)}
+    rows, _ = ball.axes(len(free))
+    b = ball._b
+    A = ball._A
+    adjacent = ball.adjacent
+    out = []
+    for tau in _extremal_boundaries(ball, sphere_free, fixed):
+        scalar = inner_scalar
+        factors = []
+        for w in sphere_free:
+            x = tau[w]
+            scalar *= b[x - 1]
+            row = rows[x - 1]
+            for u in adjacent[w]:
+                j = pos.get(u)
+                if j is not None:
+                    if row is not None:
+                        factors.append(row[j])
+                elif u in fixed:
+                    scalar *= A[x - 1][fixed[u] - 1]
+                elif u > w:
+                    # Both ends are free sphere vertices: one factor per edge.
+                    scalar *= A[x - 1][tau[u] - 1]
+        Wx = W
+        if factors:
+            Wx = W * factors[0]
+            for f in factors[1:]:
+                Wx *= f
+        if scalar != 1.0:
+            Wx = Wx * scalar
+        out.append(Wx.reshape(q, -1).sum(axis=1))
     return out
 
 
@@ -156,13 +219,7 @@ def _sphere_grouped_marginals(ball, v, sphere, interior, spins):
     fixed = {w: spins[w] for w in list(sphere) + list(interior) if w in spins}
     s = len(sphere_free)
     if s and ball.monotone:
-        # v first among the free vertices, so its axis leads.
-        support = [v] + [w for w in interior_free if w != v] + list(fixed) + sphere_free
-        rows = []
-        for tau in _extremal_boundaries(ball, sphere_free, spins):
-            _, W = weight_tensor(ball, support, {**fixed, **tau})
-            rows.append(W.reshape(q, -1).sum(axis=1))
-        M = np.array(rows)
+        M = np.array(_extremal_rows(ball, v, interior_free, fixed, sphere_free))
     else:
         support = sphere_free + interior_free + list(fixed)
         free, W = weight_tensor(ball, support, fixed)
@@ -191,7 +248,7 @@ def min_marginals(system, graph, fixed, v, ell):
     A monotone two-spin system on the ball (attractive, or repulsive on a
     bipartite ball; see ``Support.monotone``) reads only the two extremal
     boundaries, where each spin's minimum is attained (module docstring),
-    so on Z^2 radius 3 takes two 2^13-cell enumerations of the interior
+    so on Z^2 radius 3 takes one 2^13-cell enumeration of the interior
     rather than one over 2^25 cells.  Every other system enumerates every
     boundary together with the interior.  Either path raises
     ``TooLargeError`` past ``ENUM_CAP``.

@@ -34,7 +34,12 @@ from .errors import (
     NotSeparatingError,
 )
 from .graph import FiniteGraph
-from .marginals import NEG_TOL, _min_marginals_on_ball, conditional_marginal
+from .marginals import (
+    NEG_TOL,
+    _conditional_on_support,
+    _min_marginals_on_ball,
+    conditional_marginal,
+)
 from .spinsys import PartialConfiguration, as_spin_dict, _check_spins
 
 DEFAULT_BUDGET = 10**7
@@ -206,7 +211,7 @@ class RunReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-_BallFrame = namedtuple("_BallFrame", "graph v sphere interior support")
+_BallFrame = namedtuple("_BallFrame", "origin ball v sphere interior support")
 
 
 def _on_frame(ball, lam):
@@ -225,10 +230,16 @@ class MarginalCache:
     translated contexts share one entry; a line-graph edge's class is its
     direction, so edges of different orientations never do.
 
+    A class's first vertex, its representative, has its ball found by
+    breadth-first search; every later vertex of the class gets the
+    representative's sorted ball translated onto it (``graph.translate``)
+    and its sphere read off the frame's sphere labels.
+
     A miss is enumerated on the class's ball frame: the ball's induced
     subgraph as a ``FiniteGraph`` with the i-th sorted ball vertex labelled
     i, built once per class together with its compiled enumeration
-    ``Support``, so a min miss walks no edges.  Relabelling keeps the ball
+    ``Support``, so neither a min nor a cond miss walks the graph, compiles
+    a support or re-validates frame labels.  Relabelling keeps the ball
     order and the sorted neighbor lists, so the enumeration multiplies the
     same factors in the same order as on the graph itself and the marginals
     are bit-identical.  Cached values are deterministic functions of their
@@ -246,19 +257,29 @@ class MarginalCache:
         self._radix = system.q + 1
 
     def ball_parts(self, v):
-        """(sphere, sorted ball, ball class) of v, computed once."""
+        """(sphere, sorted ball, ball class) of v, computed once.
+
+        Only a class's first vertex runs a breadth-first search; every later
+        one translates the representative's ball and reads its sphere off
+        the frame's sphere labels.
+        """
         parts = self._balls.get(v)
         if parts is None:
-            sphere, interior = self.graph.sphere_and_interior(v, self.ell)
-            ball = tuple(sorted(interior + sphere))
             cls = self.graph.ball_class(v)
-            if cls not in self._frames:
-                self._frames[cls] = self._frame(v, sphere, interior, ball)
+            frame = self._frames.get(cls)
+            if frame is None:
+                sphere, interior = self.graph.sphere_and_interior(v, self.ell)
+                frame = self._frames[cls] = self._frame(v, sphere, interior)
+                ball = frame.ball
+            else:
+                ball = self.graph.translate(frame.ball, frame.origin, v)
+                sphere = tuple(ball[i - 1] for i in frame.sphere)
             parts = (sphere, ball, cls)
             self._balls[v] = parts
         return parts
 
-    def _frame(self, v, sphere, interior, ball):
+    def _frame(self, v, sphere, interior):
+        ball = tuple(sorted(interior + sphere))
         label = {w: i for i, w in enumerate(ball, 1)}
         edges = [
             (i, j)
@@ -268,7 +289,8 @@ class MarginalCache:
         ]
         graph = FiniteGraph(len(ball), edges)
         return _BallFrame(
-            graph,
+            v,
+            ball,
             label[v],
             tuple(label[w] for w in sphere),
             tuple(label[w] for w in interior),
@@ -315,7 +337,7 @@ class MarginalCache:
             frame = self._frames[cls]
             restricted = _on_frame(ball, lam)
             support = [i for i in range(1, len(ball) + 1) if i not in restricted] + list(restricted)
-            mu = conditional_marginal(self.system, frame.graph, frame.v, restricted, support)
+            mu = _conditional_on_support(frame.support, frame.v, support, restricted)
             mu.flags.writeable = False
             hit = mu
             self._cond[key] = hit

@@ -4,7 +4,9 @@ The cache keys a lookup at v by ``(graph.ball_class(v), code)``, where
 ``code`` reads the context on v's sorted ball in base q+1.  These checks hold
 the cache to the uncached marginal routines, bit for bit, including when an
 entry was filled at a translate of v, and check the ball-order invariant the
-translation sharing rests on.  Misses are enumerated on a ball frame shared by
+translation sharing rests on: ``LocalGraph.translate`` maps a class
+representative's sorted ball onto the ball of any vertex of its class, which
+is how the cache builds every ball after a class's first.  Misses are enumerated on a ball frame shared by
 the class, so the same checks hold the frames to the graph itself.
 """
 
@@ -69,10 +71,13 @@ def _vertex(data, graph):
     return data.draw(st.sampled_from(graph.vertices()))
 
 
-def _translate(graph, w, t):
+def _vertex_of_class(data, graph, v):
+    """A drawn vertex of v's ball class on a lattice or its line graph."""
+    d = graph.dim if graph.kind == "lattice" else graph.base.dim
+    u = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)))
     if graph.kind == "lattice":
-        return tuple(a + b for a, b in zip(w, t))
-    return tuple(tuple(a + b for a, b in zip(end, t)) for end in w)
+        return u
+    return (u, tuple(a + b for a, b in zip(u, graph.ball_class(v))))
 
 
 def _contexts(data, system, graph, v, ell, max_free=12):
@@ -147,11 +152,9 @@ def test_cache_equals_direct_marginals(graph, ell, systems, data):
         cache.min_intervals(other, {x: 1 for x in graph.ball(other, ell) if x != other})
     if translated:
         # Fill one cache at translates of v, so the lookups at v must hit.
-        d = graph.dim if graph.kind == "lattice" else graph.base.dim
         for lam in contexts:
-            t = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)))
-            lam_t = {_translate(graph, w, t): s for w, s in lam.items()}
-            vt = _translate(graph, v, t)
+            vt = _vertex_of_class(data, graph, v)
+            lam_t = dict(zip(graph.translate(lam, v, vt), lam.values()))
             cache.min_intervals(vt, lam_t)
             if all(w in lam for w in sphere):
                 cache.sphere_conditional(vt, lam_t)
@@ -176,12 +179,34 @@ def test_sorted_ball_is_a_translate_of_its_class_representative(graph, data):
     ell = data.draw(st.integers(1, 3))
     if graph.kind == "lattice":
         origin = (0,) * graph.dim
-        shift = v
         assert graph.ball_class(v) is None
     else:
         direction = graph.ball_class(v)
         origin = ((0,) * len(direction), direction)
-        shift = v[0]
         assert graph.ball_class(origin) == direction
-    back = tuple(-c for c in shift)
-    assert tuple(_translate(graph, w, back) for w in graph.ball(v, ell)) == graph.ball(origin, ell)
+    assert graph.translate(graph.ball(v, ell), v, origin) == graph.ball(origin, ell)
+    assert graph.translate(graph.sphere(origin, ell), origin, v) == graph.sphere(v, ell)
+
+
+BALL_GRAPHS = {
+    "z1": Lattice(1),
+    "z2": Lattice(2),
+    "z3": Lattice(3),
+    "line:z2": LineGraph(Lattice(2)),
+    "tree:3": RegularTree(3),
+    "grid4x4": grid_graph(4, 4),
+}
+
+
+@pytest.mark.parametrize("graph", BALL_GRAPHS.values(), ids=BALL_GRAPHS.keys())
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_cached_ball_parts_equal_the_graph_queries(graph, ell, data):
+    # Only a class's first vertex is searched; every later one translates
+    # its ball.  The drawn order makes the representative a drawn vertex
+    # rather than the origin, and revisits some vertices.
+    cache = MarginalCache(hardcore(1.0), graph, ell)
+    for _ in range(data.draw(st.integers(1, 6))):
+        v = _vertex(data, graph)
+        assert cache.ball_parts(v) == (graph.sphere(v, ell), graph.ball(v, ell), graph.ball_class(v))

@@ -27,9 +27,14 @@ from ssms import (
     ising,
     min_marginals,
 )
-from ssms.bruteforce import Support
+from ssms.bruteforce import Support, weight_tensor
 from ssms.errors import InfeasibleBoundaryError, InfeasibleContextError, TooLargeError
-from ssms.marginals import _sphere_grouped_marginals, mixing_rate_estimate
+from ssms.marginals import (
+    _extremal_boundaries,
+    _extremal_rows,
+    _sphere_grouped_marginals,
+    mixing_rate_estimate,
+)
 
 SYSTEMS = {
     "hardcore": hardcore(0.7),
@@ -181,3 +186,45 @@ def test_z2_radius_three_fits_only_on_the_extremal_path():
     assert mixing_rate_estimate(ising(1.2), z2, (0, 0), 3) == pytest.approx(0.0209564, abs=1e-6)
     with pytest.raises(TooLargeError):
         min_marginals(SYSTEMS["zero-off-diagonal"], z2, {}, (0, 0), 3)
+
+
+MONOTONE = sorted(ATTRACTIVE | REPULSIVE)
+
+
+@pytest.mark.parametrize("system_name", MONOTONE)
+@pytest.mark.parametrize("graph_name", GRAPHS)
+@PROPERTY
+@given(data=st.data())
+def test_extremal_rows_equal_one_enumeration_per_extreme(graph_name, system_name, data):
+    # The interior is enumerated once and each extreme multiplies in its
+    # boundary factors; the reference pins each extreme and enumerates the
+    # whole ball.  Where A holds only 0s and 1s (hard-core) the rows must be
+    # equal bit for bit.  On line:z2 free sphere vertices can be adjacent,
+    # and zero-diagonal extremes differ next to fixed spins.
+    graph, max_ell, vertices = GRAPHS[graph_name]
+    system = SYSTEMS[system_name]
+    v = data.draw(st.sampled_from(vertices))
+    ell = data.draw(st.integers(1, max_ell))
+    context = draw_context(data, system, graph, v, ell)
+    sphere, interior = graph.sphere_and_interior(v, ell)
+    ball = Support(system, graph, sphere + interior)
+    if not ball.monotone:
+        assert graph_name == "line:z2" and system_name in REPULSIVE
+        return
+    sphere_free = [w for w in sphere if w not in context]
+    interior_free = [w for w in interior if w not in context]
+    fixed = {w: s for w, s in context.items() if w in set(sphere + interior)}
+
+    got = _extremal_rows(ball, v, interior_free, fixed, sphere_free)
+
+    support = [v] + [w for w in interior_free if w != v] + list(fixed) + sphere_free
+    want = []
+    for tau in _extremal_boundaries(ball, sphere_free, fixed):
+        _, W = weight_tensor(ball, support, {**fixed, **tau})
+        want.append(W.reshape(system.q, -1).sum(axis=1))
+    assert len(got) == len(want) == 2
+    for row, ref in zip(got, want):
+        if system_name == "hardcore":
+            assert np.array_equal(row, ref)
+        else:
+            np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0)

@@ -1,9 +1,12 @@
 """Recursive sampler: randomness, interval logic, traces, and exactness."""
 
 import itertools
+import math
 
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssms import (
     FiniteGraph,
@@ -26,11 +29,13 @@ from ssms.errors import (
     BudgetExhaustedError,
     ConfigError,
     FiniteOnlyError,
+    InfeasibleBoundaryError,
     InvalidProbabilitiesError,
     InvalidVertexError,
     ModelParameterError,
     NotSeparatingError,
 )
+from ssms.marginals import NEG_TOL
 from ssms.sampler import MarginalCache, budget_from_env
 
 # First four variates of the stream seeded with 42, frozen as a regression
@@ -268,6 +273,29 @@ def test_sphere_conditional_names_an_unassigned_sphere_vertex():
     assert z2.format_vertex(missing) in str(err.value)
 
 
+@pytest.mark.parametrize("graph", [Lattice(2), LineGraph(Lattice(2))], ids=["z2", "line:z2"])
+def test_sphere_conditional_errors_at_a_translated_vertex(graph):
+    # The origin's lookup builds the class frame; v's ball and sphere are
+    # then translated from it, and its cond miss runs on the frame's
+    # compiled support.  A free sphere vertex and an infeasible ball context
+    # must still be reported.
+    origin = (0, 0) if graph.kind == "lattice" else ((0, 0), (1, 0))
+    v = (3, -2) if graph.kind == "lattice" else ((3, -2), (4, -2))
+    cache = MarginalCache(hardcore(0.3), graph, 2)
+    cache.sphere_conditional(origin, {w: 1 for w in graph.sphere(origin, 2)})
+    sphere = graph.sphere(v, 2)
+    outer = sphere[0]
+    inner = next(w for w in graph.neighbors(outer) if w in graph.ball(v, 1))
+    lam = {w: 1 for w in sphere}
+    with pytest.raises(NotSeparatingError) as err:
+        cache.sphere_conditional(v, {w: s for w, s in lam.items() if w != outer})
+    assert graph.format_vertex(outer) in str(err.value)
+    # An occupied sphere vertex next to an occupied interior vertex.
+    with pytest.raises(InfeasibleBoundaryError):
+        cache.sphere_conditional(v, {**lam, outer: 2, inner: 2})
+    assert len(cache._frames) == 1
+
+
 def test_bounded_frontier_uses_exact_oracle():
     # with no depth allowance at all the first call consults the exact
     # conditional: the middle of a three-vertex path is occupied in one of
@@ -394,3 +422,35 @@ def test_env_budget_override(monkeypatch):
     monkeypatch.setenv("SSMS_BUDGET", "0")
     with pytest.raises(ConfigError):
         budget_from_env()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_zone_split_maps_every_variate_to_a_live_spin(data):
+    # p as min_marginals builds it: spin masses, and the leftover zone p^0;
+    # mu is a resolved marginal with mu_i >= p^i, spreading the zone's mass
+    # over the spins by drawn weights.
+    q = data.draw(st.integers(2, 5))
+    masses = data.draw(st.lists(st.integers(0, 4), min_size=q, max_size=q))
+    zone = data.draw(st.integers(1, 4))
+    total = sum(masses) + zone
+    spin_p = [m / total for m in masses]
+    p = [max(1.0 - sum(spin_p), 0.0)] + spin_p
+    spread = data.draw(st.lists(st.integers(0, 3), min_size=q, max_size=q).filter(any))
+    mu = [pi + p[0] * w / sum(spread) for pi, w in zip(spin_p, spread)]
+    part = IntervalPartition(p)
+
+    edges = part.split_zone(mu)
+    assert all(a <= b for a, b in zip([part.zone_start] + edges, edges))
+    assert edges[-1] == pytest.approx(1.0, abs=NEG_TOL)
+    live = {j + 1 for j in range(q) if mu[j] - p[j + 1] > 0.0}
+    ys = [data.draw(st.floats(0.0, 1.0, exclude_max=True)) for _ in range(8)]
+    ys += [0.0, part.zone_start, math.nextafter(1.0, 0.0)] + part.cum + edges
+    for y in ys:
+        if not 0.0 <= y < 1.0:
+            continue
+        if y < part.zone_start:
+            assert part.locate(y) != 0
+        else:
+            assert part.locate(y) == 0
+            assert part.locate_zone(y, mu) in live
