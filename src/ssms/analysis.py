@@ -187,37 +187,27 @@ def goodness_of_fit(counts, exact, min_expected=5.0):
     observed_out = tuple(float(x) for x in obs_parts)
     expected_out = tuple(float(x) for x in exp_parts)
     live = exp_parts > 0
+    buckets = int(live.sum())
     if float(obs_parts[~live].sum()) > 0:
         # An outcome of exact probability zero was observed: no finite
         # statistic describes that, and the fit certainly fails.
-        stat, dof, p_value = math.inf, max(int(live.sum()) - 1, 1), 0.0
-        return GofStats(
-            n=n,
-            observed=observed_out,
-            expected=expected_out,
-            chi_square=stat,
-            dof=dof,
-            p_value=p_value,
-            tv_distance=tv,
-            buckets=int(live.sum()),
-            pooled_outcomes=pooled,
-        )
-    obs_parts, exp_parts = obs_parts[live], exp_parts[live]
-    if obs_parts.size < 2:
-        raise DegenerateSupportError(
-            "pooling left fewer than two buckets; not enough samples for a test"
-        )
-    stat = float(((obs_parts - exp_parts) ** 2 / exp_parts).sum())
-    dof = obs_parts.size - 1
-    p_value = float(chi2.sf(stat, dof))
+        stat, p_value = math.inf, 0.0
+    else:
+        if buckets < 2:
+            raise DegenerateSupportError(
+                "pooling left fewer than two buckets; not enough samples for a test"
+            )
+        obs_parts, exp_parts = obs_parts[live], exp_parts[live]
+        stat = float(((obs_parts - exp_parts) ** 2 / exp_parts).sum())
+        p_value = float(chi2.sf(stat, buckets - 1))
     return GofStats(
         n=n,
         observed=observed_out,
         expected=expected_out,
         chi_square=stat,
-        dof=dof,
+        dof=max(buckets - 1, 1),
         p_value=p_value,
         tv_distance=tv,
-        buckets=int(obs_parts.size),
+        buckets=buckets,
         pooled_outcomes=pooled,
     )

@@ -487,11 +487,6 @@ class LineGraph(LocalGraph):
         return pair
 
 
-def line_graph(base):
-    """Line graph of ``base``; vertices are canonical endpoint pairs."""
-    return LineGraph(base)
-
-
 def load_edge_list(path):
     """Read a finite graph from an edge-list file.
 

@@ -28,9 +28,12 @@ and with each other.  Each extreme multiplies its own into a copy of the
 interior weights, so a miss takes one enumeration of the free interior
 instead of one of sphere and interior together.
 
-A conditional marginal with a compiled ``Support`` in hand (the sampler's
-ball frame) skips validation and compiling and runs only the enumeration
-tail, ``_conditional_on_support``.
+With no free sphere vertex the one boundary is the context itself, so the
+min marginals are v's exact conditional with p_v^0 = 0.  The fixed
+vertices are then taken in ball order, as ``conditional_marginal`` takes
+them on the sorted ball, so the two enumerations multiply the same factors
+in the same order and agree bit for bit.  The sampler's cache relies on
+this: its sphere conditional is the min-marginal entry of the same context.
 """
 
 import csv
@@ -109,13 +112,7 @@ def conditional_marginal(system, graph, v, fixed, support):
                     f"free vertex {graph.format_vertex(u)} has neighbor "
                     f"{graph.format_vertex(w)} outside the support"
                 )
-    return _conditional_on_support(Support(system, graph, support), v, support, spins)
-
-
-def _conditional_on_support(compiled, v, support, spins):
-    """``conditional_marginal`` for a caller that already holds the compiled
-    ``Support`` and a context ``spins`` that it has checked separates v."""
-    free, W = weight_tensor(compiled, support, spins)
+    free, W = weight_tensor(Support(system, graph, support), support, spins)
     jv = free.index(v)
     axes = tuple(j for j in range(len(free)) if j != jv)
     totals = W.sum(axis=axes) if axes else W
@@ -216,7 +213,7 @@ def _sphere_grouped_marginals(ball, v, sphere, interior, spins):
     q = ball.system.q
     sphere_free = [w for w in sphere if w not in spins]
     interior_free = [w for w in interior if w not in spins]
-    fixed = {w: spins[w] for w in list(sphere) + list(interior) if w in spins}
+    fixed = {w: spins[w] for w in sorted([*sphere, *interior]) if w in spins}
     s = len(sphere_free)
     if s and ball.monotone:
         M = np.array(_extremal_rows(ball, v, interior_free, fixed, sphere_free))

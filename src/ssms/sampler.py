@@ -28,18 +28,15 @@ from .errors import (
     BudgetExhaustedError,
     ConfigError,
     FiniteOnlyError,
+    InfeasibleBoundaryError,
+    InfeasibleContextError,
     InternalError,
     InvalidProbabilitiesError,
     ModelParameterError,
     NotSeparatingError,
 )
 from .graph import FiniteGraph
-from .marginals import (
-    NEG_TOL,
-    _conditional_on_support,
-    _min_marginals_on_ball,
-    conditional_marginal,
-)
+from .marginals import NEG_TOL, _min_marginals_on_ball, conditional_marginal
 from .spinsys import PartialConfiguration, as_spin_dict, _check_spins
 
 DEFAULT_BUDGET = 10**7
@@ -93,7 +90,9 @@ class IntervalPartition:
 
     I_i = [c_{i-1}, c_i) with c_i the running sum of p^1..p^i, and
     I_0 = [c_q, 1].  ``locate`` maps a variate to its spin, or to 0 for the
-    zone of indecision.
+    zone of indecision.  With p^0 = 0 (an exact marginal) there is no zone:
+    the running sum can end an ulp short of 1, so the edges from the last
+    spin of positive mass on are set to 1 and that spin owns the remainder.
     """
 
     __slots__ = ("p", "cum")
@@ -111,6 +110,9 @@ class IntervalPartition:
         for x in p[1:]:
             acc += x
             cum.append(acc)
+        if p[0] == 0.0:
+            last = max(i for i, x in enumerate(p[1:]) if x > 0.0)
+            cum[last:] = [1.0] * (len(cum) - last)
         self.p = tuple(p)
         self.cum = cum
 
@@ -222,6 +224,13 @@ def _on_frame(ball, lam):
 class MarginalCache:
     """Pure memoization of ball marginals for one (system, graph, radius).
 
+    The cache is one table of ``IntervalPartition``s.  A vertex's worst-case
+    partition is its min marginal p_v; once its whole sphere is assigned,
+    the same lookup gives the exact conditional with p_v^0 = 0, so the
+    sphere conditional is that entry's spin masses.  The bounded sampler's
+    whole-graph oracle stores its exact marginal in the same table as a
+    partition with no zone.
+
     The key of a lookup at v is ``(cls, code)``: ``cls`` is the graph's
     ``ball_class(v)`` and ``code`` reads the context restricted to v's
     radius-ell ball as an integer in base q+1 over the sorted ball, with
@@ -238,11 +247,11 @@ class MarginalCache:
     A miss is enumerated on the class's ball frame: the ball's induced
     subgraph as a ``FiniteGraph`` with the i-th sorted ball vertex labelled
     i, built once per class together with its compiled enumeration
-    ``Support``, so neither a min nor a cond miss walks the graph, compiles
-    a support or re-validates frame labels.  Relabelling keeps the ball
-    order and the sorted neighbor lists, so the enumeration multiplies the
-    same factors in the same order as on the graph itself and the marginals
-    are bit-identical.  Cached values are deterministic functions of their
+    ``Support``, so a miss neither walks the graph, compiles a support nor
+    re-validates frame labels.  Relabelling keeps the ball order and the
+    sorted neighbor lists, so the enumeration multiplies the same factors
+    in the same order as on the graph itself and the marginals are
+    bit-identical.  Cached values are deterministic functions of their
     keys, so lookups never change sampling behavior, only speed.
     """
 
@@ -252,8 +261,7 @@ class MarginalCache:
         self.ell = ell
         self._balls = {}
         self._frames = {}
-        self._min = {}
-        self._cond = {}
+        self._parts = {}
         self._radix = system.q + 1
 
     def ball_parts(self, v):
@@ -306,54 +314,44 @@ class MarginalCache:
         return cls, code
 
     def min_intervals(self, v, lam):
-        """(p vector, IntervalPartition) for v under the context ``lam``."""
+        """IntervalPartition of v's min marginals under the context ``lam``."""
         _, ball, cls = self.ball_parts(v)
         key = self._key(cls, ball, lam)
-        hit = self._min.get(key)
-        if hit is None:
+        part = self._parts.get(key)
+        if part is None:
             frame = self._frames[cls]
             p = _min_marginals_on_ball(
                 frame.support, frame.v, frame.sphere, frame.interior, _on_frame(ball, lam)
             )
-            hit = (p, IntervalPartition(p))
-            p.flags.writeable = False
-            self._min[key] = hit
-        return hit
+            part = self._parts[key] = IntervalPartition(p)
+        return part
 
     def sphere_conditional(self, v, lam):
-        """Marginal of v once its whole sphere (and maybe more) is assigned."""
-        sphere, ball, cls = self.ball_parts(v)
-        key = self._key(cls, ball, lam)
-        hit = self._cond.get(key)
-        if hit is None:
-            # On the frame every ball vertex's neighbors lie in the ball, so
-            # only this check keeps a free sphere vertex from going unnoticed.
-            for w in sphere:
-                if w not in lam:
-                    fmt = self.graph.format_vertex
-                    raise NotSeparatingError(
-                        f"sphere vertex {fmt(w)} of {fmt(v)} is unassigned"
-                    )
-            frame = self._frames[cls]
-            restricted = _on_frame(ball, lam)
-            support = [i for i in range(1, len(ball) + 1) if i not in restricted] + list(restricted)
-            mu = _conditional_on_support(frame.support, frame.v, support, restricted)
-            mu.flags.writeable = False
-            hit = mu
-            self._cond[key] = hit
-        return hit
+        """Marginal of v once its whole sphere (and maybe more) is assigned:
+        the spin masses of its min-marginal partition, whose zone is then
+        empty."""
+        # On the frame every ball vertex's neighbors lie in the ball, so only
+        # this check keeps a free sphere vertex from going unnoticed.
+        for w in self.ball_parts(v)[0]:
+            if w not in lam:
+                fmt = self.graph.format_vertex
+                raise NotSeparatingError(f"sphere vertex {fmt(w)} of {fmt(v)} is unassigned")
+        try:
+            return self.min_intervals(v, lam).p[1:]
+        except InfeasibleContextError:
+            raise InfeasibleBoundaryError(
+                "fixed context admits no positive-weight extension"
+            ) from None
 
     def whole_graph_marginal(self, v, lam):
-        """Exact marginal of v on a finite graph (oracle for bounded runs)."""
-        support = list(self.graph.vertices())
+        """Exact marginal of v on a finite graph (oracle for bounded runs),
+        as an IntervalPartition with no zone."""
         key = ("oracle", v, tuple(sorted(lam.items())))
-        hit = self._cond.get(key)
-        if hit is None:
-            mu = conditional_marginal(self.system, self.graph, v, dict(lam), support)
-            mu.flags.writeable = False
-            hit = mu
-            self._cond[key] = hit
-        return hit
+        part = self._parts.get(key)
+        if part is None:
+            mu = conditional_marginal(self.system, self.graph, v, lam, self.graph.vertices())
+            part = self._parts[key] = IntervalPartition([0.0, *mu])
+        return part
 
 
 class _Frame:
@@ -370,28 +368,13 @@ class _Frame:
         self.added = None
 
 
-def _locate_cumulative(mu, y):
-    """Sample a spin from an exact marginal with a single variate."""
-    edges = []
-    acc = 0.0
-    for m in mu:
-        acc += float(m)
-        edges.append(acc)
-    idx = bisect_right(edges, y)
-    if idx >= len(edges):
-        for j in range(len(edges) - 1, -1, -1):
-            if float(mu[j]) > 0.0:
-                return j + 1
-        raise InternalError("cannot sample from an all-zero marginal")
-    return idx + 1
-
-
 def _run(cache, lam, v, rng, stats, budget, h=None):
     """Iterative engine for one top-level call; ``lam`` is restored on exit.
 
     ``h`` is the remaining depth allowance of the bounded variant (None for
-    the unbounded sampler): a call entered with h == 0 consults the exact
-    whole-graph oracle instead of recursing.
+    the unbounded sampler): a call entered with h == 0 reads the exact
+    whole-graph oracle, whose partition has no zone, instead of v's min
+    marginals, so it never recurses.
     """
     stack = [_Frame(v, 1, h)]
     while True:
@@ -406,13 +389,12 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
             if f.depth > stats.max_depth:
                 stats.max_depth = f.depth
             if f.h == 0:
-                mu = cache.whole_graph_marginal(f.v, lam)
-                spin = _locate_cumulative(mu, rng.next_double())
+                part = cache.whole_graph_marginal(f.v, lam)
             else:
-                _, part = cache.min_intervals(f.v, lam)
-                f.y = rng.next_double()
-                f.part = part
-                spin = part.locate(f.y)
+                part = cache.min_intervals(f.v, lam)
+            f.part = part
+            f.y = rng.next_double()
+            spin = part.locate(f.y)
             if stats.trace is not None:
                 stats.trace.append((f.v, f.depth, spin == 0))
             if spin == 0:

@@ -26,7 +26,7 @@ from .analysis import (
     verify_tree_bound,
 )
 from .bruteforce import Support, weight_tensor
-from .errors import BudgetExhaustedError, UnknownSuiteError
+from .errors import BudgetExhaustedError, ModelParameterError, UnknownSuiteError
 from .graph import FiniteGraph, Lattice, cycle_graph, grid_graph, path_graph, petersen_graph
 from .marginals import estimate_mixing_rate
 from .sampler import RandomSource, WindowSampler, ssms
@@ -335,11 +335,11 @@ def box_occupation(lam, rows, cols, site=None):
     """
     if site is None:
         if rows % 2 == 0 or cols % 2 == 0:
-            raise ValueError("default center site needs odd box sides")
+            raise ModelParameterError("default center site needs odd box sides")
         site = (cols // 2, rows // 2)
     x, y = site
     if not (0 <= x < cols and 0 <= y < rows):
-        raise ValueError(f"site {site} outside {cols}x{rows} box")
+        raise ModelParameterError(f"site {site} outside {cols}x{rows} box")
     masks = _independent_row_masks(cols)
     w = np.array([lam ** bin(m).count("1") for m in masks])
     compat = np.array([[not (a & b) for b in masks] for a in masks], dtype=float)
@@ -364,7 +364,7 @@ def hardcore_box_bracket(lam, size=7):
     cell.
     """
     if size < 3 or size % 2 == 0:
-        raise ValueError(f"need an odd box side >= 3, got {size}")
+        raise ModelParameterError(f"need an odd box side >= 3, got {size}")
     free_ring = box_occupation(lam, size, size)
     occupied_ring = box_occupation(lam, size - 2, size - 2)
     return min(free_ring, occupied_ring), max(free_ring, occupied_ring)

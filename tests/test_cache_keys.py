@@ -158,16 +158,16 @@ def test_cache_equals_direct_marginals(graph, ell, systems, data):
             cache.min_intervals(vt, lam_t)
             if all(w in lam for w in sphere):
                 cache.sphere_conditional(vt, lam_t)
-    sizes = (len(cache._min), len(cache._cond))
+    size = len(cache._parts)
     for lam in contexts:
         restricted, support = _restricted(graph, v, ell, lam)
-        p, _ = cache.min_intervals(v, lam)
+        p = cache.min_intervals(v, lam).p
         assert np.array_equal(p, min_marginals(system, graph, restricted, v, ell))
         if all(w in lam for w in sphere):
             mu = cache.sphere_conditional(v, lam)
             assert np.array_equal(mu, conditional_marginal(system, graph, v, restricted, support))
     if translated:
-        assert (len(cache._min), len(cache._cond)) == sizes
+        assert len(cache._parts) == size
 
 
 @pytest.mark.parametrize("graph", [Lattice(1), Lattice(2), Lattice(3), LineGraph(Lattice(2))],

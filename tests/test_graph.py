@@ -14,7 +14,6 @@ from ssms import (
     graph_from_spec,
     grid_graph,
     hardcore,
-    line_graph,
     load_edge_list,
     path_graph,
     petersen_graph,
@@ -112,7 +111,7 @@ def test_neighbors_are_emitted_sorted():
     # Neighbors are emitted in order, not sorted after the fact; check the
     # order at vertices with negative, zero and positive coordinates.
     cases = [(Lattice(d), [(0,) * d, tuple(range(-1, d - 1)), (3,) * d]) for d in (1, 2, 3, 4)]
-    lz = line_graph(Lattice(2))
+    lz = LineGraph(Lattice(2))
     cases.append((lz, [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((-2, 3), (-2, 4))]))
     t = RegularTree(3)
     cases.append((t, [(), (2,), (0, 1, 0)]))
@@ -128,7 +127,7 @@ def test_neighbors_are_emitted_sorted():
 def test_neighbors_validates_the_vertex():
     cases = [
         (Lattice(2), [(0,), (0, 0.5), [0, 0], (True, 0)]),
-        (line_graph(Lattice(2)), [((1, 0), (0, 0)), ((0, 0), (1, 1)), (0, 0)]),
+        (LineGraph(Lattice(2)), [((1, 0), (0, 0)), ((0, 0), (1, 1)), (0, 0)]),
         (RegularTree(3), [(0, 2), (3,), 0]),
         (path_graph(3), [0, 4, (1,)]),
     ]
@@ -153,10 +152,10 @@ def test_lattice_translated_contexts_share_one_cache_entry():
     shifted = {(4, 5): 2, (3, 6): 1}
     first = cache.min_intervals((0, 0), ctx)
     assert cache.min_intervals((3, 5), shifted) is first
-    assert len(cache._min) == 1
+    assert len(cache._parts) == 1
     # The translate read at the origin is a different (empty) ball context.
     assert cache.min_intervals((0, 0), shifted) is not first
-    assert len(cache._min) == 2
+    assert len(cache._parts) == 2
 
 
 def test_lattice_box_canonical_order():
@@ -191,10 +190,10 @@ def test_regular_tree_rejects_bad_children():
 
 
 def test_line_graph_of_path_and_triangle():
-    lp = line_graph(path_graph(3))
+    lp = LineGraph(path_graph(3))
     assert list(lp.vertices()) == [(1, 2), (2, 3)]
     assert lp.neighbors((1, 2)) == ((2, 3),)
-    lt = line_graph(complete_graph(3))
+    lt = LineGraph(complete_graph(3))
     assert len(list(lt.vertices())) == 3
     assert all(len(lt.neighbors(v)) == 2 for v in lt.vertices())
 
@@ -210,7 +209,7 @@ def test_line_graph_of_lattice_is_infinite_degree_six():
 
 
 def test_line_graph_vertex_is_sorted_pair():
-    lp = line_graph(path_graph(3))
+    lp = LineGraph(path_graph(3))
     assert (2, 1) not in lp
     assert (1, 3) not in lp
 

@@ -19,6 +19,7 @@ from ssms import (
     cycle_graph,
     grid_graph,
     hardcore,
+    ising,
     min_marginals,
     partition_function,
     path_graph,
@@ -83,6 +84,16 @@ def test_interval_partition_degenerate_spin():
     assert part.locate(0.0) == 1
     assert part.locate(0.999999) == 1
     assert part.zone_start == 1.0
+
+
+def test_exact_marginal_leaves_no_zone():
+    # The running sum 1/6 + 4/6 + 1/6 ends an ulp below 1; with p^0 = 0 the
+    # top variates belong to the last spin of positive mass, not to a zone.
+    part = IntervalPartition([0.0, 1 / 6, 4 / 6, 1 / 6])
+    assert part.locate(math.nextafter(1.0, 0.0)) == 3
+    assert part.zone_start == 1.0
+    part = IntervalPartition([0.0, 1 / 6, 5 / 6, 0.0])
+    assert part.locate(math.nextafter(1.0, 0.0)) == 2
 
 
 def test_interval_partition_with_zone():
@@ -253,9 +264,9 @@ def test_line_graph_edge_orientations_do_not_share_cache_entries():
     ctx = {w: 1 for w in shared}
     ctx[((0, 1), (1, 1))] = 2
     cache = MarginalCache(system, g, 2)
-    warm, _ = cache.min_intervals(across, ctx)
+    warm = cache.min_intervals(across, ctx).p
     assert list(warm) == list(min_marginals(system, g, ctx, across, 2))
-    got, _ = cache.min_intervals(up, ctx)
+    got = cache.min_intervals(up, ctx).p
     want = min_marginals(system, g, ctx, up, 2)
     assert list(want) != list(warm)
     assert list(got) == list(want)
@@ -311,6 +322,73 @@ def test_bounded_frontier_uses_exact_oracle():
         hardcore(1.0), path_graph(3), {}, 2, 1, FakeRng([0.85]), h=0
     )
     assert cfg.spin(2) == 2
+
+
+# Recorded engine streams: (spin, total_calls, max_depth, indecision_events)
+# of ssms(system, graph, {}, v, 1, RandomSource(seed), h=h) for seeds 0..9.
+# A run with max_depth > h reached the frontier and consulted the oracle.
+BOUNDED_CASES = {
+    "path3": (hardcore(1.0), path_graph(3), 2),
+    "cycle5-coloring": (coloring(4), cycle_graph(5), 1),
+    "cycle5-ising": (ising(1.5), cycle_graph(5), 1),
+}
+BOUNDED_STREAMS = {
+    ("path3", 0): [(2, 1, 1, 0)] + [(1, 1, 1, 0)] * 9,
+    ("path3", 1): [
+        (2, 3, 2, 1), (1, 3, 2, 1), (1, 3, 2, 1), (1, 1, 1, 0), (1, 1, 1, 0),
+        (1, 1, 1, 0), (2, 3, 2, 1), (1, 1, 1, 0), (1, 3, 2, 1), (1, 3, 2, 1),
+    ],
+    ("path3", 2): [
+        (2, 3, 2, 1), (2, 4, 3, 2), (1, 5, 3, 3), (1, 1, 1, 0), (1, 1, 1, 0),
+        (1, 1, 1, 0), (2, 3, 2, 1), (1, 1, 1, 0), (1, 5, 3, 3), (1, 5, 3, 3),
+    ],
+    ("cycle5-coloring", 0): [(s, 1, 1, 0) for s in (4, 3, 3, 1, 2, 2, 3, 2, 3, 3)],
+    ("cycle5-coloring", 1): [(s, 3, 2, 1) for s in (4, 2, 2, 1, 2, 2, 4, 2, 2, 3)],
+    ("cycle5-coloring", 2): [(s, 7, 3, 3) for s in (4, 4, 3, 1, 3, 2, 4, 2, 4, 4)],
+    ("cycle5-ising", 0): [(s, 1, 1, 0) for s in (2, 2, 2, 1, 1, 1, 2, 1, 2, 2)],
+    ("cycle5-ising", 1): [
+        (1, 3, 2, 1), (2, 1, 1, 0), (2, 1, 1, 0), (1, 1, 1, 0), (2, 1, 1, 0),
+        (2, 1, 1, 0), (1, 3, 2, 1), (2, 1, 1, 0), (2, 3, 2, 1), (1, 3, 2, 1),
+    ],
+    ("cycle5-ising", 2): [
+        (2, 3, 2, 1), (2, 1, 1, 0), (2, 1, 1, 0), (1, 1, 1, 0), (2, 1, 1, 0),
+        (2, 1, 1, 0), (1, 3, 2, 1), (2, 1, 1, 0), (1, 5, 3, 2), (1, 5, 3, 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("case,h", BOUNDED_STREAMS, ids=[f"{c}-h{h}" for c, h in BOUNDED_STREAMS])
+def test_bounded_runs_follow_the_recorded_stream(case, h):
+    system, graph, v = BOUNDED_CASES[case]
+    got = []
+    for seed in range(10):
+        rng = RandomSource(seed)
+        cfg, stats = ssms(system, graph, {}, v, 1, rng, h=h)
+        assert rng.counter == stats.total_calls
+        got.append((cfg.spin(v), stats.total_calls, stats.max_depth, stats.indecision_events))
+    assert got == BOUNDED_STREAMS[case, h]
+    assert any(depth > h for _, _, depth, _ in got)
+
+
+def test_traced_run_follows_the_recorded_stream():
+    rng = RandomSource(0)
+    cfg, stats = ssms(coloring(4), cycle_graph(5), {}, 1, 1, rng, h=2, trace=True)
+    assert (cfg.spin(1), stats.total_calls, stats.max_depth, stats.indecision_events) == (4, 7, 3, 3)
+    assert rng.counter == 7
+    assert stats.trace == [
+        (1, 1, True), (2, 2, True), (1, 3, False), (3, 3, False),
+        (5, 2, True), (1, 3, False), (4, 3, False),
+    ]
+
+
+def test_lattice_window_follows_the_recorded_stream():
+    z2 = Lattice(2)
+    window = z2.box((0, 0), (5, 5))
+    rng = RandomSource(1)
+    spins, report = WindowSampler(ising(1.2), z2, 1).sample_window(window, rng)
+    assert "".join(str(spins.spin(w)) for w in window) == "2122122122112222122222211"
+    assert (report.total_calls, report.max_depth, report.indecision_events) == (127, 9, 33)
+    assert rng.counter == 127
 
 
 def test_bounded_needs_finite_graph():
@@ -427,26 +505,34 @@ def test_env_budget_override(monkeypatch):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_zone_split_maps_every_variate_to_a_live_spin(data):
-    # p as min_marginals builds it: spin masses, and the leftover zone p^0;
-    # mu is a resolved marginal with mu_i >= p^i, spreading the zone's mass
-    # over the spins by drawn weights.
+    # p as min_marginals builds it: spin masses, and the leftover zone p^0,
+    # exactly 0 for an exact marginal (no free sphere vertex); mu is a
+    # resolved marginal with mu_i >= p^i, spreading the zone's mass over the
+    # spins by drawn weights.
     q = data.draw(st.integers(2, 5))
-    masses = data.draw(st.lists(st.integers(0, 4), min_size=q, max_size=q))
-    zone = data.draw(st.integers(1, 4))
+    zone = data.draw(st.integers(0, 4))
+    masses = data.draw(
+        st.lists(st.integers(0, 4), min_size=q, max_size=q).filter(lambda m: zone or any(m))
+    )
     total = sum(masses) + zone
     spin_p = [m / total for m in masses]
-    p = [max(1.0 - sum(spin_p), 0.0)] + spin_p
+    p = [max(1.0 - sum(spin_p), 0.0) if zone else 0.0] + spin_p
+    part = IntervalPartition(p)
+    ys = [data.draw(st.floats(0.0, 1.0, exclude_max=True)) for _ in range(8)]
+    ys += [0.0, part.zone_start, math.nextafter(1.0, 0.0)] + part.cum
+    if not zone:
+        for y in ys:
+            if 0.0 <= y < 1.0:
+                assert p[part.locate(y)] > 0.0
+        return
+
     spread = data.draw(st.lists(st.integers(0, 3), min_size=q, max_size=q).filter(any))
     mu = [pi + p[0] * w / sum(spread) for pi, w in zip(spin_p, spread)]
-    part = IntervalPartition(p)
-
     edges = part.split_zone(mu)
     assert all(a <= b for a, b in zip([part.zone_start] + edges, edges))
     assert edges[-1] == pytest.approx(1.0, abs=NEG_TOL)
     live = {j + 1 for j in range(q) if mu[j] - p[j + 1] > 0.0}
-    ys = [data.draw(st.floats(0.0, 1.0, exclude_max=True)) for _ in range(8)]
-    ys += [0.0, part.zone_start, math.nextafter(1.0, 0.0)] + part.cum + edges
-    for y in ys:
+    for y in ys + edges:
         if not 0.0 <= y < 1.0:
             continue
         if y < part.zone_start:

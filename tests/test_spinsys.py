@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ssms import (
+    LineGraph,
     PartialConfiguration,
     SpinSystem,
     coloring,
@@ -17,7 +18,6 @@ from ssms import (
     hardcore,
     is_feasible,
     ising,
-    line_graph,
     partition_function,
     path_graph,
     petersen_graph,
@@ -163,7 +163,7 @@ def test_matchings_as_line_graph_occupation():
     # configurations on the line graph
     gamma = 0.8
     base = petersen_graph()
-    lg = line_graph(base)
+    lg = LineGraph(base)
     edges = list(lg.vertices())
 
     total = 0.0
@@ -184,7 +184,7 @@ def test_matchings_as_line_graph_occupation():
 
 def test_matchings_of_short_path():
     # P3 has matchings {}, {12}, {23}
-    lg = line_graph(path_graph(3))
+    lg = LineGraph(path_graph(3))
     for gamma in (0.3, 1.0, 2.0):
         assert partition_function(hardcore(gamma), lg) == pytest.approx(1 + 2 * gamma)
 

@@ -12,7 +12,7 @@ from ssms import (
     hardcore_box_bracket,
     run_suite,
 )
-from ssms.errors import UnknownSuiteError
+from ssms.errors import ModelParameterError, UnknownSuiteError
 from ssms.verify import (
     NONTERMINATING_CELLS,
     SUITES,
@@ -51,6 +51,15 @@ def test_box_occupation_matches_enumeration():
 def test_box_occupation_single_site():
     for lam in (0.25, 1.0, 2.0):
         assert box_occupation(lam, 1, 1) == pytest.approx(lam / (1 + lam))
+
+
+def test_box_arguments_are_rejected_with_a_code():
+    with pytest.raises(ModelParameterError):
+        box_occupation(0.5, 4, 5)            # no center site on an even side
+    with pytest.raises(ModelParameterError):
+        box_occupation(0.5, 3, 3, site=(3, 0))
+    with pytest.raises(ModelParameterError):
+        hardcore_box_bracket(0.5, size=6)
 
 
 def test_bracket_is_ordered_and_frozen():
