@@ -283,6 +283,10 @@ def main(argv=None):
     except SsmsError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # an output path that cannot be written is a configuration fault
+        print(f"{ConfigError.code}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -24,8 +24,10 @@ from .errors import (
 class LocalGraph(ABC):
     """Immutable graph exposing neighborhoods on demand.
 
-    Subclasses implement ``_neighbors``, membership, ``growth_bound`` and the
-    textual vertex encoding; breadth-first sphere and ball queries are shared.
+    Subclasses implement ``_neighbors``, membership and the degree bound;
+    infinite ones also give their sphere-size formula.  Breadth-first sphere
+    and ball queries, the finite growth scan and the tuple vertex encoding
+    are shared.
     """
 
     kind = "abstract"
@@ -44,9 +46,23 @@ class LocalGraph(ABC):
     def __contains__(self, v):
         ...
 
-    @abstractmethod
     def growth_bound(self, ell):
         """Upper bound on ``|sphere(v, ell)|`` valid for every vertex ``v``."""
+        if ell < 0:
+            raise ModelParameterError(f"radius must be nonnegative, got {ell}")
+        if ell == 0:
+            return 1
+        if not self.is_finite():
+            return self._growth_formula(ell)
+        # Finite realizations scan every vertex's sphere, once per radius.
+        cache = self.__dict__.setdefault("_growth_cache", {})
+        if ell not in cache:
+            cache[ell] = max(len(self.sphere(v, ell)) for v in self.vertices())
+        return cache[ell]
+
+    def _growth_formula(self, ell):
+        """``growth_bound`` for ``ell >= 1`` on an infinite realization."""
+        raise UnsupportedRealizationError(f"{self.kind} graph has no growth formula")
 
     @abstractmethod
     def degree_bound(self):
@@ -141,19 +157,8 @@ class LocalGraph(ABC):
         self.check_vertex(v)
         return v
 
-    @abstractmethod
     def _parse_vertex(self, text):
-        ...
-
-    def _exhaustive_growth(self, ell):
-        # Finite realizations only: scan every vertex's sphere at this radius.
-        if not hasattr(self, "_growth_cache"):
-            self._growth_cache = {}
-        if ell not in self._growth_cache:
-            self._growth_cache[ell] = max(
-                len(self.sphere(v, ell)) for v in self.vertices()
-            )
-        return self._growth_cache[ell]
+        return _parse_tuple_vertex(text)
 
 
 def _format_vertex(v):
@@ -246,13 +251,6 @@ class FiniteGraph(LocalGraph):
     def vertices(self):
         return tuple(range(1, self._n + 1))
 
-    def growth_bound(self, ell):
-        if ell < 0:
-            raise ModelParameterError(f"radius must be nonnegative, got {ell}")
-        if ell == 0:
-            return 1
-        return self._exhaustive_growth(ell)
-
     def degree_bound(self):
         return max((len(nb) for nb in self._adj.values()), default=0)
 
@@ -299,12 +297,8 @@ class Lattice(LocalGraph):
             and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
         )
 
-    def growth_bound(self, ell):
+    def _growth_formula(self, ell):
         # Exact count of lattice points at L1 distance ell from the origin.
-        if ell < 0:
-            raise ModelParameterError(f"radius must be nonnegative, got {ell}")
-        if ell == 0:
-            return 1
         d = self._dim
         return sum(
             2**k * math.comb(d, k) * math.comb(ell - 1, k - 1)
@@ -336,9 +330,6 @@ class Lattice(LocalGraph):
         for r in ranges:
             out = [prefix + (c,) for prefix in out for c in r]
         return tuple(sorted(out))
-
-    def _parse_vertex(self, text):
-        return _parse_tuple_vertex(text)
 
 
 class RegularTree(LocalGraph):
@@ -379,18 +370,11 @@ class RegularTree(LocalGraph):
                 return False
         return True
 
-    def growth_bound(self, ell):
-        if ell < 0:
-            raise ModelParameterError(f"radius must be nonnegative, got {ell}")
-        if ell == 0:
-            return 1
+    def _growth_formula(self, ell):
         return self._degree * (self._degree - 1) ** (ell - 1)
 
     def degree_bound(self):
         return self._degree
-
-    def _parse_vertex(self, text):
-        return _parse_tuple_vertex(text)
 
 
 class LineGraph(LocalGraph):
@@ -448,13 +432,7 @@ class LineGraph(LocalGraph):
                 out.add((u, w) if u < w else (w, u))
         return tuple(sorted(out))
 
-    def growth_bound(self, ell):
-        if ell < 0:
-            raise ModelParameterError(f"radius must be nonnegative, got {ell}")
-        if ell == 0:
-            return 1
-        if self.is_finite():
-            return self._exhaustive_growth(ell)
+    def _growth_formula(self, ell):
         # Every edge at line-graph distance ell from e has an endpoint at base
         # distance exactly ell-1 from one of e's endpoints, and each such
         # vertex meets at most Delta edges.
@@ -493,8 +471,13 @@ def load_edge_list(path):
     Format: first line ``n m``, then m lines ``u v`` with 1-based vertex ids.
     Self-loops and parallel edges are rejected.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            tokens = fh.read().split()
+    except OSError as exc:
+        raise ConfigError(f"cannot read edge-list file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"edge-list file {path} is not ASCII text") from None
     if len(tokens) < 2:
         raise ConfigError(f"edge-list file {path} is missing the 'n m' header")
     try:

@@ -122,14 +122,19 @@ def conditional_marginal(system, graph, v, fixed, support):
     return mu
 
 
-def _ball_parts(graph, v, ell, spins):
-    """Support pieces for a radius-ell ball computation around v."""
+def _ball_query(system, graph, fixed, v, ell):
+    """Validate a public radius-ell query at v and return the arguments of
+    its boundary scan: ``(ball, v, sphere, interior, spins)``, with ``ball``
+    the ``Support`` compiled on v's sphere and interior."""
+    spins = as_spin_dict(fixed)
+    _check_spins(system, spins)
     if ell < 1:
         raise ModelParameterError(f"radius must be >= 1, got {ell}")
     graph.check_vertex(v)
     if v in spins:
         raise ModelParameterError(f"target vertex {graph.format_vertex(v)} is already fixed")
-    return graph.sphere_and_interior(v, ell)
+    sphere, interior = graph.sphere_and_interior(v, ell)
+    return Support(system, graph, sphere + interior), v, sphere, interior, spins
 
 
 def _extremal_boundaries(ball, sphere_free, fixed):
@@ -250,11 +255,7 @@ def min_marginals(system, graph, fixed, v, ell):
     boundary together with the interior.  Either path raises
     ``TooLargeError`` past ``ENUM_CAP``.
     """
-    spins = as_spin_dict(fixed)
-    _check_spins(system, spins)
-    sphere, interior = _ball_parts(graph, v, ell, spins)
-    ball = Support(system, graph, sphere + interior)
-    return _min_marginals_on_ball(ball, v, sphere, interior, spins)
+    return _min_marginals_on_ball(*_ball_query(system, graph, fixed, v, ell))
 
 
 def _min_marginals_on_ball(ball, v, sphere, interior, spins):
@@ -283,11 +284,7 @@ def mixing_rate_estimate(system, graph, v, ell, fixed=None):
     monotone system the widest gap lies between the two extremal boundaries,
     so only those are scanned, as in ``min_marginals``.
     """
-    spins = as_spin_dict(fixed)
-    _check_spins(system, spins)
-    sphere, interior = _ball_parts(graph, v, ell, spins)
-    ball = Support(system, graph, sphere + interior)
-    mu, _ = _sphere_grouped_marginals(ball, v, sphere, interior, spins)
+    mu, _ = _sphere_grouped_marginals(*_ball_query(system, graph, fixed, v, ell))
     if mu.shape[0] == 1:
         return 0.0
     # TV(a, b) is the largest gap in probability a and b give a common spin

@@ -11,9 +11,11 @@ spins sampled along the way are discarded: a call's only lasting effect is
 the spin of its own vertex.
 
 The recursion is run on an explicit work stack, so deep excursions do not
-hit the interpreter's call-depth limit.  A guard aborts any top-level call
-whose recursion exceeds the call budget, since the recursion is not
-guaranteed to terminate when the zone of indecision is too wide.
+hit the interpreter's call-depth limit.  Only undecided calls wait on the
+stack: a call whose variate lands in a spin interval hands its spin straight
+to the call waiting on it.  A guard aborts any top-level call whose
+recursion exceeds the call budget, since the recursion is not guaranteed to
+terminate when the zone of indecision is too wide.
 """
 
 import json
@@ -165,17 +167,12 @@ class IntervalPartition:
 
 @dataclass
 class RecursionStats:
-    """Counters for one top-level call or an aggregated window run."""
+    """Counters for one top-level call, or summed over a window's calls."""
 
     total_calls: int = 0
     max_depth: int = 0
     indecision_events: int = 0
     trace: list = None
-
-    def merge(self, other):
-        self.total_calls += other.total_calls
-        self.max_depth = max(self.max_depth, other.max_depth)
-        self.indecision_events += other.indecision_events
 
 
 @dataclass
@@ -354,20 +351,6 @@ class MarginalCache:
         return part
 
 
-class _Frame:
-    __slots__ = ("v", "depth", "h", "y", "part", "sphere_free", "child_idx", "added")
-
-    def __init__(self, v, depth, h):
-        self.v = v
-        self.depth = depth
-        self.h = h
-        self.y = None
-        self.part = None
-        self.sphere_free = None
-        self.child_idx = 0
-        self.added = None
-
-
 def _run(cache, lam, v, rng, stats, budget, h=None):
     """Iterative engine for one top-level call; ``lam`` is restored on exit.
 
@@ -375,53 +358,63 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
     the unbounded sampler): a call entered with h == 0 reads the exact
     whole-graph oracle, whose partition has no zone, instead of v's min
     marginals, so it never recurses.
+
+    Only an undecided call waits on the stack, as ``(v, depth, h, y, part,
+    free sphere, iterator over the free sphere)``.  Each child leaves just
+    its own spin in ``lam``, so once the iterator is spent the free sphere is
+    exactly what the call deletes after resolving its zone.  Counts are kept
+    in locals, so the budget applies to this call alone, and are added to
+    ``stats`` on exit.
     """
-    stack = [_Frame(v, 1, h)]
-    while True:
-        f = stack[-1]
-        if f.y is None:
-            stats.total_calls += 1
-            if stats.total_calls > budget:
+    trace = stats.trace
+    calls = max_depth = undecided = 0
+    depth = 1
+    stack = []
+    try:
+        while True:
+            calls += 1
+            if calls > budget:
                 raise BudgetExhaustedError(
                     f"call budget {budget} exhausted at vertex "
-                    f"{cache.graph.format_vertex(f.v)}"
+                    f"{cache.graph.format_vertex(v)}"
                 )
-            if f.depth > stats.max_depth:
-                stats.max_depth = f.depth
-            if f.h == 0:
-                part = cache.whole_graph_marginal(f.v, lam)
+            if depth > max_depth:
+                max_depth = depth
+            if h == 0:
+                part = cache.whole_graph_marginal(v, lam)
             else:
-                part = cache.min_intervals(f.v, lam)
-            f.part = part
-            f.y = rng.next_double()
-            spin = part.locate(f.y)
-            if stats.trace is not None:
-                stats.trace.append((f.v, f.depth, spin == 0))
+                part = cache.min_intervals(v, lam)
+            y = rng.next_double()
+            spin = part.locate(y)
+            if trace is not None:
+                trace.append((v, depth, spin == 0))
             if spin == 0:
-                stats.indecision_events += 1
-                sphere = cache.ball_parts(f.v)[0]
-                f.sphere_free = [w for w in sphere if w not in lam]
-                f.added = []
-        if f.added is not None:
-            if f.child_idx < len(f.sphere_free):
-                w = f.sphere_free[f.child_idx]
-                child_h = None if f.h is None else f.h - 1
-                stack.append(_Frame(w, f.depth + 1, child_h))
-                continue
-            # Sphere fully assigned: subdivide the indecision zone and resolve
-            # v, then discard the intermediate sphere spins.
-            mu = cache.sphere_conditional(f.v, lam)
-            spin = f.part.locate_zone(f.y, mu)
-            for w in f.added:
-                del lam[w]
-        # Frame complete: pop it and hand its spin to the parent.
-        stack.pop()
-        if not stack:
-            return spin
-        parent = stack[-1]
-        lam[f.v] = spin
-        parent.added.append(f.v)
-        parent.child_idx += 1
+                undecided += 1
+                free = [w for w in cache.ball_parts(v)[0] if w not in lam]
+                stack.append((v, depth, h, y, part, free, iter(free)))
+            elif stack:
+                lam[v] = spin
+            else:
+                return spin
+            # Enter the top call's next free sphere vertex, resolving every
+            # call whose free sphere is now fully assigned on the way.
+            while (v := next(stack[-1][6], None)) is None:
+                u, _, _, y, part, free, _ = stack.pop()
+                spin = part.locate_zone(y, cache.sphere_conditional(u, lam))
+                for w in free:
+                    del lam[w]
+                if not stack:
+                    return spin
+                lam[u] = spin
+            _, depth, h = stack[-1][:3]
+            depth += 1
+            if h is not None:
+                h -= 1
+    finally:
+        stats.total_calls += calls
+        stats.indecision_events += undecided
+        if max_depth > stats.max_depth:
+            stats.max_depth = max_depth
 
 
 def _prepare_context(system, graph, fixed):
@@ -491,11 +484,9 @@ class WindowSampler:
         t0 = time.perf_counter()
         out = {}
         for v in window:
-            stats = RecursionStats()
-            spin = _run(self._cache, lam, v, rng, stats, self.budget)
+            spin = _run(self._cache, lam, v, rng, total, self.budget)
             lam[v] = spin
             out[v] = spin
-            total.merge(stats)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         spins = PartialConfiguration(out)
         report = RunReport(

@@ -5,7 +5,8 @@ several tests gets the worst outcome of the group.  Expected failures are
 reported as FAIL so that a criterion that cannot hold as stated stays
 visible even though the suite exits green.
 
-The ``run_cli`` fixture runs ``python -m ssms`` in a child process.
+The ``run_cli`` fixture runs ``python -m ssms`` in a child process, in the
+environment ``child_env`` builds; the demo tests run their scripts in it too.
 """
 
 import os
@@ -30,15 +31,14 @@ _TITLES = {
 }
 
 
-@pytest.fixture()
-def run_cli():
-    """Run ``python -m ssms *args`` in ``cwd`` on the package under test.
+def child_env():
+    """Environment for a child Python process that imports the package under test.
 
     The child gets the absolute directory holding the ``ssms`` this
     process imported at the front of ``PYTHONPATH``, so a relative entry
     such as ``PYTHONPATH=src`` cannot point it elsewhere once ``cwd``
     moves.  ``SSMS_BUDGET`` is dropped so the child runs at the default
-    budget the CLI tests assume.
+    budget the tests assume.
     """
     import ssms
 
@@ -48,6 +48,14 @@ def run_cli():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+@pytest.fixture()
+def run_cli():
+    """Run ``python -m ssms *args`` in ``cwd`` on the package under test,
+    in the environment ``child_env`` builds."""
+    env = child_env()
 
     def run(*args, cwd):
         return subprocess.run(

@@ -133,6 +133,28 @@ def test_config_errors(run_cli, tmp_path):
         assert code in ("config-error", "invalid-parameter"), res.stderr
 
 
+@pytest.mark.parametrize(
+    "graph, out",
+    [
+        ("file:missing.txt", []),
+        ("file:accents.txt", []),
+        ("file:p3.txt", ["--csv", "no-such-dir/sample.csv"]),
+    ],
+    ids=["missing-graph-file", "non-ascii-graph-file", "unwritable-csv"],
+)
+def test_file_errors_are_config_errors(run_cli, tmp_path, p3_file, graph, out):
+    (tmp_path / "accents.txt").write_bytes("3 2\n1 2\n2 3 \u00e9\n".encode("utf-8"))
+    res = run_cli(
+        "sample", "--model", "hardcore", "--lambda", "1.0",
+        "--graph", graph, "--window", "all", "--radius", "1", "--seed", "1",
+        *out, cwd=tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("config-error:")
+    assert res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+
+
 def test_pgm_requires_two_spin_box(run_cli, tmp_path, p3_file):
     res = run_cli(
         "sample", "--model", "ising", "--lambda", "1.5",

@@ -97,6 +97,17 @@ def test_finite_growth_bound_is_worst_case_sphere():
     assert p.growth_bound(2) == 6
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [path_graph(3), Lattice(2), RegularTree(3), LineGraph(cycle_graph(4)), LineGraph(Lattice(2))],
+    ids=["finite", "lattice", "tree", "line-finite", "line-lattice"],
+)
+def test_growth_bound_at_radius_zero_and_below(graph):
+    assert graph.growth_bound(0) == 1
+    with pytest.raises(ModelParameterError):
+        graph.growth_bound(-1)
+
+
 def test_lattice_neighbors_and_spheres():
     z2 = Lattice(2)
     assert sorted(z2.neighbors((0, 0))) == [(-1, 0), (0, -1), (0, 1), (1, 0)]

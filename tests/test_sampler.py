@@ -222,6 +222,27 @@ def test_budget_is_per_call_and_sharp():
         ssms(hardcore(1.0), path_graph(3), {}, 2, 1, FakeRng(draws), budget=3)
 
 
+def test_window_counts_every_call_with_a_fresh_budget_per_vertex():
+    # at seed 0 the five vertices take 3, 1, 1, 1 and 1 calls: the window
+    # fits a budget of 3 per vertex although its total is 7, and trips at 2
+    system, g = hardcore(1.0), cycle_graph(5)
+    window = list(g.vertices())
+    spins, report = sample_window(system, g, window, 1, 0, budget=3)
+    assert report.total_calls == 7
+    with pytest.raises(BudgetExhaustedError):
+        sample_window(system, g, window, 1, 0, budget=2)
+
+    sampler, rng, fixed, runs = WindowSampler(system, g, 1), RandomSource(0), {}, []
+    for v in window:
+        fixed[v], stats = sampler.sample_spin(v, rng, fixed)
+        runs.append(stats)
+    assert [s.total_calls for s in runs] == [3, 1, 1, 1, 1]
+    assert dict(spins.items()) == fixed
+    assert report.total_calls == sum(s.total_calls for s in runs)
+    assert report.max_depth == max(s.max_depth for s in runs)
+    assert report.indecision_events == sum(s.indecision_events for s in runs)
+
+
 def test_success_is_budget_invariant():
     # a run that finishes within a small budget returns the same spin and
     # statistics under any larger budget
