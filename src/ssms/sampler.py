@@ -95,9 +95,14 @@ class IntervalPartition:
     zone of indecision.  With p^0 = 0 (an exact marginal) there is no zone:
     the running sum can end an ulp short of 1, so the edges from the last
     spin of positive mass on are set to 1 and that spin owns the remainder.
+
+    A partition is immutable, so the zone's split under a resolved
+    conditional partition is computed once per conditional: ``locate_zone``
+    keeps the edges of each conditional it has been given, keyed by that
+    conditional, in a table made on the first zone resolution.
     """
 
-    __slots__ = ("p", "cum")
+    __slots__ = ("p", "cum", "q", "_splits")
 
     def __init__(self, p):
         p = [float(x) for x in p]
@@ -117,10 +122,8 @@ class IntervalPartition:
             cum[last:] = [1.0] * (len(cum) - last)
         self.p = tuple(p)
         self.cum = cum
-
-    @property
-    def q(self):
-        return len(self.p) - 1
+        self.q = len(cum)
+        self._splits = None
 
     @property
     def zone_start(self):
@@ -151,16 +154,23 @@ class IntervalPartition:
             edges.append(acc)
         return edges
 
-    def locate_zone(self, y, mu):
-        """Spin owning y within the indecision zone (closed right endpoint)."""
-        edges = self.split_zone(mu)
+    def locate_zone(self, y, cond):
+        """Spin owning y within the indecision zone (closed right endpoint),
+        given the resolved conditional partition ``cond``."""
+        splits = self._splits
+        if splits is None:
+            splits = self._splits = {}
+        edges = splits.get(cond)
+        if edges is None:
+            edges = splits[cond] = self.split_zone(cond.p[1:])
         idx = bisect_right(edges, y)
         if idx >= self.q:
             # Roundoff can leave y marginally past the last edge; the zone's
             # right endpoint is closed, so absorb into the last live spin.
-            for j in range(self.q - 1, -1, -1):
-                if float(mu[j]) - self.p[j + 1] > 0.0:
-                    return j + 1
+            mu = cond.p
+            for j in range(self.q, 0, -1):
+                if mu[j] - self.p[j] > 0.0:
+                    return j
             raise InternalError("indecision zone has no positive subinterval")
         return idx + 1
 
@@ -224,9 +234,11 @@ class MarginalCache:
     The cache is one table of ``IntervalPartition``s.  A vertex's worst-case
     partition is its min marginal p_v; once its whole sphere is assigned,
     the same lookup gives the exact conditional with p_v^0 = 0, so the
-    sphere conditional is that entry's spin masses.  The bounded sampler's
-    whole-graph oracle stores its exact marginal in the same table as a
-    partition with no zone.
+    sphere conditional is that entry itself.  Entries are shared and never
+    change, so a min partition splits its zone under a given conditional
+    entry once and keeps the edges (``IntervalPartition.locate_zone``).
+    The bounded sampler's whole-graph oracle stores its exact marginal in
+    the same table as a partition with no zone.
 
     The key of a lookup at v is ``(cls, code)``: ``cls`` is the graph's
     ``ball_class(v)`` and ``code`` reads the context restricted to v's
@@ -302,18 +314,18 @@ class MarginalCache:
             Support(self.system, graph, label.values()),
         )
 
-    def _key(self, cls, ball, lam):
+    def min_intervals(self, v, lam):
+        """IntervalPartition of v's min marginals under the context ``lam``."""
+        parts = self._balls.get(v)
+        if parts is None:
+            parts = self.ball_parts(v)
+        _, ball, cls = parts
         radix = self._radix
         get = lam.get
         code = 0
         for w in ball:
             code = code * radix + get(w, 0)
-        return cls, code
-
-    def min_intervals(self, v, lam):
-        """IntervalPartition of v's min marginals under the context ``lam``."""
-        _, ball, cls = self.ball_parts(v)
-        key = self._key(cls, ball, lam)
+        key = (cls, code)
         part = self._parts.get(key)
         if part is None:
             frame = self._frames[cls]
@@ -325,8 +337,7 @@ class MarginalCache:
 
     def sphere_conditional(self, v, lam):
         """Marginal of v once its whole sphere (and maybe more) is assigned:
-        the spin masses of its min-marginal partition, whose zone is then
-        empty."""
+        its min-marginal partition, whose zone is then empty."""
         # On the frame every ball vertex's neighbors lie in the ball, so only
         # this check keeps a free sphere vertex from going unnoticed.
         for w in self.ball_parts(v)[0]:
@@ -334,7 +345,7 @@ class MarginalCache:
                 fmt = self.graph.format_vertex
                 raise NotSeparatingError(f"sphere vertex {fmt(w)} of {fmt(v)} is unassigned")
         try:
-            return self.min_intervals(v, lam).p[1:]
+            return self.min_intervals(v, lam)
         except InfeasibleContextError:
             raise InfeasibleBoundaryError(
                 "fixed context admits no positive-weight extension"
@@ -364,19 +375,22 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
     its own spin in ``lam``, so once the iterator is spent the free sphere is
     exactly what the call deletes after resolving its zone.  Counts are kept
     in locals, so the budget applies to this call alone, and are added to
-    ``stats`` on exit.
+    ``stats`` on exit.  A budget trip names the top-level vertex, then the
+    call being entered, its depth and the height of the waiting stack.
     """
     trace = stats.trace
     calls = max_depth = undecided = 0
     depth = 1
     stack = []
+    top = v
     try:
         while True:
             calls += 1
             if calls > budget:
+                fmt = cache.graph.format_vertex
                 raise BudgetExhaustedError(
-                    f"call budget {budget} exhausted at vertex "
-                    f"{cache.graph.format_vertex(v)}"
+                    f"call budget {budget} exhausted for vertex {fmt(top)}: entering "
+                    f"vertex {fmt(v)} at depth {depth}, waiting stack height {len(stack)}"
                 )
             if depth > max_depth:
                 max_depth = depth
@@ -470,11 +484,12 @@ class WindowSampler:
         top-level vertex gets a fresh call budget.
         """
         window = list(window)
+        for v in window:
+            self.graph.check_vertex(v)
         if len(set(window)) != len(window):
             raise ConfigError("window vertices must be distinct")
         lam = _prepare_context(self.system, self.graph, fixed)
         for v in window:
-            self.graph.check_vertex(v)
             if v in lam:
                 raise ConfigError(
                     f"window vertex {self.graph.format_vertex(v)} is already fixed"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from bisect import bisect_right
 
 import pytest
 import scipy.stats
@@ -131,13 +132,15 @@ def test_interval_partition_validation():
 def test_zone_subdivision():
     part = IntervalPartition([0.5, 0.5, 0.0])
     # resolved marginal (1/2, 1/2): all zone mass goes to spin 2
+    half = IntervalPartition([0.0, 0.5, 0.5])
     assert part.split_zone([0.5, 0.5]) == [0.5, 1.0]
-    assert part.locate_zone(0.5, [0.5, 0.5]) == 2
-    assert part.locate_zone(0.75, [0.5, 0.5]) == 2
+    assert part.locate_zone(0.5, half) == 2
+    assert part.locate_zone(0.75, half) == 2
     # resolved marginal (1, 0): all zone mass goes to spin 1
-    assert part.locate_zone(0.75, [1.0, 0.0]) == 1
+    first = IntervalPartition([0.0, 1.0, 0.0])
+    assert part.locate_zone(0.75, first) == 1
     # the zone is closed on the right
-    assert part.locate_zone(1.0, [1.0, 0.0]) == 1
+    assert part.locate_zone(1.0, first) == 1
 
 
 def test_immediate_hit_costs_one_call():
@@ -224,12 +227,17 @@ def test_budget_is_per_call_and_sharp():
 
 def test_window_counts_every_call_with_a_fresh_budget_per_vertex():
     # at seed 0 the five vertices take 3, 1, 1, 1 and 1 calls: the window
-    # fits a budget of 3 per vertex although its total is 7, and trips at 2
+    # fits a budget of 3 per vertex although its total is 7, and trips at 2,
+    # in window vertex 1's run, on entering its sphere vertex 5
     system, g = hardcore(1.0), cycle_graph(5)
     window = list(g.vertices())
     spins, report = sample_window(system, g, window, 1, 0, budget=3)
     assert report.total_calls == 7
-    with pytest.raises(BudgetExhaustedError):
+    with pytest.raises(
+        BudgetExhaustedError,
+        match=r"^call budget 2 exhausted for vertex 1: entering vertex 5 at depth 2, "
+        r"waiting stack height 1$",
+    ):
         sample_window(system, g, window, 1, 0, budget=2)
 
     sampler, rng, fixed, runs = WindowSampler(system, g, 1), RandomSource(0), {}, []
@@ -449,6 +457,13 @@ def test_window_validation():
         sample_window(hardcore(1.0), g, [1, 2], 1, 7, fixed={2: 1})
     with pytest.raises(InvalidVertexError):
         sample_window(hardcore(1.0), g, [1, 9], 1, 7)
+    # an unhashable vertex is named before the distinctness check hashes it
+    for run in (
+        lambda: sample_window(hardcore(0.3), Lattice(2), [[0, 0]], 1, 1),
+        lambda: ssms(hardcore(0.3), Lattice(2), {}, [0, 0], 1, 1),
+    ):
+        with pytest.raises(InvalidVertexError, match=r"\[0, 0\]"):
+            run()
     with pytest.raises(ModelParameterError):
         ssms(hardcore(1.0), g, {2: 1}, 2, 1, 7)
 
@@ -560,4 +575,53 @@ def test_zone_split_maps_every_variate_to_a_live_spin(data):
             assert part.locate(y) != 0
         else:
             assert part.locate(y) == 0
-            assert part.locate_zone(y, mu) in live
+            assert part.locate_zone(y, IntervalPartition([0.0, *mu])) in live
+
+
+def unmemoized_locate_zone(part, y, mu):
+    """``IntervalPartition.locate_zone`` as it was before the split was
+    memoized: the zone is split under ``mu`` on every call."""
+    edges = part.split_zone(mu)
+    idx = bisect_right(edges, y)
+    if idx >= part.q:
+        for j in range(part.q - 1, -1, -1):
+            if mu[j] - part.p[j + 1] > 0.0:
+                return j + 1
+        raise AssertionError("indecision zone has no positive subinterval")
+    return idx + 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_memoized_zone_split_equals_the_unmemoized_split(data):
+    # One min partition resolved under several conditionals, in a drawn
+    # interleaved order and twice over: a split kept for one conditional
+    # must never answer for another.
+    q = data.draw(st.integers(2, 5))
+    zone = data.draw(st.integers(1, 4))
+    masses = data.draw(st.lists(st.integers(0, 4), min_size=q, max_size=q))
+    total = sum(masses) + zone
+    spin_p = [m / total for m in masses]
+    part = IntervalPartition([max(1.0 - sum(spin_p), 0.0)] + spin_p)
+    spreads = data.draw(
+        st.lists(
+            st.lists(st.integers(0, 3), min_size=q, max_size=q).filter(any),
+            min_size=2, max_size=4, unique_by=tuple,
+        )
+    )
+    conds = []
+    for spread in spreads:
+        mu = [pi + part.p[0] * w / sum(spread) for pi, w in zip(spin_p, spread)]
+        conds.append(IntervalPartition([0.0, *mu]))
+    calls = []
+    for cond in conds:
+        edges = part.split_zone(cond.p[1:])
+        # Interior points, every edge, and y at or past the last edge.
+        ys = [part.zone_start, math.nextafter(edges[-1], 2.0), 1.0] + edges
+        ys += [data.draw(st.floats(part.zone_start, 1.0)) for _ in range(4)]
+        calls += [(cond, y) for y in ys]
+    order = data.draw(st.permutations(range(len(calls))))
+    for _ in range(2):
+        for i in order:
+            cond, y = calls[i]
+            assert part.locate_zone(y, cond) == unmemoized_locate_zone(part, y, cond.p[1:])
