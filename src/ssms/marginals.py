@@ -69,27 +69,14 @@ def tv_distance(a, b):
     return 0.5 * float(np.abs(a - b).sum())
 
 
-def _total(xs):
-    """Sum of the floats ``xs`` left to right from 0.0.
-
-    That is numpy's order for fewer than eight terms, so every q < 8 sum of
-    a miss's tail equals the numpy sum it replaced bit for bit.
-    """
-    total = 0.0
-    for x in xs:
-        total += x
-    return total
-
-
 def _normalized(weights):
-    """The floats ``weights`` divided by their total, or None when it is 0."""
-    total = _total(weights)
+    total = weights.sum()
     if total <= 0.0:
         return None
-    mu = [w / total for w in weights]
+    mu = weights / total
     # Weights are nonnegative so entries cannot undershoot; renormalization
     # drift beyond tolerance would mean the arithmetic itself is broken.
-    drift = abs(_total(mu) - 1.0)
+    drift = abs(float(mu.sum()) - 1.0)
     if drift > NEG_TOL:
         raise InternalError(f"marginal normalization drifted by {drift}")
     return mu
@@ -129,10 +116,10 @@ def conditional_marginal(system, graph, v, fixed, support):
     jv = free.index(v)
     axes = tuple(j for j in range(len(free)) if j != jv)
     totals = W.sum(axis=axes) if axes else W
-    mu = _normalized(totals.tolist())
+    mu = _normalized(totals)
     if mu is None:
         raise InfeasibleBoundaryError("fixed context admits no positive-weight extension")
-    return np.array(mu)
+    return mu
 
 
 def _ball_query(system, graph, fixed, v, ell):
@@ -214,18 +201,19 @@ def _extremal_rows(ball, v, interior_free, fixed, sphere_free):
                 Wx *= f
         if scalar != 1.0:
             Wx = Wx * scalar
-        out.append(Wx.reshape(q, -1).sum(axis=1).tolist())
+        out.append(Wx.reshape(q, -1).sum(axis=1))
     return out
 
 
-def _boundary_rows(ball, v, sphere, interior, spins):
-    """Unnormalized marginals of v, one row of q floats per boundary scanned.
+def _sphere_grouped_marginals(ball, v, sphere, interior, spins):
+    """Matrix of conditional marginals of v, one row per boundary scanned.
 
     ``ball`` is the compiled ``Support`` on sphere and interior.  A monotone
     ball with a free sphere vertex scans its two extremal boundaries; any
     other scans every free sphere assignment, lexicographically (canonical
-    vertex order, spins ascending).  Also returns the number of free sphere
-    vertices.
+    vertex order, spins ascending).  Rows with zero total weight are
+    infeasible and returned masked out.  Also returns the number of free
+    sphere vertices.
     """
     q = ball.system.q
     sphere_free = [w for w in sphere if w not in spins]
@@ -233,26 +221,22 @@ def _boundary_rows(ball, v, sphere, interior, spins):
     fixed = {w: spins[w] for w in sorted([*sphere, *interior]) if w in spins}
     s = len(sphere_free)
     if s and ball.monotone:
-        return _extremal_rows(ball, v, interior_free, fixed, sphere_free), s
-    support = sphere_free + interior_free + list(fixed)
-    free, W = weight_tensor(ball, support, fixed)
-    jv = free.index(v)
-    keep = tuple(range(s)) + (jv,)
-    drop = tuple(j for j in range(len(free)) if j not in keep)
-    M = W.sum(axis=drop) if drop else W
-    return M.reshape(q**s, q).tolist(), s
-
-
-def _sphere_grouped_marginals(ball, v, sphere, interior, spins):
-    """Conditional marginals of v, one row per feasible boundary scanned
-    (see ``_boundary_rows``); rows with zero total weight are infeasible and
-    left out.  Also returns the number of free sphere vertices."""
-    rows, s = _boundary_rows(ball, v, sphere, interior, spins)
-    mu = [m for m in map(_normalized, rows) if m is not None]
-    if not mu:
+        M = np.array(_extremal_rows(ball, v, interior_free, fixed, sphere_free))
+    else:
+        support = sphere_free + interior_free + list(fixed)
+        free, W = weight_tensor(ball, support, fixed)
+        jv = free.index(v)
+        keep = tuple(range(s)) + (jv,)
+        drop = tuple(j for j in range(len(free)) if j not in keep)
+        M = W.sum(axis=drop) if drop else W
+        M = M.reshape(q**s, q)
+    totals = M.sum(axis=1)
+    feasible = totals > 0.0
+    if not feasible.any():
         raise InfeasibleContextError(
             "context admits no feasible boundary assignment on the sphere"
         )
+    mu = M[feasible] / totals[feasible, None]
     return mu, s
 
 
@@ -271,21 +255,25 @@ def min_marginals(system, graph, fixed, v, ell):
     boundary together with the interior.  Either path raises
     ``TooLargeError`` past ``ENUM_CAP``.
     """
-    return np.array(_min_marginals_on_ball(*_ball_query(system, graph, fixed, v, ell)))
+    return _min_marginals_on_ball(*_ball_query(system, graph, fixed, v, ell))
 
 
 def _min_marginals_on_ball(ball, v, sphere, interior, spins):
-    """``min_marginals`` as a list of floats, for a caller that already holds
-    v's sphere and ball interior, the ``Support`` compiled on them, and a
-    validated context ``spins`` that leaves v free."""
+    """``min_marginals`` for a caller that already holds v's sphere and ball
+    interior, the ``Support`` compiled on them, and a validated context
+    ``spins`` that leaves v free."""
     mu, s = _sphere_grouped_marginals(ball, v, sphere, interior, spins)
-    p = [min(col) for col in zip(*mu)]
+    p = mu.min(axis=0)
+    out = np.empty(ball.system.q + 1)
+    out[1:] = p
     if s == 0:
-        return [0.0, *p]
-    rest = 1.0 - _total(p)
-    if rest < -NEG_TOL:
-        raise InternalError(f"zone of indecision computed as {rest}")
-    return [max(rest, 0.0), *p]
+        out[0] = 0.0
+    else:
+        rest = 1.0 - float(p.sum())
+        if rest < -NEG_TOL:
+            raise InternalError(f"zone of indecision computed as {rest}")
+        out[0] = max(rest, 0.0)
+    return out
 
 
 def mixing_rate_estimate(system, graph, v, ell, fixed=None):
@@ -296,10 +284,9 @@ def mixing_rate_estimate(system, graph, v, ell, fixed=None):
     monotone system the widest gap lies between the two extremal boundaries,
     so only those are scanned, as in ``min_marginals``.
     """
-    rows, _ = _sphere_grouped_marginals(*_ball_query(system, graph, fixed, v, ell))
-    if len(rows) == 1:
+    mu, _ = _sphere_grouped_marginals(*_ball_query(system, graph, fixed, v, ell))
+    if mu.shape[0] == 1:
         return 0.0
-    mu = np.array(rows)
     # TV(a, b) is the largest gap in probability a and b give a common spin
     # subset, so the pairwise maximum is the widest per-subset range; that
     # scan is linear in the number of boundaries instead of quadratic.

@@ -332,7 +332,7 @@ class MarginalCache:
             p = _min_marginals_on_ball(
                 frame.support, frame.v, frame.sphere, frame.interior, _on_frame(ball, lam)
             )
-            part = self._parts[key] = IntervalPartition(p)
+            part = self._parts[key] = IntervalPartition(p.tolist())
         return part
 
     def sphere_conditional(self, v, lam):
@@ -376,7 +376,7 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
     exactly what the call deletes after resolving its zone.  Counts are kept
     in locals, so the budget applies to this call alone, and are added to
     ``stats`` on exit.  A budget trip names the top-level vertex, then the
-    call being entered, its depth and the height of the waiting stack.
+    call being entered and its depth.
     """
     trace = stats.trace
     calls = max_depth = undecided = 0
@@ -389,8 +389,8 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
             if calls > budget:
                 fmt = cache.graph.format_vertex
                 raise BudgetExhaustedError(
-                    f"call budget {budget} exhausted for vertex {fmt(top)}: entering "
-                    f"vertex {fmt(v)} at depth {depth}, waiting stack height {len(stack)}"
+                    f"call budget {budget} exhausted for vertex {fmt(top)}: "
+                    f"entering vertex {fmt(v)} at depth {depth}"
                 )
             if depth > max_depth:
                 max_depth = depth
