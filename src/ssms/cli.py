@@ -9,7 +9,6 @@ import argparse
 import csv
 import re
 import sys
-from dataclasses import dataclass
 
 from .analysis import branching_bound
 from .errors import ConfigError, SsmsError, TooLargeError
@@ -22,61 +21,30 @@ from .verify import run_suite
 _BOX_RE = re.compile(r"^box:(\d+)x(\d+)@(-?\d+),(-?\d+)$")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully parsed sampling run."""
-
-    system: object
-    graph: object
-    window: tuple
-    box: tuple  # (x0, y0, width, height) when the window came from box syntax
-    ell: int
-    seed: int
-    budget: int
-    csv_path: str
-    json_path: str
-    pgm_path: str
+# model name -> (the one flag it takes, its constructor, whether it runs on
+# the line graph); matchings of G weighted by gamma^|M| are the site
+# configurations of L(G)
+MODELS = {
+    "hardcore": ("--lambda", hardcore, False),
+    "ising": ("--lambda", ising, False),
+    "coloring": ("--q", coloring, False),
+    "monomer-dimer": ("--gamma", hardcore, True),
+}
 
 
-def build_model(args):
-    """Model constructor dispatch, with strict parameter pairing."""
+def build_system(args):
+    """(system, graph) from the model flags, with strict parameter pairing."""
     name = args.model
-    given = {
-        "--lambda": args.lam,
-        "--q": args.q,
-        "--gamma": args.gamma,
-    }
-    needs = {
-        "hardcore": "--lambda",
-        "ising": "--lambda",
-        "coloring": "--q",
-        "monomer-dimer": "--gamma",
-    }
-    try:
-        wanted = needs[name]
-    except KeyError:
-        raise ConfigError(f"unknown model {name!r}") from None
+    wanted, make, on_line_graph = MODELS[name]
+    given = {"--lambda": args.lam, "--q": args.q, "--gamma": args.gamma}
     if given[wanted] is None:
         raise ConfigError(f"--model {name} requires {wanted}")
     extras = [k for k, v in given.items() if v is not None and k != wanted]
     if extras:
         raise ConfigError(f"--model {name} does not take {extras[0]}")
-    if name == "hardcore":
-        return hardcore(args.lam), False
-    if name == "ising":
-        return ising(args.lam), False
-    if name == "coloring":
-        return coloring(args.q), False
-    # matchings of G weighted by gamma^|M| are site configurations of L(G)
-    return hardcore(args.gamma), True
-
-
-def build_system(args):
-    system, on_line_graph = build_model(args)
+    system = make(given[wanted])
     graph = graph_from_spec(args.graph)
-    if on_line_graph:
-        graph = LineGraph(graph)
-    return system, graph
+    return system, LineGraph(graph) if on_line_graph else graph
 
 
 def parse_window(graph, spec):
@@ -104,32 +72,6 @@ def parse_window(graph, spec):
     raise ConfigError(f"cannot parse window spec {spec!r}")
 
 
-def make_run_config(args):
-    system, graph = build_system(args)
-    window, box = parse_window(graph, args.window)
-    if args.radius < 1:
-        raise ConfigError(f"--radius must be >= 1, got {args.radius}")
-    if args.seed < 1:
-        raise ConfigError(f"--seed must be positive, got {args.seed}")
-    budget = args.budget if args.budget is not None else budget_from_env()
-    if budget < 1:
-        raise ConfigError(f"--budget must be positive, got {budget}")
-    for v in window:
-        graph.check_vertex(v)
-    return RunConfig(
-        system=system,
-        graph=graph,
-        window=window,
-        box=box,
-        ell=args.radius,
-        seed=args.seed,
-        budget=budget,
-        csv_path=args.csv,
-        json_path=args.json,
-        pgm_path=args.pgm or "sample.pgm",
-    )
-
-
 def write_spin_csv(path, graph, window, spins):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -150,29 +92,47 @@ def write_pgm(path, box, spins):
         fh.write(bytes(body))
 
 
+def _emit(text, path):
+    """Write ``text`` to the file ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_sample(args):
-    cfg = make_run_config(args)
-    wants_pgm = cfg.box is not None and cfg.system.q == 2
+    system, graph = build_system(args)
+    window, box = parse_window(graph, args.window)
+    if args.radius < 1:
+        raise ConfigError(f"--radius must be >= 1, got {args.radius}")
+    if args.seed < 1:
+        raise ConfigError(f"--seed must be positive, got {args.seed}")
+    budget = args.budget if args.budget is not None else budget_from_env()
+    if budget < 1:
+        raise ConfigError(f"--budget must be positive, got {budget}")
+    wants_pgm = box is not None and system.q == 2
     if args.pgm is not None and not wants_pgm:
         raise ConfigError("--pgm needs a box window and a two-spin model")
-    if cfg.graph.is_finite():
+    if graph.is_finite():
         # catches systems with no feasible configuration at all, such as
         # too few colors for the graph; skipped when enumeration is too big
         try:
-            partition_function(cfg.system, cfg.graph)
+            partition_function(system, graph)
         except TooLargeError:
             pass
-    sampler = WindowSampler(cfg.system, cfg.graph, cfg.ell, budget=cfg.budget)
-    spins, report = sampler.sample_window(cfg.window, RandomSource(cfg.seed))
-    write_spin_csv(cfg.csv_path, cfg.graph, cfg.window, spins)
-    with open(cfg.json_path, "w") as fh:
+    sampler = WindowSampler(system, graph, args.radius, budget=budget)
+    spins, report = sampler.sample_window(window, RandomSource(args.seed))
+    write_spin_csv(args.csv, graph, window, spins)
+    with open(args.json, "w") as fh:
         fh.write(report.to_json(deterministic=True))
-    wrote = [cfg.csv_path, cfg.json_path]
+    wrote = [args.csv, args.json]
     if wants_pgm:
-        write_pgm(cfg.pgm_path, cfg.box, spins)
-        wrote.append(cfg.pgm_path)
+        pgm_path = args.pgm or "sample.pgm"
+        write_pgm(pgm_path, box, spins)
+        wrote.append(pgm_path)
     print(
-        f"sampled {len(cfg.window)} vertices in {report.total_calls} calls; "
+        f"sampled {len(window)} vertices in {report.total_calls} calls; "
         f"wrote {', '.join(wrote)}"
     )
     return 0
@@ -205,29 +165,18 @@ def cmd_estimate_mixing(args):
     for b in bounds:
         flag = int(b.ell == least)
         lines.append(f"{b.ell},{b.f!r},{b.g},{b.alpha!r},{flag}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_verify(args):
     result = run_suite(args.suite, seed=args.seed)
-    text = result.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(result.to_csv(), args.out)
     return 0 if result.passed else 1
 
 
 def _add_model_flags(sub):
-    sub.add_argument("--model", required=True,
-                     choices=["hardcore", "ising", "coloring", "monomer-dimer"])
+    sub.add_argument("--model", required=True, choices=MODELS)
     sub.add_argument("--lambda", dest="lam", type=float, default=None,
                      help="activity (hardcore) or edge weight (ising)")
     sub.add_argument("--q", type=int, default=None, help="number of colors")

@@ -38,6 +38,7 @@ this: its sphere conditional is the min-marginal entry of the same context.
 
 import csv
 import io
+from numbers import Integral
 
 import numpy as np
 
@@ -122,14 +123,19 @@ def conditional_marginal(system, graph, v, fixed, support):
     return mu
 
 
+def _check_count(value, least, name):
+    """Raise ``ModelParameterError`` unless ``value`` is an integer >= ``least``."""
+    if not isinstance(value, Integral) or value < least:
+        raise ModelParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _ball_query(system, graph, fixed, v, ell):
     """Validate a public radius-ell query at v and return the arguments of
     its boundary scan: ``(ball, v, sphere, interior, spins)``, with ``ball``
     the ``Support`` compiled on v's sphere and interior."""
     spins = as_spin_dict(fixed)
     _check_spins(system, spins)
-    if ell < 1:
-        raise ModelParameterError(f"radius must be >= 1, got {ell}")
+    _check_count(ell, 1, "radius")
     graph.check_vertex(v)
     if v in spins:
         raise ModelParameterError(f"target vertex {graph.format_vertex(v)} is already fixed")
@@ -378,8 +384,9 @@ def estimate_mixing_rate(system, graph, ells, probes=None, fixed=None):
     ells = sorted(set(int(e) for e in ells))
     if not ells or ells[0] < 1:
         raise ModelParameterError(f"need radii >= 1, got {ells}")
-    if probes is None:
-        probes = default_probes(graph)
+    probes = default_probes(graph) if probes is None else tuple(probes)
+    if not probes:
+        raise ModelParameterError("empty probe list")
     values = {}
     for ell in ells:
         values[ell] = max(

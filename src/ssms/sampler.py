@@ -38,7 +38,7 @@ from .errors import (
     NotSeparatingError,
 )
 from .graph import FiniteGraph
-from .marginals import NEG_TOL, _min_marginals_on_ball, conditional_marginal
+from .marginals import NEG_TOL, _check_count, _min_marginals_on_ball, conditional_marginal
 from .spinsys import PartialConfiguration, as_spin_dict, _check_spins
 
 DEFAULT_BUDGET = 10**7
@@ -340,7 +340,10 @@ class MarginalCache:
         its min-marginal partition, whose zone is then empty."""
         # On the frame every ball vertex's neighbors lie in the ball, so only
         # this check keeps a free sphere vertex from going unnoticed.
-        for w in self.ball_parts(v)[0]:
+        parts = self._balls.get(v)
+        if parts is None:
+            parts = self.ball_parts(v)
+        for w in parts[0]:
             if w not in lam:
                 fmt = self.graph.format_vertex
                 raise NotSeparatingError(f"sphere vertex {fmt(w)} of {fmt(v)} is unassigned")
@@ -365,27 +368,30 @@ class MarginalCache:
 def _run(cache, lam, v, rng, stats, budget, h=None):
     """Iterative engine for one top-level call; ``lam`` is restored on exit.
 
-    ``h`` is the remaining depth allowance of the bounded variant (None for
-    the unbounded sampler): a call entered with h == 0 reads the exact
-    whole-graph oracle, whose partition has no zone, instead of v's min
-    marginals, so it never recurses.
+    Only an undecided call waits on the stack, as ``(v, y, part, free
+    sphere, iterator over the free sphere)``.  Every waiting call is the
+    parent of the entry above it, so the call being entered has depth
+    ``len(stack) + 1``.  Each child leaves just its own spin in ``lam``, so
+    once the iterator is spent the free sphere is exactly what the call
+    deletes after resolving its zone.
 
-    Only an undecided call waits on the stack, as ``(v, depth, h, y, part,
-    free sphere, iterator over the free sphere)``.  Each child leaves just
-    its own spin in ``lam``, so once the iterator is spent the free sphere is
-    exactly what the call deletes after resolving its zone.  Counts are kept
-    in locals, so the budget applies to this call alone, and are added to
-    ``stats`` on exit.  A budget trip names the top-level vertex, then the
-    call being entered and its depth.
+    ``h`` caps the depth of the bounded variant (None for the unbounded
+    sampler): a call entered at depth h + 1 reads the exact whole-graph
+    oracle, whose partition has no zone, instead of v's min marginals, so
+    it never recurses.
+
+    Counts are kept in locals, so the budget applies to this call alone,
+    and are added to ``stats`` on exit.  A budget trip names the top-level
+    vertex, then the call being entered and its depth.
     """
     trace = stats.trace
     calls = max_depth = undecided = 0
-    depth = 1
     stack = []
     top = v
     try:
         while True:
             calls += 1
+            depth = len(stack) + 1
             if calls > budget:
                 fmt = cache.graph.format_vertex
                 raise BudgetExhaustedError(
@@ -394,7 +400,7 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
                 )
             if depth > max_depth:
                 max_depth = depth
-            if h == 0:
+            if len(stack) == h:
                 part = cache.whole_graph_marginal(v, lam)
             else:
                 part = cache.min_intervals(v, lam)
@@ -405,25 +411,21 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
             if spin == 0:
                 undecided += 1
                 free = [w for w in cache.ball_parts(v)[0] if w not in lam]
-                stack.append((v, depth, h, y, part, free, iter(free)))
+                stack.append((v, y, part, free, iter(free)))
             elif stack:
                 lam[v] = spin
             else:
                 return spin
             # Enter the top call's next free sphere vertex, resolving every
             # call whose free sphere is now fully assigned on the way.
-            while (v := next(stack[-1][6], None)) is None:
-                u, _, _, y, part, free, _ = stack.pop()
+            while (v := next(stack[-1][4], None)) is None:
+                u, y, part, free, _ = stack.pop()
                 spin = part.locate_zone(y, cache.sphere_conditional(u, lam))
                 for w in free:
                     del lam[w]
                 if not stack:
                     return spin
                 lam[u] = spin
-            _, depth, h = stack[-1][:3]
-            depth += 1
-            if h is not None:
-                h -= 1
     finally:
         stats.total_calls += calls
         stats.indecision_events += undecided
@@ -443,8 +445,7 @@ class WindowSampler:
     """Reusable sampling context: one marginal cache, many seeded runs."""
 
     def __init__(self, system, graph, ell, budget=None):
-        if ell < 1:
-            raise ModelParameterError(f"radius must be >= 1, got {ell}")
+        _check_count(ell, 1, "radius")
         self.system = system
         self.graph = graph
         self.ell = ell
@@ -456,16 +457,15 @@ class WindowSampler:
     def sample_spin(self, v, seed_or_rng, fixed=None, trace=False, h=None):
         """One spin for ``v`` under ``fixed``; returns (spin, stats).
 
-        With a depth allowance ``h`` the run follows the unbounded one draw
-        for draw until a call is entered with no allowance left; that call
-        samples from the exact whole-graph conditional instead of recursing,
-        so ``h`` needs a finite graph.
+        With a depth cap ``h`` the run follows the unbounded one draw for
+        draw until a call is entered at depth h + 1; that call samples from
+        the exact whole-graph conditional instead of recursing, so ``h``
+        needs a finite graph.
         """
         if h is not None:
             if not self.graph.is_finite():
                 raise FiniteOnlyError("bounded sampling requires a finite graph")
-            if h < 0:
-                raise ModelParameterError(f"depth bound must be >= 0, got {h}")
+            _check_count(h, 0, "depth bound")
         lam = _prepare_context(self.system, self.graph, fixed)
         self.graph.check_vertex(v)
         if v in lam:
@@ -524,7 +524,7 @@ def ssms(system, graph, fixed, v, ell, seed_or_rng, budget=None, trace=False, h=
 
     Returns ``(config, stats)`` where config extends ``fixed`` by the single
     assignment at ``v``; any sphere spins sampled along the way are discarded.
-    A depth allowance ``h`` (finite graphs only) caps the recursion; see
+    A depth cap ``h`` (finite graphs only) bounds the recursion; see
     ``WindowSampler.sample_spin``.
     """
     sampler = WindowSampler(system, graph, ell, budget=budget)

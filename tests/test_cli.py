@@ -125,12 +125,30 @@ def test_config_errors(run_cli, tmp_path):
         # empty radius list
         ["estimate-mixing", "--model", "hardcore", "--lambda", "1.0",
          "--graph", "z2", "--ells", ""],
+        # zero seed
+        ["sample", "--model", "hardcore", "--lambda", "1.0", "--graph", "z2",
+         "--window", "box:2x2@0,0", "--radius", "1", "--seed", "0"],
+        # zero budget
+        ["sample", "--model", "hardcore", "--lambda", "1.0", "--graph", "z2",
+         "--window", "box:2x2@0,0", "--radius", "1", "--seed", "1",
+         "--budget", "0"],
     ]
     for args in cases:
         res = run_cli(*args, cwd=tmp_path)
         assert res.returncode == 1, args
         code = res.stderr.split(":", 1)[0]
         assert code in ("config-error", "invalid-parameter"), res.stderr
+
+
+def test_window_vertex_off_the_graph(run_cli, tmp_path):
+    res = run_cli(
+        "sample", "--model", "hardcore", "--lambda", "1.0", "--graph", "z2",
+        "--window", "list:(0,0,0)", "--radius", "1", "--seed", "1",
+        cwd=tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("invalid-vertex:")
+    assert res.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from ssms import (
     ising,
     min_marginals,
 )
-from ssms.bruteforce import Support, weight_tensor
+from ssms.bruteforce import ENUM_CAP, Support, weight_tensor
 from ssms.errors import InfeasibleBoundaryError, InfeasibleContextError, TooLargeError
 from ssms.marginals import (
     _extremal_boundaries,
@@ -72,6 +72,22 @@ MAX_BOUNDARIES = 64
 MAX_INTERIOR_FREE = 10
 
 
+def still_free(q, free, sphere):
+    """The vertices of ``free`` that ``draw_context`` leaves free: as many
+    free sphere vertices as give at most MAX_BOUNDARIES boundaries, and as
+    many free interior vertices as keep the enumeration at v, q^(sphere +
+    interior + 1) cells, within ENUM_CAP."""
+    max_sphere = 0
+    while q ** (max_sphere + 1) <= MAX_BOUNDARIES:
+        max_sphere += 1
+    max_interior = MAX_INTERIOR_FREE
+    while q ** (max_sphere + max_interior + 1) > ENUM_CAP:
+        max_interior -= 1
+    free_sphere = [w for w in free if w in sphere]
+    free_interior = [w for w in free if w not in sphere]
+    return set(free_sphere[:max_sphere] + free_interior[:max_interior])
+
+
 def expect_monotone(system_name, graph_name):
     return system_name in ATTRACTIVE or (system_name in REPULSIVE and graph_name != "line:z2")
 
@@ -110,14 +126,19 @@ def draw_context(data, system, graph, v, ell):
         ]
         spins[w] = s if raw or s in ok or not ok else ok[0]
     keep = data.draw(st.lists(st.booleans(), min_size=len(ball), max_size=len(ball)))
-    free = [w for w, k in zip(ball, keep) if not k and w != v]
-    free_sphere = [w for w in free if w in sphere]
-    free_interior = [w for w in free if w not in sphere]
-    max_sphere = 0
-    while system.q ** (max_sphere + 1) <= MAX_BOUNDARIES:
-        max_sphere += 1
-    still_free = set(free_sphere[:max_sphere] + free_interior[:MAX_INTERIOR_FREE])
-    return {w: s for w, s in spins.items() if w != v and w not in still_free}
+    free = still_free(system.q, [w for w, k in zip(ball, keep) if not k and w != v], sphere)
+    return {w: s for w, s in spins.items() if w != v and w not in free}
+
+
+@pytest.mark.parametrize("system_name", SYSTEMS)
+def test_draw_context_stays_within_the_enumeration_cap(system_name):
+    # The worst case: every vertex of the largest ball drawn is left free.
+    q = SYSTEMS[system_name].q
+    for graph, ell, vertices in GRAPHS.values():
+        for v in vertices:
+            ball = [w for w in graph.ball(v, ell) if w != v]
+            free = still_free(q, ball, set(graph.sphere(v, ell)))
+            assert q ** (len(free) + 1) <= ENUM_CAP, (graph, v, len(free))
 
 
 @pytest.mark.parametrize("system_name", SYSTEMS)

@@ -222,6 +222,17 @@ def test_estimate_mixing_rate_known_values():
     assert f[1] == pytest.approx(0.5)
 
 
+def test_estimate_mixing_rate_names_an_empty_probe_list():
+    with pytest.raises(ModelParameterError, match="empty probe list"):
+        estimate_mixing_rate(hardcore(0.5), Lattice(2), [1], probes=[])
+
+
+@pytest.mark.parametrize("ell", [0, 1.5])
+def test_radius_must_be_a_positive_integer(ell):
+    with pytest.raises(ModelParameterError, match="radius"):
+        min_marginals(hardcore(1.0), path_graph(3), {}, 2, ell)
+
+
 def test_mixing_rate_container():
     f = MixingRate({1: 0.5, 2: 0.25}, "user-supplied")
     assert f[2] == 0.25

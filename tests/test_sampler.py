@@ -422,8 +422,9 @@ def test_lattice_window_follows_the_recorded_stream():
 def test_bounded_needs_finite_graph():
     with pytest.raises(FiniteOnlyError):
         ssms(hardcore(0.3), Lattice(2), {}, (0, 0), 1, 7, h=3)
-    with pytest.raises(ModelParameterError):
-        ssms(hardcore(1.0), path_graph(3), {}, 2, 1, 7, h=-1)
+    for h in (-1, 1.5):
+        with pytest.raises(ModelParameterError, match="depth bound"):
+            ssms(hardcore(1.0), path_graph(3), {}, 2, 1, 7, h=h)
 
 
 def test_bounded_agrees_with_unbounded_on_shallow_runs():
@@ -465,6 +466,9 @@ def test_window_validation():
             run()
     with pytest.raises(ModelParameterError):
         ssms(hardcore(1.0), g, {2: 1}, 2, 1, 7)
+    for ell in (0, 1.5):
+        with pytest.raises(ModelParameterError, match="radius"):
+            WindowSampler(hardcore(1.0), g, ell)
 
 
 def test_conditioning_is_respected():
