@@ -21,6 +21,7 @@ from .errors import (
     InsufficientSamplesError,
     MissingRateError,
     ModelParameterError,
+    check_count,
 )
 from .marginals import NEG_TOL, min_marginals, mixing_rate_estimate
 
@@ -71,8 +72,7 @@ def hardcore_radius1_bound(lam, delta):
     """
     if not lam > 0:
         raise ModelParameterError(f"activity must be positive, got {lam}")
-    if delta < 2:
-        raise ModelParameterError(f"degree must be >= 2, got {delta}")
+    check_count(delta, 2, "degree")
     if lam >= 1.0 / (delta - 1):
         return math.inf
     return (1.0 + lam) / (1.0 - (delta - 1) * lam)
@@ -88,16 +88,21 @@ class TreeBoundCheck:
     margin: float  # limit + 3*SE minus the observed mean
 
 
-def verify_tree_bound(runs, bound, min_runs=1000):
+# Fewest runs ``verify_tree_bound`` compares against a bound.
+MIN_TREE_RUNS = 1000
+
+
+def verify_tree_bound(runs, bound):
     """Compare observed mean call counts against a branching bound.
 
-    ``runs`` is a sequence of objects with a ``total_calls`` attribute (run
-    reports or raw stats).  Passes when mean <= limit + 3 standard errors.
+    ``runs`` is a sequence of at least MIN_TREE_RUNS objects with a
+    ``total_calls`` attribute (run reports or raw stats).  Passes when
+    mean <= limit + 3 standard errors.
     """
     counts = np.array([r.total_calls for r in runs], dtype=float)
-    if counts.size < min_runs:
+    if counts.size < MIN_TREE_RUNS:
         raise InsufficientSamplesError(
-            f"need at least {min_runs} runs, got {counts.size}"
+            f"need at least {MIN_TREE_RUNS} runs, got {counts.size}"
         )
     limit = bound.expected_calls if hasattr(bound, "expected_calls") else float(bound)
     mean = float(counts.mean())
@@ -121,8 +126,9 @@ class Lemma1Check:
     bound: float  # q * rate
 
 
-def lemma1_check(system, graph, fixed, v, ell, tol=NEG_TOL):
-    """Zone-of-indecision inequality p_v^0 <= q * f(ell) at one probe context.
+def lemma1_check(system, graph, fixed, v, ell):
+    """Zone-of-indecision inequality p_v^0 <= q * f(ell) at one probe context,
+    up to roundoff of NEG_TOL.
 
     The rate is the exact pairwise-worst TV distance over feasible sphere
     boundaries of the same context, so the check is self-contained.
@@ -131,7 +137,7 @@ def lemma1_check(system, graph, fixed, v, ell, tol=NEG_TOL):
     f_hat = mixing_rate_estimate(system, graph, v, ell, fixed)
     bound = system.q * f_hat
     return Lemma1Check(
-        passed=bool(p[0] <= bound + tol),
+        passed=bool(p[0] <= bound + NEG_TOL),
         p_zero=float(p[0]),
         rate=f_hat,
         bound=bound,
@@ -151,10 +157,14 @@ class GofStats:
     pooled_outcomes: int
 
 
-def goodness_of_fit(counts, exact, min_expected=5.0):
+# Expected count below which ``goodness_of_fit`` pools an outcome.
+MIN_EXPECTED = 5.0
+
+
+def goodness_of_fit(counts, exact):
     """Pearson chi-square of observed counts against exact probabilities.
 
-    Outcomes with expected count below ``min_expected`` are pooled into one
+    Outcomes with expected count below MIN_EXPECTED are pooled into one
     bucket (the usual validity requirement); degrees of freedom are the
     number of buckets minus one.  The TV distance is computed on the
     unpooled distributions.
@@ -175,7 +185,7 @@ def goodness_of_fit(counts, exact, min_expected=5.0):
     tv = 0.5 * float(np.abs(counts / n - exact).sum())
 
     expected = exact * n
-    big = expected >= min_expected
+    big = expected >= MIN_EXPECTED
     obs_parts = list(counts[big])
     exp_parts = list(expected[big])
     pooled = int(np.count_nonzero(~big))

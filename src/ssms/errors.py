@@ -2,7 +2,8 @@
 
 Every exception carries a short machine-readable ``code`` so the command line
 front end can emit a single diagnostic line and exit nonzero without pattern
-matching on messages.
+matching on messages.  The two input checks every module shares live here
+too, so "is this an integer >= k" has one rule.
 """
 
 
@@ -90,3 +91,16 @@ class ConfigError(SsmsError):
 
 class RepeatedVertexError(SsmsError):
     code = "repeated-vertex"
+
+
+def is_integer(x):
+    """True for an ``int`` that is not a ``bool``: the package's one integer rule."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_count(value, least, name):
+    """Return ``value`` once it is an integer >= ``least``; raise
+    ``ModelParameterError`` naming ``name`` otherwise."""
+    if not is_integer(value) or value < least:
+        raise ModelParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value

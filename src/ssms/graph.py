@@ -16,8 +16,9 @@ from operator import add, sub
 from .errors import (
     ConfigError,
     InvalidVertexError,
-    ModelParameterError,
     UnsupportedRealizationError,
+    check_count,
+    is_integer,
 )
 
 
@@ -48,8 +49,7 @@ class LocalGraph(ABC):
 
     def growth_bound(self, ell):
         """Upper bound on ``|sphere(v, ell)|`` valid for every vertex ``v``."""
-        if ell < 0:
-            raise ModelParameterError(f"radius must be nonnegative, got {ell}")
+        check_count(ell, 0, "radius")
         if ell == 0:
             return 1
         if not self.is_finite():
@@ -84,8 +84,7 @@ class LocalGraph(ABC):
     def _layers(self, v, ell):
         """Breadth-first layers [L_0, ..., L_ell], each sorted; L_0 = [v]."""
         self.check_vertex(v)
-        if ell < 0:
-            raise ModelParameterError(f"radius must be nonnegative, got {ell}")
+        check_count(ell, 0, "radius")
         seen = {v}
         layers = [[v]]
         frontier = [v]
@@ -107,16 +106,12 @@ class LocalGraph(ABC):
 
     def ball_interior(self, v, ell):
         """Vertices at distance < ``ell`` from ``v``, sorted canonically."""
-        if ell < 1:
-            raise ModelParameterError(f"radius must be positive, got {ell}")
-        layers = self._layers(v, ell - 1)
+        layers = self._layers(v, check_count(ell, 1, "radius") - 1)
         return tuple(sorted(u for layer in layers for u in layer))
 
     def sphere_and_interior(self, v, ell):
         """``(sphere(v, ell), ball_interior(v, ell))`` from one breadth-first search."""
-        if ell < 1:
-            raise ModelParameterError(f"radius must be positive, got {ell}")
-        layers = self._layers(v, ell)
+        layers = self._layers(v, check_count(ell, 1, "radius"))
         interior = sorted(u for layer in layers[:-1] for u in layer)
         return tuple(layers[-1]), tuple(interior)
 
@@ -212,12 +207,11 @@ class FiniteGraph(LocalGraph):
     kind = "finite"
 
     def __init__(self, n, edges):
-        if n < 1:
-            raise ModelParameterError(f"vertex count must be positive, got {n}")
+        check_count(n, 1, "vertex count")
         adj = {v: set() for v in range(1, n + 1)}
         seen = set()
         for u, w in edges:
-            if not (1 <= u <= n and 1 <= w <= n):
+            if not (is_integer(u) and is_integer(w) and 1 <= u <= n and 1 <= w <= n):
                 raise InvalidVertexError(f"edge endpoint out of range: ({u},{w})")
             if u == w:
                 raise ConfigError(f"self-loop at vertex {u} rejected")
@@ -243,7 +237,7 @@ class FiniteGraph(LocalGraph):
         return self._adj[v]
 
     def __contains__(self, v):
-        return isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= self._n
+        return is_integer(v) and 1 <= v <= self._n
 
     def is_finite(self):
         return True
@@ -267,9 +261,7 @@ class Lattice(LocalGraph):
     kind = "lattice"
 
     def __init__(self, dim):
-        if dim < 1:
-            raise ModelParameterError(f"lattice dimension must be >= 1, got {dim}")
-        self._dim = dim
+        self._dim = check_count(dim, 1, "lattice dimension")
 
     @property
     def dim(self):
@@ -291,11 +283,7 @@ class Lattice(LocalGraph):
         return tuple(out)
 
     def __contains__(self, v):
-        return (
-            isinstance(v, tuple)
-            and len(v) == self._dim
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
-        )
+        return isinstance(v, tuple) and len(v) == self._dim and all(map(is_integer, v))
 
     def _growth_formula(self, ell):
         # Exact count of lattice points at L1 distance ell from the origin.
@@ -343,9 +331,7 @@ class RegularTree(LocalGraph):
     kind = "tree"
 
     def __init__(self, degree):
-        if degree < 2:
-            raise ModelParameterError(f"tree degree must be >= 2, got {degree}")
-        self._degree = degree
+        self._degree = check_count(degree, 2, "tree degree")
 
     @property
     def degree(self):
@@ -363,7 +349,7 @@ class RegularTree(LocalGraph):
             return False
         d = self._degree
         for i, c in enumerate(v):
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not is_integer(c):
                 return False
             limit = d if i == 0 else d - 1
             if not 0 <= c < limit:
@@ -503,8 +489,7 @@ def path_graph(n):
 
 def cycle_graph(n):
     """Cycle on vertices 1..n (n >= 3)."""
-    if n < 3:
-        raise ModelParameterError(f"cycle needs at least 3 vertices, got {n}")
+    check_count(n, 3, "cycle vertex count")
     return FiniteGraph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
 
 

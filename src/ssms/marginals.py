@@ -38,7 +38,6 @@ this: its sphere conditional is the min-marginal entry of the same context.
 
 import csv
 import io
-from numbers import Integral
 
 import numpy as np
 
@@ -51,8 +50,9 @@ from .errors import (
     MissingRateError,
     ModelParameterError,
     NotSeparatingError,
+    check_count,
 )
-from .spinsys import as_spin_dict, _check_spins, _distinct
+from .spinsys import _distinct, checked_context
 
 # Probabilities this far below zero are treated as roundoff; anything worse
 # indicates a real defect and is escalated.
@@ -92,8 +92,7 @@ def conditional_marginal(system, graph, v, fixed, support):
 
     Returns a length-q vector; entry i-1 is the probability of spin i.
     """
-    spins = as_spin_dict(fixed)
-    _check_spins(system, spins)
+    spins = checked_context(system, graph, fixed)
     support = list(support)
     support_set = _distinct(support)
     graph.check_vertex(v)
@@ -123,19 +122,12 @@ def conditional_marginal(system, graph, v, fixed, support):
     return mu
 
 
-def _check_count(value, least, name):
-    """Raise ``ModelParameterError`` unless ``value`` is an integer >= ``least``."""
-    if not isinstance(value, Integral) or value < least:
-        raise ModelParameterError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def _ball_query(system, graph, fixed, v, ell):
     """Validate a public radius-ell query at v and return the arguments of
     its boundary scan: ``(ball, v, sphere, interior, spins)``, with ``ball``
     the ``Support`` compiled on v's sphere and interior."""
-    spins = as_spin_dict(fixed)
-    _check_spins(system, spins)
-    _check_count(ell, 1, "radius")
+    spins = checked_context(system, graph, fixed)
+    check_count(ell, 1, "radius")
     graph.check_vertex(v)
     if v in spins:
         raise ModelParameterError(f"target vertex {graph.format_vertex(v)} is already fixed")
@@ -317,11 +309,10 @@ class MixingRate:
             raise ModelParameterError(f"unknown provenance {provenance!r}")
         vals = {}
         for ell, f in dict(values).items():
-            ell = int(ell)
             f = float(f)
-            if ell < 1 or f < 0:
+            if f < 0:
                 raise ModelParameterError(f"bad mixing-rate row ({ell}, {f})")
-            vals[ell] = f
+            vals[check_count(ell, 1, "mixing-rate radius")] = f
         self.values = dict(sorted(vals.items()))
         self.provenance = provenance
 
@@ -343,18 +334,19 @@ class MixingRate:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text, provenance="user-supplied"):
+    def from_csv(cls, text):
+        """A ``user-supplied`` table read from ``to_csv``'s format."""
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0] != ["ell", "f"]:
             raise ModelParameterError("mixing-rate CSV must start with header 'ell,f'")
         values = {}
-        for row in rows[1:]:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ModelParameterError(f"bad mixing-rate CSV row {row!r}")
-            values[int(row[0])] = float(row[1])
-        return cls(values, provenance)
+        for row in filter(None, rows[1:]):
+            try:
+                ell, f = row
+                values[int(ell)] = float(f)
+            except ValueError:
+                raise ModelParameterError(f"bad mixing-rate CSV row {row!r}") from None
+        return cls(values, "user-supplied")
 
 
 def default_probes(graph):
@@ -379,17 +371,18 @@ def default_probes(graph):
     raise ModelParameterError(f"no default probes for graph kind {kind!r}")
 
 
-def estimate_mixing_rate(system, graph, ells, probes=None, fixed=None):
-    """Empirical MixingRate table: worst probe-vertex rate at each radius."""
-    ells = sorted(set(int(e) for e in ells))
-    if not ells or ells[0] < 1:
-        raise ModelParameterError(f"need radii >= 1, got {ells}")
+def estimate_mixing_rate(system, graph, ells, probes=None):
+    """Empirical MixingRate table: worst probe-vertex rate at each radius,
+    with no context."""
+    ells = sorted({check_count(ell, 1, "radius") for ell in ells})
+    if not ells:
+        raise ModelParameterError("need at least one radius")
     probes = default_probes(graph) if probes is None else tuple(probes)
     if not probes:
         raise ModelParameterError("empty probe list")
     values = {}
     for ell in ells:
         values[ell] = max(
-            mixing_rate_estimate(system, graph, v, ell, fixed) for v in probes
+            mixing_rate_estimate(system, graph, v, ell) for v in probes
         )
     return MixingRate(values, "empirical")

@@ -36,20 +36,22 @@ from .errors import (
     InvalidProbabilitiesError,
     ModelParameterError,
     NotSeparatingError,
+    check_count,
 )
 from .graph import FiniteGraph
-from .marginals import NEG_TOL, _check_count, _min_marginals_on_ball, conditional_marginal
-from .spinsys import PartialConfiguration, as_spin_dict, _check_spins
+from .marginals import NEG_TOL, _min_marginals_on_ball, conditional_marginal
+from .spinsys import PartialConfiguration, checked_context
 
 DEFAULT_BUDGET = 10**7
 BUDGET_ENV_VAR = "SSMS_BUDGET"
 
 
-def budget_from_env(default=DEFAULT_BUDGET):
-    """Call budget per top-level vertex, overridable via SSMS_BUDGET."""
+def budget_from_env():
+    """Call budget per top-level vertex: DEFAULT_BUDGET unless SSMS_BUDGET
+    overrides it."""
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
-        return default
+        return DEFAULT_BUDGET
     try:
         value = int(raw)
     except ValueError:
@@ -433,25 +435,14 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
             stats.max_depth = max_depth
 
 
-def _prepare_context(system, graph, fixed):
-    spins = as_spin_dict(fixed)
-    _check_spins(system, spins)
-    for w in spins:
-        graph.check_vertex(w)
-    return spins
-
-
 class WindowSampler:
     """Reusable sampling context: one marginal cache, many seeded runs."""
 
     def __init__(self, system, graph, ell, budget=None):
-        _check_count(ell, 1, "radius")
         self.system = system
         self.graph = graph
-        self.ell = ell
-        self.budget = budget_from_env() if budget is None else int(budget)
-        if self.budget < 1:
-            raise ModelParameterError(f"budget must be positive, got {budget}")
+        self.ell = check_count(ell, 1, "radius")
+        self.budget = budget_from_env() if budget is None else check_count(budget, 1, "budget")
         self._cache = MarginalCache(system, graph, ell)
 
     def sample_spin(self, v, seed_or_rng, fixed=None, trace=False, h=None):
@@ -465,8 +456,8 @@ class WindowSampler:
         if h is not None:
             if not self.graph.is_finite():
                 raise FiniteOnlyError("bounded sampling requires a finite graph")
-            _check_count(h, 0, "depth bound")
-        lam = _prepare_context(self.system, self.graph, fixed)
+            check_count(h, 0, "depth bound")
+        lam = checked_context(self.system, self.graph, fixed)
         self.graph.check_vertex(v)
         if v in lam:
             raise ModelParameterError(
@@ -488,7 +479,7 @@ class WindowSampler:
             self.graph.check_vertex(v)
         if len(set(window)) != len(window):
             raise ConfigError("window vertices must be distinct")
-        lam = _prepare_context(self.system, self.graph, fixed)
+        lam = checked_context(self.system, self.graph, fixed)
         for v in window:
             if v in lam:
                 raise ConfigError(
@@ -503,7 +494,8 @@ class WindowSampler:
             lam[v] = spin
             out[v] = spin
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        spins = PartialConfiguration(out)
+        # The engine's own spins: nothing to validate.
+        spins = PartialConfiguration._wrap(out)
         report = RunReport(
             seed=getattr(rng, "seed", -1),
             model=self.system.label,
@@ -528,11 +520,10 @@ def ssms(system, graph, fixed, v, ell, seed_or_rng, budget=None, trace=False, h=
     ``WindowSampler.sample_spin``.
     """
     sampler = WindowSampler(system, graph, ell, budget=budget)
-    spin, stats = sampler.sample_spin(v, seed_or_rng, fixed, trace=trace, h=h)
-    base = fixed if isinstance(fixed, PartialConfiguration) else PartialConfiguration(
-        as_spin_dict(fixed)
-    )
-    return base.with_spin(v, spin), stats
+    spins = checked_context(system, graph, fixed)
+    spin, stats = sampler.sample_spin(v, seed_or_rng, spins, trace=trace, h=h)
+    spins[v] = spin
+    return PartialConfiguration._wrap(spins), stats
 
 
 def sample_window(system, graph, window, ell, seed_or_rng, budget=None, fixed=None):

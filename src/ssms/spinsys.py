@@ -20,6 +20,8 @@ from .errors import (
     MissingSpinError,
     ModelParameterError,
     RepeatedVertexError,
+    check_count,
+    is_integer,
 )
 
 # Weights must stay representable in double precision through products over
@@ -33,9 +35,7 @@ class SpinSystem:
     __slots__ = ("q", "b", "A", "label")
 
     def __init__(self, q, b, A, label="custom"):
-        q = int(q)
-        if q < 2:
-            raise ModelParameterError(f"need at least 2 spin values, got q={q}")
+        check_count(q, 2, "number of spin values q")
         b = np.asarray(b, dtype=float)
         A = np.asarray(A, dtype=float)
         if b.shape != (q,):
@@ -96,8 +96,7 @@ def ising(lam):
 
 def coloring(q):
     """Uniform proper q-colorings: adjacent equal spins are forbidden."""
-    if q < 2:
-        raise ModelParameterError(f"coloring needs q >= 2, got {q}")
+    check_count(q, 2, "number of colors q")
     return SpinSystem(
         q,
         np.ones(q),
@@ -118,8 +117,7 @@ class PartialConfiguration:
         spins = {}
         items = assignments.items() if hasattr(assignments, "items") else assignments
         for v, s in items:
-            if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-                raise ModelParameterError(f"spin at {v!r} must be a 1-based int, got {s!r}")
+            _check_spin(v, s)
             if v in spins:
                 raise ModelParameterError(f"vertex {v!r} assigned twice")
             spins[v] = s
@@ -137,17 +135,13 @@ class PartialConfiguration:
         except KeyError:
             raise MissingSpinError(f"vertex {v!r} is unassigned") from None
 
-    def domain(self):
-        return tuple(self._spins)
-
     def items(self):
         return tuple(self._spins.items())
 
     def with_spin(self, v, s):
         if v in self._spins:
             raise ModelParameterError(f"vertex {v!r} already assigned")
-        if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-            raise ModelParameterError(f"spin at {v!r} must be a 1-based int, got {s!r}")
+        _check_spin(v, s)
         spins = dict(self._spins)
         spins[v] = s
         return PartialConfiguration._wrap(spins)
@@ -177,21 +171,23 @@ class PartialConfiguration:
         return f"PartialConfiguration({{{inner}}})"
 
 
-def as_spin_dict(config):
-    """Normalize a PartialConfiguration or mapping to a plain dict."""
-    if config is None:
-        return {}
-    if isinstance(config, PartialConfiguration):
-        return config.as_dict()
-    return dict(config)
+def _check_spin(v, s, q=None):
+    """Raise ``ModelParameterError`` unless ``s`` is an integer spin in 1..q
+    (any positive integer without ``q``)."""
+    if not is_integer(s) or s < 1 or (q is not None and s > q):
+        kind = "a positive integer" if q is None else f"an integer in 1..{q}"
+        raise ModelParameterError(f"spin at {v!r} must be {kind}, got {s!r}")
 
 
-def _check_spins(system, spins):
+def checked_context(system, graph, fixed):
+    """The context ``fixed`` (None, a mapping or a PartialConfiguration) as a
+    new dict, once every key is a vertex of ``graph`` and every spin an
+    integer in 1..q."""
+    spins = fixed.as_dict() if isinstance(fixed, PartialConfiguration) else dict(fixed or {})
     for v, s in spins.items():
-        if not 1 <= s <= system.q:
-            raise ModelParameterError(
-                f"spin {s} at {v!r} outside 1..{system.q}"
-            )
+        graph.check_vertex(v)
+        _check_spin(v, s, system.q)
+    return spins
 
 
 def _distinct(support):
@@ -207,8 +203,7 @@ def config_weight(system, graph, config, support=None):
 
     Counts each induced edge of G[support] once.
     """
-    spins = as_spin_dict(config)
-    _check_spins(system, spins)
+    spins = checked_context(system, graph, config)
     if support is None:
         support = sorted(spins)
     support = list(support)
@@ -244,8 +239,7 @@ def partition_function(system, graph):
 
 def is_feasible(system, graph, config, support):
     """True when some extension of ``config`` to ``support`` has positive weight."""
-    spins = as_spin_dict(config)
-    _check_spins(system, spins)
+    spins = checked_context(system, graph, config)
     support = list(support)
     for v in support:
         graph.check_vertex(v)

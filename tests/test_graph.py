@@ -64,8 +64,9 @@ def test_finite_graph_rejects_self_loops_and_duplicates():
         FiniteGraph(3, [(1, 1)])
     with pytest.raises(ConfigError):
         FiniteGraph(3, [(1, 2), (2, 1)])
-    with pytest.raises(InvalidVertexError):
-        FiniteGraph(2, [(1, 3)])
+    for edge in ((1, 3), (1, 2.0), (True, 2)):
+        with pytest.raises(InvalidVertexError):
+            FiniteGraph(2, [edge])
 
 
 def test_sphere_and_ball_on_path():
@@ -104,8 +105,9 @@ def test_finite_growth_bound_is_worst_case_sphere():
 )
 def test_growth_bound_at_radius_zero_and_below(graph):
     assert graph.growth_bound(0) == 1
-    with pytest.raises(ModelParameterError):
-        graph.growth_bound(-1)
+    for ell in (-1, 1.5, True):
+        with pytest.raises(ModelParameterError):
+            graph.growth_bound(ell)
 
 
 def test_lattice_neighbors_and_spheres():

@@ -227,7 +227,7 @@ def test_estimate_mixing_rate_names_an_empty_probe_list():
         estimate_mixing_rate(hardcore(0.5), Lattice(2), [1], probes=[])
 
 
-@pytest.mark.parametrize("ell", [0, 1.5])
+@pytest.mark.parametrize("ell", [0, 1.5, True])
 def test_radius_must_be_a_positive_integer(ell):
     with pytest.raises(ModelParameterError, match="radius"):
         min_marginals(hardcore(1.0), path_graph(3), {}, 2, ell)

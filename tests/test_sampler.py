@@ -466,9 +466,12 @@ def test_window_validation():
             run()
     with pytest.raises(ModelParameterError):
         ssms(hardcore(1.0), g, {2: 1}, 2, 1, 7)
-    for ell in (0, 1.5):
+    for ell in (0, 1.5, True):
         with pytest.raises(ModelParameterError, match="radius"):
             WindowSampler(hardcore(1.0), g, ell)
+    for budget in (0, 1.5, True):
+        with pytest.raises(ModelParameterError, match="budget"):
+            WindowSampler(hardcore(1.0), g, 1, budget=budget)
 
 
 def test_conditioning_is_respected():

@@ -55,6 +55,11 @@ def test_model_constructors_validate():
         ising(0.7)
     with pytest.raises(ModelParameterError):
         coloring(1)
+    for q in (3.0, True):
+        with pytest.raises(ModelParameterError):
+            coloring(q)
+    with pytest.raises(ModelParameterError):
+        SpinSystem(2.5, [1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]])
     assert hardcore(0.5).q == 2
     assert ising(1.0).q == 2
     assert coloring(5).q == 5
