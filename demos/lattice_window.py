@@ -8,6 +8,7 @@ import os
 import time
 
 from ssms import Lattice, RandomSource, WindowSampler, hardcore
+from ssms.cli import write_pgm
 
 LAM = 0.3
 ELL = 2
@@ -19,14 +20,14 @@ window = z2.box((0, 0), (SIDE, SIDE))
 sampler = WindowSampler(hardcore(LAM), z2, ELL)
 
 t0 = time.perf_counter()
-spins, report = sampler.sample_window(window, RandomSource(SEED))
+spins, stats = sampler.sample_window(window, RandomSource(SEED))
 dt = time.perf_counter() - t0
 
 occupied = sum(1 for v in window if spins.spin(v) == 2)
-print(f"model {report.model}, radius {ELL}, seed {SEED}")
-print(f"{len(window)} sites in {report.total_calls} calls "
-      f"({report.indecision_events} indecision events, "
-      f"max depth {report.max_depth}, {dt:.2f} s)")
+print(f"model {sampler.system.label}, radius {ELL}, seed {SEED}")
+print(f"{len(window)} sites in {stats.total_calls} calls "
+      f"({stats.indecision_events} indecision events, "
+      f"max depth {stats.max_depth}, {dt:.2f} s)")
 print(f"occupation {occupied}/{len(window)} = {occupied / len(window):.3f} "
       f"(isolated-site odds would be {LAM / (1 + LAM):.3f})")
 print()
@@ -36,11 +37,5 @@ for y in range(SIDE):
 
 # same picture as a grayscale file, occupied sites white
 out = os.path.join(os.path.dirname(__file__) or ".", "lattice_window.pgm")
-body = bytearray()
-for y in range(SIDE):
-    for x in range(SIDE):
-        body.append(255 if spins.spin((x, y)) == 2 else 0)
-with open(out, "wb") as fh:
-    fh.write(f"P5\n{SIDE} {SIDE}\n255\n".encode())
-    fh.write(bytes(body))
+write_pgm(out, (0, 0, SIDE, SIDE), spins)
 print(f"\nwrote {out}")

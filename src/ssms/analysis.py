@@ -22,6 +22,7 @@ from .errors import (
     MissingRateError,
     ModelParameterError,
     check_count,
+    is_real,
 )
 from .marginals import NEG_TOL, min_marginals, mixing_rate_estimate
 
@@ -38,17 +39,21 @@ class BranchingBound:
     contractive: bool
     expected_calls: float  # inf when not contractive
 
-    def offspring_distribution(self):
-        """(P[no children], children count, P[that many children])."""
-        spawn = min(self.q * self.f, 1.0)
-        return (1.0 - spawn, self.g, spawn)
-
 
 def branching_bound(system, graph, ell, rate):
-    """Evaluate alpha = q * f(ell) * g(ell) and the call-count bound."""
+    """Evaluate alpha = q * f(ell) * g(ell) and the call-count bound.
+
+    ``rate`` is any mapping from radius to decay rate f, such as the one
+    ``estimate_mixing_rate`` returns; its entry at ``ell`` must be a real
+    number >= 0.
+    """
+    check_count(ell, 1, "radius")
     if ell not in rate:
         raise MissingRateError(f"mixing-rate table has no entry for radius {ell}")
     f = rate[ell]
+    if not is_real(f) or not f >= 0:
+        raise ModelParameterError(f"mixing rate at radius {ell} must be a real >= 0, got {f!r}")
+    f = float(f)
     g = graph.growth_bound(ell)
     alpha = system.q * f * g
     contractive = alpha < 1.0
@@ -70,8 +75,8 @@ def hardcore_radius1_bound(lam, delta):
     Each call recurses with probability lam/(1+lam) and then spawns at most
     delta children; the bound is finite only for lam < 1/(delta-1).
     """
-    if not lam > 0:
-        raise ModelParameterError(f"activity must be positive, got {lam}")
+    if not is_real(lam) or not lam > 0:
+        raise ModelParameterError(f"activity must be a positive real, got {lam!r}")
     check_count(delta, 2, "degree")
     if lam >= 1.0 / (delta - 1):
         return math.inf
@@ -96,7 +101,7 @@ def verify_tree_bound(runs, bound):
     """Compare observed mean call counts against a branching bound.
 
     ``runs`` is a sequence of at least MIN_TREE_RUNS objects with a
-    ``total_calls`` attribute (run reports or raw stats).  Passes when
+    ``total_calls`` attribute, such as ``RecursionStats``.  Passes when
     mean <= limit + 3 standard errors.
     """
     counts = np.array([r.total_calls for r in runs], dtype=float)

@@ -7,6 +7,7 @@ on stderr, where ``code`` is the machine-readable error name.
 
 import argparse
 import csv
+import json
 import re
 import sys
 
@@ -92,6 +93,23 @@ def write_pgm(path, box, spins):
         fh.write(bytes(body))
 
 
+def write_report(path, seed, system, radius, graph, window, stats):
+    """JSON summary of a window run.  ``wall_time_ms`` is always null, so
+    one configuration always writes the same bytes."""
+    doc = {
+        "seed": seed,
+        "model": system.label,
+        "radius": radius,
+        "window": [graph.format_vertex(v) for v in window],
+        "total_calls": stats.total_calls,
+        "max_depth": stats.max_depth,
+        "indecision_events": stats.indecision_events,
+        "wall_time_ms": None,
+    }
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
 def _emit(text, path):
     """Write ``text`` to the file ``path``, or to stdout without one."""
     if path:
@@ -122,17 +140,18 @@ def cmd_sample(args):
         except TooLargeError:
             pass
     sampler = WindowSampler(system, graph, args.radius, budget=budget)
-    spins, report = sampler.sample_window(window, RandomSource(args.seed))
+    rng = RandomSource(args.seed)
+    spins, stats = sampler.sample_window(window, rng)
     write_spin_csv(args.csv, graph, window, spins)
-    with open(args.json, "w") as fh:
-        fh.write(report.to_json(deterministic=True))
+    # the stream's own seed: RandomSource keeps the low 64 bits of --seed
+    write_report(args.json, rng.seed, system, args.radius, graph, window, stats)
     wrote = [args.csv, args.json]
     if wants_pgm:
         pgm_path = args.pgm or "sample.pgm"
         write_pgm(pgm_path, box, spins)
         wrote.append(pgm_path)
     print(
-        f"sampled {len(window)} vertices in {report.total_calls} calls; "
+        f"sampled {len(window)} vertices in {stats.total_calls} calls; "
         f"wrote {', '.join(wrote)}"
     )
     return 0

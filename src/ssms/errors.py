@@ -2,9 +2,11 @@
 
 Every exception carries a short machine-readable ``code`` so the command line
 front end can emit a single diagnostic line and exit nonzero without pattern
-matching on messages.  The two input checks every module shares live here
-too, so "is this an integer >= k" has one rule.
+matching on messages.  The input rules every module shares live here too,
+so "is this an integer >= k" and "is this a real number" each have one rule.
 """
+
+import numbers
 
 
 class SsmsError(Exception):
@@ -96,6 +98,12 @@ class RepeatedVertexError(SsmsError):
 def is_integer(x):
     """True for an ``int`` that is not a ``bool``: the package's one integer rule."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_real(x):
+    """True for a ``numbers.Real`` that is not a ``bool``: the package's one
+    rule for a real-valued model parameter."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def check_count(value, least, name):

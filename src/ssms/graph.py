@@ -311,6 +311,8 @@ class Lattice(LocalGraph):
             raise ConfigError(
                 f"box spec has wrong dimension for Z^{self._dim}"
             )
+        if not all(map(is_integer, (*origin, *shape))):
+            raise ConfigError(f"box origin and sides must be integers, got {origin}, {shape}")
         if any(s < 1 for s in shape):
             raise ConfigError(f"box side lengths must be positive, got {shape}")
         ranges = [range(o, o + s) for o, s in zip(origin, shape)]

@@ -36,18 +36,13 @@ in the same order and agree bit for bit.  The sampler's cache relies on
 this: its sphere conditional is the min-marginal entry of the same context.
 """
 
-import csv
-import io
-
 import numpy as np
 
 from .bruteforce import Support, scaled_weights, weight_tensor
 from .errors import (
-    DimensionMismatchError,
     InfeasibleBoundaryError,
     InfeasibleContextError,
     InternalError,
-    MissingRateError,
     ModelParameterError,
     NotSeparatingError,
     check_count,
@@ -57,17 +52,6 @@ from .spinsys import _distinct, checked_context
 # Probabilities this far below zero are treated as roundoff; anything worse
 # indicates a real defect and is escalated.
 NEG_TOL = 1e-9
-
-
-def tv_distance(a, b):
-    """Total variation distance between two distributions on the same q spins."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionMismatchError(
-            f"distributions must share one dimension, got {a.shape} vs {b.shape}"
-        )
-    return 0.5 * float(np.abs(a - b).sum())
 
 
 def _normalized(weights):
@@ -297,58 +281,6 @@ def mixing_rate_estimate(system, graph, v, ell, fixed=None):
     return worst
 
 
-class MixingRate:
-    """Table of decay rates f(ell) with a provenance tag.
-
-    Provenance is ``empirical`` when produced by probing marginals here, or
-    ``user-supplied`` when imported from outside.
-    """
-
-    def __init__(self, values, provenance):
-        if provenance not in ("empirical", "user-supplied"):
-            raise ModelParameterError(f"unknown provenance {provenance!r}")
-        vals = {}
-        for ell, f in dict(values).items():
-            f = float(f)
-            if f < 0:
-                raise ModelParameterError(f"bad mixing-rate row ({ell}, {f})")
-            vals[check_count(ell, 1, "mixing-rate radius")] = f
-        self.values = dict(sorted(vals.items()))
-        self.provenance = provenance
-
-    def __getitem__(self, ell):
-        try:
-            return self.values[ell]
-        except KeyError:
-            raise MissingRateError(f"no mixing rate recorded for radius {ell}") from None
-
-    def __contains__(self, ell):
-        return ell in self.values
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["ell", "f"])
-        for ell, f in self.values.items():
-            writer.writerow([ell, repr(f)])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text):
-        """A ``user-supplied`` table read from ``to_csv``'s format."""
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["ell", "f"]:
-            raise ModelParameterError("mixing-rate CSV must start with header 'ell,f'")
-        values = {}
-        for row in filter(None, rows[1:]):
-            try:
-                ell, f = row
-                values[int(ell)] = float(f)
-            except ValueError:
-                raise ModelParameterError(f"bad mixing-rate CSV row {row!r}") from None
-        return cls(values, "user-supplied")
-
-
 def default_probes(graph):
     """Probe vertices for empirical rate estimation.
 
@@ -372,17 +304,15 @@ def default_probes(graph):
 
 
 def estimate_mixing_rate(system, graph, ells, probes=None):
-    """Empirical MixingRate table: worst probe-vertex rate at each radius,
-    with no context."""
+    """Empirical decay rates ``{ell: f}`` in ascending ell: the worst
+    probe-vertex rate at each radius, with no context."""
     ells = sorted({check_count(ell, 1, "radius") for ell in ells})
     if not ells:
         raise ModelParameterError("need at least one radius")
     probes = default_probes(graph) if probes is None else tuple(probes)
     if not probes:
         raise ModelParameterError("empty probe list")
-    values = {}
-    for ell in ells:
-        values[ell] = max(
-            mixing_rate_estimate(system, graph, v, ell) for v in probes
-        )
-    return MixingRate(values, "empirical")
+    return {
+        ell: max(mixing_rate_estimate(system, graph, v, ell) for v in probes)
+        for ell in ells
+    }

@@ -18,12 +18,10 @@ recursion exceeds the call budget, since the recursion is not guaranteed to
 terminate when the zone of indecision is too wide.
 """
 
-import json
 import os
-import time
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bruteforce import Support
 from .errors import (
@@ -185,41 +183,6 @@ class RecursionStats:
     max_depth: int = 0
     indecision_events: int = 0
     trace: list = None
-
-
-@dataclass
-class RunReport:
-    """Window-run summary: sampled spins plus recursion statistics.
-
-    ``window`` holds the graph's vertices; ``format_vertex`` renders them as
-    text when the report is serialized.
-    """
-
-    seed: int
-    model: str
-    radius: int
-    window: list
-    spins: PartialConfiguration
-    total_calls: int
-    max_depth: int
-    indecision_events: int
-    wall_time_ms: float
-    format_vertex: object = field(repr=False, compare=False)
-
-    def to_json(self, deterministic=False):
-        """Serialize; ``deterministic`` nulls the wall time so identical
-        configurations yield byte-identical documents."""
-        doc = {
-            "seed": self.seed,
-            "model": self.model,
-            "radius": self.radius,
-            "window": [self.format_vertex(v) for v in self.window],
-            "total_calls": self.total_calls,
-            "max_depth": self.max_depth,
-            "indecision_events": self.indecision_events,
-            "wall_time_ms": None if deterministic else self.wall_time_ms,
-        }
-        return json.dumps(doc, indent=2) + "\n"
 
 
 _BallFrame = namedtuple("_BallFrame", "origin ball v sphere interior support")
@@ -469,7 +432,8 @@ class WindowSampler:
         return spin, stats
 
     def sample_window(self, window, seed_or_rng, fixed=None):
-        """Sample every window vertex in order; returns (spins, RunReport).
+        """Sample every window vertex in order; returns (spins, stats), with
+        ``stats`` the RecursionStats summed over the window's calls.
 
         Window spins persist as conditioning for later vertices; each
         top-level vertex gets a fresh call budget.
@@ -486,29 +450,14 @@ class WindowSampler:
                     f"window vertex {self.graph.format_vertex(v)} is already fixed"
                 )
         rng = seed_or_rng if hasattr(seed_or_rng, "next_double") else RandomSource(seed_or_rng)
-        total = RecursionStats()
-        t0 = time.perf_counter()
+        stats = RecursionStats()
         out = {}
         for v in window:
-            spin = _run(self._cache, lam, v, rng, total, self.budget)
+            spin = _run(self._cache, lam, v, rng, stats, self.budget)
             lam[v] = spin
             out[v] = spin
-        wall_ms = (time.perf_counter() - t0) * 1000.0
         # The engine's own spins: nothing to validate.
-        spins = PartialConfiguration._wrap(out)
-        report = RunReport(
-            seed=getattr(rng, "seed", -1),
-            model=self.system.label,
-            radius=self.ell,
-            window=window,
-            spins=spins,
-            total_calls=total.total_calls,
-            max_depth=total.max_depth,
-            indecision_events=total.indecision_events,
-            wall_time_ms=wall_ms,
-            format_vertex=self.graph.format_vertex,
-        )
-        return spins, report
+        return PartialConfiguration._wrap(out), stats
 
 
 def ssms(system, graph, fixed, v, ell, seed_or_rng, budget=None, trace=False, h=None):
@@ -525,8 +474,3 @@ def ssms(system, graph, fixed, v, ell, seed_or_rng, budget=None, trace=False, h=
     spins[v] = spin
     return PartialConfiguration._wrap(spins), stats
 
-
-def sample_window(system, graph, window, ell, seed_or_rng, budget=None, fixed=None):
-    """One-shot window sample; see WindowSampler.sample_window."""
-    sampler = WindowSampler(system, graph, ell, budget=budget)
-    return sampler.sample_window(window, seed_or_rng, fixed)

@@ -22,6 +22,7 @@ from .errors import (
     RepeatedVertexError,
     check_count,
     is_integer,
+    is_real,
 )
 
 # Weights must stay representable in double precision through products over
@@ -72,8 +73,8 @@ def hardcore(lam):
 
     Adjacent occupied vertices are forbidden.
     """
-    if not lam > 0:
-        raise ModelParameterError(f"hardcore activity must be positive, got {lam}")
+    if not is_real(lam) or not lam > 0:
+        raise ModelParameterError(f"hardcore activity must be a positive real, got {lam!r}")
     return SpinSystem(
         2,
         [1.0, float(lam)],
@@ -84,8 +85,8 @@ def hardcore(lam):
 
 def ising(lam):
     """Ferromagnetic Ising model: agreeing neighbors weighted lam >= 1."""
-    if not lam >= 1:
-        raise ModelParameterError(f"ising edge weight must be >= 1, got {lam}")
+    if not is_real(lam) or not lam >= 1:
+        raise ModelParameterError(f"ising edge weight must be a real >= 1, got {lam!r}")
     return SpinSystem(
         2,
         [1.0, 1.0],
@@ -106,10 +107,8 @@ def coloring(q):
 
 
 class PartialConfiguration:
-    """Assignment of 1-based spins to finitely many vertices, insertion ordered.
-
-    Value semantics: ``with_spin`` returns a new object and never mutates.
-    """
+    """Immutable assignment of 1-based spins to finitely many vertices,
+    insertion ordered."""
 
     __slots__ = ("_spins",)
 
@@ -137,20 +136,6 @@ class PartialConfiguration:
 
     def items(self):
         return tuple(self._spins.items())
-
-    def with_spin(self, v, s):
-        if v in self._spins:
-            raise ModelParameterError(f"vertex {v!r} already assigned")
-        _check_spin(v, s)
-        spins = dict(self._spins)
-        spins[v] = s
-        return PartialConfiguration._wrap(spins)
-
-    def restrict(self, vertices):
-        keep = set(vertices)
-        return PartialConfiguration._wrap(
-            {v: s for v, s in self._spins.items() if v in keep}
-        )
 
     def as_dict(self):
         return dict(self._spins)

@@ -26,7 +26,14 @@ from .analysis import (
     verify_tree_bound,
 )
 from .bruteforce import Support, weight_tensor
-from .errors import BudgetExhaustedError, ModelParameterError, UnknownSuiteError, check_count
+from .errors import (
+    BudgetExhaustedError,
+    ModelParameterError,
+    UnknownSuiteError,
+    check_count,
+    is_integer,
+    is_real,
+)
 from .graph import FiniteGraph, Lattice, cycle_graph, grid_graph, path_graph, petersen_graph
 from .marginals import estimate_mixing_rate
 from .sampler import RandomSource, WindowSampler
@@ -333,6 +340,8 @@ def box_occupation(lam, rows, cols, site=None):
     inside the ``cols`` x ``rows`` box and defaults to the center (odd sides
     required in that case).
     """
+    if not is_real(lam) or not lam > 0:
+        raise ModelParameterError(f"activity must be a positive real, got {lam!r}")
     check_count(rows, 1, "box rows")
     check_count(cols, 1, "box columns")
     if site is None:
@@ -340,8 +349,8 @@ def box_occupation(lam, rows, cols, site=None):
             raise ModelParameterError("default center site needs odd box sides")
         site = (cols // 2, rows // 2)
     x, y = site
-    if not (0 <= x < cols and 0 <= y < rows):
-        raise ModelParameterError(f"site {site} outside {cols}x{rows} box")
+    if not (is_integer(x) and is_integer(y) and 0 <= x < cols and 0 <= y < rows):
+        raise ModelParameterError(f"site {site} is not a cell of the {cols}x{rows} box")
     masks = _independent_row_masks(cols)
     w = np.array([lam ** bin(m).count("1") for m in masks])
     compat = np.array([[not (a & b) for b in masks] for a in masks], dtype=float)

@@ -9,7 +9,6 @@ import scipy.stats
 
 from ssms import (
     Lattice,
-    MixingRate,
     WindowSampler,
     branching_bound,
     coloring,
@@ -35,17 +34,16 @@ from ssms.errors import (
 
 
 def test_branching_bound_arithmetic():
-    rate = MixingRate({1: 0.1}, "user-supplied")
+    rate = {1: 0.1}
     b = branching_bound(hardcore(1.0), Lattice(2), 1, rate)
     assert b.q == 2 and b.f == 0.1 and b.g == 4
     assert b.alpha == pytest.approx(0.8)
     assert b.contractive
     assert b.expected_calls == pytest.approx(5.0)
-    assert b.offspring_distribution() == (0.8, 4, pytest.approx(0.2))
 
 
 def test_branching_bound_not_contractive():
-    rate = MixingRate({1: 0.2}, "user-supplied")
+    rate = {1: 0.2}
     b = branching_bound(hardcore(1.0), Lattice(2), 1, rate)
     assert b.alpha == pytest.approx(1.6)
     assert not b.contractive
@@ -53,18 +51,26 @@ def test_branching_bound_not_contractive():
 
 
 def test_branching_bound_needs_rate_entry():
-    rate = MixingRate({2: 0.1}, "user-supplied")
+    rate = {2: 0.1}
     with pytest.raises(MissingRateError):
         branching_bound(hardcore(1.0), Lattice(2), 1, rate)
+    # the radius is a count >= 1 and the rate a real number >= 0
+    with pytest.raises(ModelParameterError, match="radius"):
+        branching_bound(hardcore(1.0), Lattice(2), 0, {0: 0.1})
+    for f in (-0.1, math.nan, "a", None, True):
+        with pytest.raises(ModelParameterError, match="mixing rate"):
+            branching_bound(hardcore(1.0), Lattice(2), 1, {1: f})
+    assert branching_bound(hardcore(1.0), Lattice(2), 1, {1: 0}).f == 0.0
+    assert branching_bound(hardcore(1.0), Lattice(2), 1, {1: np.float64(0.1)}).f == 0.1
 
 
 def test_branching_bound_monotone_in_rate_and_growth():
     alphas = []
     for f in (0.05, 0.1, 0.2):
-        rate = MixingRate({1: f}, "user-supplied")
+        rate = {1: f}
         alphas.append(branching_bound(hardcore(1.0), Lattice(2), 1, rate).alpha)
     assert alphas == sorted(alphas)
-    rate = MixingRate({1: 0.05}, "user-supplied")
+    rate = {1: 0.05}
     a2 = branching_bound(hardcore(1.0), Lattice(2), 1, rate).alpha
     a3 = branching_bound(hardcore(1.0), Lattice(3), 1, rate).alpha
     assert a2 < a3
@@ -78,8 +84,9 @@ def test_hardcore_radius1_bound():
     values = [hardcore_radius1_bound(lam, 3) for lam in (0.1, 0.2, 0.3, 0.45)]
     assert values == sorted(values) and values[-1] < math.inf
     assert hardcore_radius1_bound(0.2, 4) > hardcore_radius1_bound(0.2, 3)
-    with pytest.raises(ModelParameterError):
-        hardcore_radius1_bound(0.0, 3)
+    for lam in (0.0, "a", None, True):
+        with pytest.raises(ModelParameterError):
+            hardcore_radius1_bound(lam, 3)
     with pytest.raises(ModelParameterError):
         hardcore_radius1_bound(0.2, 1)
 
@@ -100,7 +107,7 @@ def test_verify_tree_bound_pass_and_fail():
 
 
 def test_verify_tree_bound_accepts_branching_bound():
-    rate = MixingRate({1: 0.1}, "user-supplied")
+    rate = {1: 0.1}
     bound = branching_bound(hardcore(1.0), Lattice(2), 1, rate)
     res = verify_tree_bound(fake_runs([4] * 1000), bound)
     assert res.limit == pytest.approx(5.0)

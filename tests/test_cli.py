@@ -60,6 +60,42 @@ def test_sample_is_deterministic(run_cli, tmp_path):
         ).read_bytes()
 
 
+# report.json of the run above, byte for byte: key order, two-space indent,
+# a null wall time and one trailing newline
+PINNED_REPORT = """{
+  "seed": 7,
+  "model": "hardcore(lambda=0.3)",
+  "radius": 2,
+  "window": [
+    "(0,0)",
+    "(0,1)",
+    "(0,2)",
+    "(1,0)",
+    "(1,1)",
+    "(1,2)",
+    "(2,0)",
+    "(2,1)",
+    "(2,2)"
+  ],
+  "total_calls": 66,
+  "max_depth": 8,
+  "indecision_events": 10,
+  "wall_time_ms": null
+}
+"""
+
+
+def test_sample_report_text_is_pinned(run_cli, tmp_path):
+    res = run_cli(
+        "sample", "--model", "hardcore", "--lambda", "0.3",
+        "--graph", "z2", "--window", "box:3x3@0,0",
+        "--radius", "2", "--seed", "7",
+        cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "report.json").read_bytes() == PINNED_REPORT.encode("ascii")
+
+
 def test_sample_list_window_on_file_graph(run_cli, tmp_path, p3_file):
     res = run_cli(
         "sample", "--model", "ising", "--lambda", "1.5",

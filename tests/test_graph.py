@@ -179,6 +179,10 @@ def test_lattice_box_canonical_order():
         z2.box((0, 0), (0, 2))
     with pytest.raises(ConfigError):
         z2.box((0,), (2, 2))
+    # origin coordinates and sides are integers, and a bool is not one
+    for origin, shape in (((0, 0), (2.0, 2)), ((0, 0), (True, 2)), ((0.5, 0), (2, 2))):
+        with pytest.raises(ConfigError):
+            z2.box(origin, shape)
 
 
 def test_regular_tree_spheres_and_paths():

@@ -9,12 +9,12 @@ import pytest
 from ssms import (
     FiniteGraph,
     Lattice,
-    MixingRate,
     RandomSource,
     RegularTree,
     SpinSystem,
     WindowSampler,
     box_occupation,
+    branching_bound,
     coloring,
     conditional_marginal,
     config_weight,
@@ -27,7 +27,6 @@ from ssms import (
     min_marginals,
     mixing_rate_estimate,
     path_graph,
-    sample_window,
     ssms,
 )
 from ssms.errors import InvalidVertexError, ModelParameterError
@@ -45,7 +44,7 @@ BAD_CONTEXTS = {
 
 ENTRY_POINTS = {
     "ssms": lambda ctx: ssms(SYSTEM, GRAPH, ctx, 2, 1, 7),
-    "sample_window": lambda ctx: sample_window(SYSTEM, GRAPH, [2], 1, 7, fixed=ctx),
+    "sample_window": lambda ctx: WindowSampler(SYSTEM, GRAPH, 1).sample_window([2], 7, ctx),
     "min_marginals": lambda ctx: min_marginals(SYSTEM, GRAPH, ctx, 2, 1),
     "mixing_rate_estimate": lambda ctx: mixing_rate_estimate(SYSTEM, GRAPH, 2, 1, ctx),
     "conditional_marginal": lambda ctx: conditional_marginal(SYSTEM, GRAPH, 2, ctx, [1, 2, 3]),
@@ -65,7 +64,7 @@ COUNT_SITES = {
     "cycle_graph": lambda x: cycle_graph(x),
     "SpinSystem": lambda x: SpinSystem(x, [1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]]),
     "coloring": lambda x: coloring(x),
-    "MixingRate": lambda x: MixingRate({x: 0.5}, "empirical"),
+    "branching_bound": lambda x: branching_bound(SYSTEM, Lattice(2), x, {x: 0.5}),
     "estimate_mixing_rate": lambda x: estimate_mixing_rate(SYSTEM, GRAPH, [x]),
     "budget": lambda x: WindowSampler(SYSTEM, GRAPH, 1, budget=x),
     "hardcore_radius1_bound": lambda x: hardcore_radius1_bound(0.1, x),

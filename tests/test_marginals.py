@@ -8,7 +8,6 @@ import pytest
 
 from ssms import (
     Lattice,
-    MixingRate,
     coloring,
     complete_graph,
     conditional_marginal,
@@ -19,12 +18,10 @@ from ssms import (
     ising,
     min_marginals,
     path_graph,
-    tv_distance,
 )
 from ssms.errors import (
     InfeasibleBoundaryError,
     InfeasibleContextError,
-    MissingRateError,
     ModelParameterError,
     NotSeparatingError,
     RepeatedVertexError,
@@ -146,13 +143,6 @@ def test_min_marginals_skips_infeasible_boundaries():
     assert p[0] == pytest.approx(1.0)
 
 
-def test_tv_distance():
-    a = np.array([0.5, 0.5])
-    b = np.array([0.9, 0.1])
-    assert tv_distance(a, b) == pytest.approx(0.4)
-    assert tv_distance(a, a) == 0.0
-
-
 def graph_sphere(graph, v, ell):
     """Vertices at distance exactly ell from v, by plain breadth first search."""
     dist = {v: 0}
@@ -214,12 +204,13 @@ def test_mixing_rate_estimate_matches_pairwise_boundary_scan():
 def test_estimate_mixing_rate_known_values():
     # independent spins never disagree
     f = estimate_mixing_rate(ising(1.0), path_graph(3), [1])
-    assert f[1] == 0.0
-    assert f.provenance == "empirical"
+    assert f == {1: 0.0}
     # P3 center at radius 1, activity 1: occupied requires both ends empty,
     # and boundaries shift the center's law between (1/2,1/2) and (1,0)
     f = estimate_mixing_rate(hardcore(1.0), path_graph(3), [1])
     assert f[1] == pytest.approx(0.5)
+    # one entry per distinct radius, in ascending order
+    assert list(estimate_mixing_rate(hardcore(1.0), path_graph(3), [2, 1, 2])) == [1, 2]
 
 
 def test_estimate_mixing_rate_names_an_empty_probe_list():
@@ -231,27 +222,3 @@ def test_estimate_mixing_rate_names_an_empty_probe_list():
 def test_radius_must_be_a_positive_integer(ell):
     with pytest.raises(ModelParameterError, match="radius"):
         min_marginals(hardcore(1.0), path_graph(3), {}, 2, ell)
-
-
-def test_mixing_rate_container():
-    f = MixingRate({1: 0.5, 2: 0.25}, "user-supplied")
-    assert f[2] == 0.25
-    assert 1 in f and 3 not in f
-    with pytest.raises(MissingRateError):
-        f[3]
-    assert set(f.values) == {1, 2}
-    with pytest.raises(ModelParameterError):
-        MixingRate({0: 0.5}, "user-supplied")
-    with pytest.raises(ModelParameterError):
-        MixingRate({1: 0.5}, "guesswork")
-
-
-def test_mixing_rate_csv_round_trip():
-    f = MixingRate({1: 0.5, 3: 0.125}, "user-supplied")
-    text = f.to_csv()
-    assert text.splitlines()[0] == "ell,f"
-    g = MixingRate.from_csv(text)
-    assert g[1] == 0.5 and g[3] == 0.125
-
-    with pytest.raises(ModelParameterError):
-        MixingRate.from_csv("radius,value\n1,0.5\n")

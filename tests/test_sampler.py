@@ -1,6 +1,5 @@
 """Recursive sampler: randomness, interval logic, traces, and exactness."""
 
-import itertools
 import math
 from bisect import bisect_right
 
@@ -24,7 +23,6 @@ from ssms import (
     min_marginals,
     partition_function,
     path_graph,
-    sample_window,
     ssms,
 )
 from ssms.errors import (
@@ -198,21 +196,19 @@ def test_one_draw_per_call():
         assert rng.counter == stats.total_calls
 
     rng = RandomSource(99)
-    _, report = sample_window(
-        hardcore(0.5), grid_graph(3, 3), [1, 5, 9], 1, rng
+    _, stats = WindowSampler(hardcore(0.5), grid_graph(3, 3), 1).sample_window(
+        [1, 5, 9], rng
     )
-    assert rng.counter == report.total_calls
+    assert rng.counter == stats.total_calls
 
 
 def test_window_run_is_deterministic():
     g = grid_graph(3, 3)
     window = list(g.vertices())
-    spins_a, rep_a = sample_window(hardcore(0.5), g, window, 1, 31)
-    spins_b, rep_b = sample_window(hardcore(0.5), g, window, 1, 31)
+    spins_a, stats_a = WindowSampler(hardcore(0.5), g, 1).sample_window(window, 31)
+    spins_b, stats_b = WindowSampler(hardcore(0.5), g, 1).sample_window(window, 31)
     assert spins_a == spins_b
-    assert rep_a.to_json(deterministic=True) == rep_b.to_json(deterministic=True)
-    assert rep_a.seed == 31
-    assert rep_a.model == "hardcore(lambda=0.5)"
+    assert stats_a == stats_b
 
 
 def test_budget_is_per_call_and_sharp():
@@ -231,23 +227,23 @@ def test_window_counts_every_call_with_a_fresh_budget_per_vertex():
     # in window vertex 1's run, on entering its sphere vertex 5
     system, g = hardcore(1.0), cycle_graph(5)
     window = list(g.vertices())
-    spins, report = sample_window(system, g, window, 1, 0, budget=3)
-    assert report.total_calls == 7
+    spins, stats = WindowSampler(system, g, 1, budget=3).sample_window(window, 0)
+    assert stats.total_calls == 7
     with pytest.raises(
         BudgetExhaustedError,
         match=r"^call budget 2 exhausted for vertex 1: entering vertex 5 at depth 2$",
     ):
-        sample_window(system, g, window, 1, 0, budget=2)
+        WindowSampler(system, g, 1, budget=2).sample_window(window, 0)
 
     sampler, rng, fixed, runs = WindowSampler(system, g, 1), RandomSource(0), {}, []
     for v in window:
-        fixed[v], stats = sampler.sample_spin(v, rng, fixed)
-        runs.append(stats)
+        fixed[v], run = sampler.sample_spin(v, rng, fixed)
+        runs.append(run)
     assert [s.total_calls for s in runs] == [3, 1, 1, 1, 1]
     assert dict(spins.items()) == fixed
-    assert report.total_calls == sum(s.total_calls for s in runs)
-    assert report.max_depth == max(s.max_depth for s in runs)
-    assert report.indecision_events == sum(s.indecision_events for s in runs)
+    assert stats.total_calls == sum(s.total_calls for s in runs)
+    assert stats.max_depth == max(s.max_depth for s in runs)
+    assert stats.indecision_events == sum(s.indecision_events for s in runs)
 
 
 def test_success_is_budget_invariant():
@@ -276,9 +272,7 @@ def test_cache_does_not_change_the_stream():
         sa, ra = reused.sample_window(window, seed)
         sb, rb = WindowSampler(hardcore(0.3), z2, 2).sample_window(window, seed)
         assert sa == sb
-        assert (ra.total_calls, ra.max_depth, ra.indecision_events) == (
-            rb.total_calls, rb.max_depth, rb.indecision_events,
-        )
+        assert ra == rb
 
 
 def test_line_graph_edge_orientations_do_not_share_cache_entries():
@@ -413,9 +407,9 @@ def test_lattice_window_follows_the_recorded_stream():
     z2 = Lattice(2)
     window = z2.box((0, 0), (5, 5))
     rng = RandomSource(1)
-    spins, report = WindowSampler(ising(1.2), z2, 1).sample_window(window, rng)
+    spins, stats = WindowSampler(ising(1.2), z2, 1).sample_window(window, rng)
     assert "".join(str(spins.spin(w)) for w in window) == "2122122122112222122222211"
-    assert (report.total_calls, report.max_depth, report.indecision_events) == (127, 9, 33)
+    assert (stats.total_calls, stats.max_depth, stats.indecision_events) == (127, 9, 33)
     assert rng.counter == 127
 
 
@@ -444,22 +438,23 @@ def test_bounded_agrees_with_unbounded_on_shallow_runs():
 
 def test_single_vertex_window_equals_single_call():
     for seed in (2, 9, 17):
-        spins, _ = sample_window(hardcore(1.0), path_graph(3), [2], 1, seed)
+        spins, _ = WindowSampler(hardcore(1.0), path_graph(3), 1).sample_window([2], seed)
         cfg, _ = ssms(hardcore(1.0), path_graph(3), {}, 2, 1, seed)
         assert spins.spin(2) == cfg.spin(2)
 
 
 def test_window_validation():
     g = path_graph(3)
+    sampler = WindowSampler(hardcore(1.0), g, 1)
     with pytest.raises(ConfigError):
-        sample_window(hardcore(1.0), g, [1, 1], 1, 7)
+        sampler.sample_window([1, 1], 7)
     with pytest.raises(ConfigError):
-        sample_window(hardcore(1.0), g, [1, 2], 1, 7, fixed={2: 1})
+        sampler.sample_window([1, 2], 7, fixed={2: 1})
     with pytest.raises(InvalidVertexError):
-        sample_window(hardcore(1.0), g, [1, 9], 1, 7)
+        sampler.sample_window([1, 9], 7)
     # an unhashable vertex is named before the distinctness check hashes it
     for run in (
-        lambda: sample_window(hardcore(0.3), Lattice(2), [[0, 0]], 1, 1),
+        lambda: WindowSampler(hardcore(0.3), Lattice(2), 1).sample_window([[0, 0]], 1),
         lambda: ssms(hardcore(0.3), Lattice(2), {}, [0, 0], 1, 1),
     ):
         with pytest.raises(InvalidVertexError, match=r"\[0, 0\]"):

@@ -53,6 +53,11 @@ def test_model_constructors_validate():
         hardcore(-1.0)
     with pytest.raises(ModelParameterError):
         ising(0.7)
+    # a real parameter is a real number, and a bool is not one
+    for make in (hardcore, ising):
+        for lam in ("a", None, True):
+            with pytest.raises(ModelParameterError):
+                make(lam)
     with pytest.raises(ModelParameterError):
         coloring(1)
     for q in (3.0, True):
@@ -62,6 +67,7 @@ def test_model_constructors_validate():
         SpinSystem(2.5, [1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]])
     assert hardcore(0.5).q == 2
     assert ising(1.0).q == 2
+    assert hardcore(1).b[1] == 1.0 and ising(np.float64(1.5)).A[0, 0] == 1.5
     assert coloring(5).q == 5
 
 
@@ -117,12 +123,9 @@ def test_partial_configuration_behaves_like_immutable_map():
     assert cfg.spin(2) == 1
     assert 1 in cfg and 3 not in cfg
     assert len(cfg) == 2
-    ext = cfg.with_spin(3, 1)
-    assert 3 in ext and 3 not in cfg
-    assert ext.restrict([1, 3]).as_dict() == {1: 2, 3: 1}
     assert cfg == PartialConfiguration({2: 1, 1: 2})
     with pytest.raises(ModelParameterError):
-        cfg.with_spin(1, 2)
+        PartialConfiguration([(1, 2), (1, 1)])
 
 
 def test_partition_function_path_hardcore_counts_independent_sets():
