@@ -46,9 +46,9 @@ for name, graph, system, ell in cases:
     seeder = RandomSource(ell)
     runs = []
     for _ in range(RUNS):
-        _, stats = sampler.sample_spin(start, RandomSource(seeder.next_uint64()))
+        _, stats = sampler.sample_window([start], RandomSource(seeder.next_uint64()))
         runs.append(stats)
-    check = verify_tree_bound(runs, b)
+    check = verify_tree_bound(runs, b.expected_calls)
     verdict = "ok" if check.passed else "EXCEEDED"
     print(line + f"  bound={b.expected_calls:.3f}  "
                  f"mean={check.mean_calls:.3f}  {verdict}")
@@ -64,7 +64,7 @@ sampler = WindowSampler(hardcore(0.2), petersen_graph(), 1)
 seeder = RandomSource(7)
 runs = []
 for _ in range(RUNS):
-    _, stats = sampler.sample_spin(1, RandomSource(seeder.next_uint64()))
+    _, stats = sampler.sample_window([1], RandomSource(seeder.next_uint64()))
     runs.append(stats)
 check = verify_tree_bound(runs, limit)
 print(f"degree-3 hard-core bound at activity 0.2: {limit:.1f} calls, "

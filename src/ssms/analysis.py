@@ -97,19 +97,22 @@ class TreeBoundCheck:
 MIN_TREE_RUNS = 1000
 
 
-def verify_tree_bound(runs, bound):
-    """Compare observed mean call counts against a branching bound.
+def verify_tree_bound(runs, limit):
+    """Compare observed mean call counts against the call-count bound
+    ``limit``, a real number such as ``BranchingBound.expected_calls``.
 
     ``runs`` is a sequence of at least MIN_TREE_RUNS objects with a
     ``total_calls`` attribute, such as ``RecursionStats``.  Passes when
     mean <= limit + 3 standard errors.
     """
+    if not is_real(limit) or not limit >= 0:
+        raise ModelParameterError(f"call-count limit must be a real >= 0, got {limit!r}")
     counts = np.array([r.total_calls for r in runs], dtype=float)
     if counts.size < MIN_TREE_RUNS:
         raise InsufficientSamplesError(
             f"need at least {MIN_TREE_RUNS} runs, got {counts.size}"
         )
-    limit = bound.expected_calls if hasattr(bound, "expected_calls") else float(bound)
+    limit = float(limit)
     mean = float(counts.mean())
     se = float(counts.std(ddof=1) / math.sqrt(counts.size))
     margin = limit + 3.0 * se - mean

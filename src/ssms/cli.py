@@ -15,7 +15,7 @@ from .analysis import branching_bound
 from .errors import ConfigError, SsmsError, TooLargeError
 from .graph import Lattice, LineGraph, graph_from_spec
 from .marginals import default_probes, estimate_mixing_rate
-from .sampler import RandomSource, WindowSampler, budget_from_env
+from .sampler import DEFAULT_BUDGET, RandomSource, WindowSampler
 from .spinsys import coloring, hardcore, ising, partition_function
 from .verify import run_suite
 
@@ -126,9 +126,8 @@ def cmd_sample(args):
         raise ConfigError(f"--radius must be >= 1, got {args.radius}")
     if args.seed < 1:
         raise ConfigError(f"--seed must be positive, got {args.seed}")
-    budget = args.budget if args.budget is not None else budget_from_env()
-    if budget < 1:
-        raise ConfigError(f"--budget must be positive, got {budget}")
+    if args.budget < 1:
+        raise ConfigError(f"--budget must be positive, got {args.budget}")
     wants_pgm = box is not None and system.q == 2
     if args.pgm is not None and not wants_pgm:
         raise ConfigError("--pgm needs a box window and a two-spin model")
@@ -139,7 +138,7 @@ def cmd_sample(args):
             partition_function(system, graph)
         except TooLargeError:
             pass
-    sampler = WindowSampler(system, graph, args.radius, budget=budget)
+    sampler = WindowSampler(system, graph, args.radius, budget=args.budget)
     rng = RandomSource(args.seed)
     spins, stats = sampler.sample_window(window, rng)
     write_spin_csv(args.csv, graph, window, spins)
@@ -218,8 +217,8 @@ def build_parser():
                         help="all | box:WxH@x,y | list:v1;v2;...")
     sample.add_argument("--radius", required=True, type=int, help="recursion radius")
     sample.add_argument("--seed", required=True, type=int)
-    sample.add_argument("--budget", type=int, default=None,
-                        help="call budget per window vertex (default from SSMS_BUDGET)")
+    sample.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="call budget per window vertex (default 10^7)")
     sample.add_argument("--csv", default="sample.csv")
     sample.add_argument("--json", default="report.json")
     sample.add_argument("--pgm", default=None,

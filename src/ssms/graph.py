@@ -307,10 +307,9 @@ class Lattice(LocalGraph):
 
     def box(self, origin, shape):
         """Vertices of an axis-aligned box, canonically ordered."""
-        if len(origin) != self._dim or len(shape) != self._dim:
-            raise ConfigError(
-                f"box spec has wrong dimension for Z^{self._dim}"
-            )
+        dim = self._dim
+        if not all(isinstance(x, (tuple, list)) and len(x) == dim for x in (origin, shape)):
+            raise ConfigError(f"box origin and sides must be {dim} integers each")
         if not all(map(is_integer, (*origin, *shape))):
             raise ConfigError(f"box origin and sides must be integers, got {origin}, {shape}")
         if any(s < 1 for s in shape):

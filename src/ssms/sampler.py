@@ -10,6 +10,9 @@ subdivided into J_1..J_q with lengths mu_i - p_v^i to resolve v.  Sphere
 spins sampled along the way are discarded: a call's only lasting effect is
 the spin of its own vertex.
 
+``WindowSampler.sample_window`` is the one way to draw: one top-level call
+per window vertex, in order, each drawn spin conditioning the next.
+
 The recursion is run on an explicit work stack, so deep excursions do not
 hit the interpreter's call-depth limit.  Only undecided calls wait on the
 stack: a call whose variate lands in a spin interval hands its spin straight
@@ -18,7 +21,6 @@ recursion exceeds the call budget, since the recursion is not guaranteed to
 terminate when the zone of indecision is too wide.
 """
 
-import os
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
@@ -41,22 +43,6 @@ from .marginals import NEG_TOL, _min_marginals_on_ball, conditional_marginal
 from .spinsys import PartialConfiguration, checked_context
 
 DEFAULT_BUDGET = 10**7
-BUDGET_ENV_VAR = "SSMS_BUDGET"
-
-
-def budget_from_env():
-    """Call budget per top-level vertex: DEFAULT_BUDGET unless SSMS_BUDGET
-    overrides it."""
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
-    return value
 
 
 class RandomSource:
@@ -177,7 +163,8 @@ class IntervalPartition:
 
 @dataclass
 class RecursionStats:
-    """Counters for one top-level call, or summed over a window's calls."""
+    """Counters summed over a window's top-level calls; a traced window also
+    lists every call as (vertex, depth, undecided) in order."""
 
     total_calls: int = 0
     max_depth: int = 0
@@ -399,45 +386,31 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
 
 
 class WindowSampler:
-    """Reusable sampling context: one marginal cache, many seeded runs."""
+    """Reusable sampling context: one marginal cache, many seeded windows,
+    each window vertex's run capped at ``budget`` calls (None: DEFAULT_BUDGET)."""
 
     def __init__(self, system, graph, ell, budget=None):
         self.system = system
         self.graph = graph
         self.ell = check_count(ell, 1, "radius")
-        self.budget = budget_from_env() if budget is None else check_count(budget, 1, "budget")
+        self.budget = DEFAULT_BUDGET if budget is None else check_count(budget, 1, "budget")
         self._cache = MarginalCache(system, graph, ell)
 
-    def sample_spin(self, v, seed_or_rng, fixed=None, trace=False, h=None):
-        """One spin for ``v`` under ``fixed``; returns (spin, stats).
+    def sample_window(self, window, seed_or_rng, fixed=None, trace=False, h=None):
+        """Sample every window vertex in order under ``fixed``; returns
+        (spins, stats), with ``stats`` the window's RecursionStats, traced
+        with ``trace``.
 
-        With a depth cap ``h`` the run follows the unbounded one draw for
-        draw until a call is entered at depth h + 1; that call samples from
-        the exact whole-graph conditional instead of recursing, so ``h``
-        needs a finite graph.
+        Window spins persist as conditioning for later vertices; each
+        window vertex gets a fresh call budget.  With a depth cap ``h`` each
+        vertex's run follows the uncapped one draw for draw until a call is
+        entered at depth h + 1; that call samples from the exact whole-graph
+        conditional instead of recursing, so ``h`` needs a finite graph.
         """
         if h is not None:
             if not self.graph.is_finite():
                 raise FiniteOnlyError("bounded sampling requires a finite graph")
             check_count(h, 0, "depth bound")
-        lam = checked_context(self.system, self.graph, fixed)
-        self.graph.check_vertex(v)
-        if v in lam:
-            raise ModelParameterError(
-                f"vertex {self.graph.format_vertex(v)} is already assigned"
-            )
-        rng = seed_or_rng if hasattr(seed_or_rng, "next_double") else RandomSource(seed_or_rng)
-        stats = RecursionStats(trace=[] if trace else None)
-        spin = _run(self._cache, lam, v, rng, stats, self.budget, h=h)
-        return spin, stats
-
-    def sample_window(self, window, seed_or_rng, fixed=None):
-        """Sample every window vertex in order; returns (spins, stats), with
-        ``stats`` the RecursionStats summed over the window's calls.
-
-        Window spins persist as conditioning for later vertices; each
-        top-level vertex gets a fresh call budget.
-        """
         window = list(window)
         for v in window:
             self.graph.check_vertex(v)
@@ -446,31 +419,15 @@ class WindowSampler:
         lam = checked_context(self.system, self.graph, fixed)
         for v in window:
             if v in lam:
-                raise ConfigError(
-                    f"window vertex {self.graph.format_vertex(v)} is already fixed"
+                raise ModelParameterError(
+                    f"vertex {self.graph.format_vertex(v)} is already assigned"
                 )
         rng = seed_or_rng if hasattr(seed_or_rng, "next_double") else RandomSource(seed_or_rng)
-        stats = RecursionStats()
+        stats = RecursionStats(trace=[] if trace else None)
         out = {}
         for v in window:
-            spin = _run(self._cache, lam, v, rng, stats, self.budget)
+            spin = _run(self._cache, lam, v, rng, stats, self.budget, h)
             lam[v] = spin
             out[v] = spin
         # The engine's own spins: nothing to validate.
         return PartialConfiguration._wrap(out), stats
-
-
-def ssms(system, graph, fixed, v, ell, seed_or_rng, budget=None, trace=False, h=None):
-    """Draw the spin of ``v`` exactly from its conditional distribution.
-
-    Returns ``(config, stats)`` where config extends ``fixed`` by the single
-    assignment at ``v``; any sphere spins sampled along the way are discarded.
-    A depth cap ``h`` (finite graphs only) bounds the recursion; see
-    ``WindowSampler.sample_spin``.
-    """
-    sampler = WindowSampler(system, graph, ell, budget=budget)
-    spins = checked_context(system, graph, fixed)
-    spin, stats = sampler.sample_spin(v, seed_or_rng, spins, trace=trace, h=h)
-    spins[v] = spin
-    return PartialConfiguration._wrap(spins), stats
-

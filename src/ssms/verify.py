@@ -234,7 +234,7 @@ def _call_reports(system, graph, v, ell, runs, seed):
     trips = 0
     for _ in range(runs):
         try:
-            _, stats = sampler.sample_spin(v, RandomSource(seeder.next_uint64()))
+            _, stats = sampler.sample_window([v], RandomSource(seeder.next_uint64()))
         except BudgetExhaustedError:
             trips += 1
             continue
@@ -268,7 +268,7 @@ def runtime_suite(seed=1, runs=10_000):
             continue
         start = max(cell.graph.vertices(), key=lambda u: len(cell.graph.sphere(u, cell.ell)))
         reports, trips = _call_reports(cell.system, cell.graph, start, cell.ell, runs, seed)
-        check = verify_tree_bound(reports, bound)
+        check = verify_tree_bound(reports, bound.expected_calls)
         ok = check.passed and trips == 0
         passed = passed and ok
         rows.append((f"{cell.label}.alpha", f"{bound.alpha:.12g}"))
@@ -299,11 +299,11 @@ def coupling_suite(seed=1, seeds=1_000, h=10):
         equal = 0
         for _ in range(seeds):
             s = seeder.next_uint64()
-            spin, stats = sampler.sample_spin(1, RandomSource(s))
-            capped, _ = sampler.sample_spin(1, RandomSource(s), h=h)
+            spins, stats = sampler.sample_window([1], RandomSource(s))
+            capped, _ = sampler.sample_window([1], RandomSource(s), h=h)
             if stats.max_depth < h:
                 subset += 1
-                equal += spin == capped
+                equal += spins == capped
         ok = equal == subset and subset > 0
         passed = passed and ok
         rows.append((f"{label}.subset", str(subset)))
@@ -348,9 +348,9 @@ def box_occupation(lam, rows, cols, site=None):
         if rows % 2 == 0 or cols % 2 == 0:
             raise ModelParameterError("default center site needs odd box sides")
         site = (cols // 2, rows // 2)
-    x, y = site
+    x, y = site if isinstance(site, (tuple, list)) and len(site) == 2 else (None, None)
     if not (is_integer(x) and is_integer(y) and 0 <= x < cols and 0 <= y < rows):
-        raise ModelParameterError(f"site {site} is not a cell of the {cols}x{rows} box")
+        raise ModelParameterError(f"site {site!r} is not a cell of the {cols}x{rows} box")
     masks = _independent_row_masks(cols)
     w = np.array([lam ** bin(m).count("1") for m in masks])
     compat = np.array([[not (a & b) for b in masks] for a in masks], dtype=float)

@@ -37,13 +37,11 @@ def child_env():
     The child gets the absolute directory holding the ``ssms`` this
     process imported at the front of ``PYTHONPATH``, so a relative entry
     such as ``PYTHONPATH=src`` cannot point it elsewhere once ``cwd``
-    moves.  ``SSMS_BUDGET`` is dropped so the child runs at the default
-    budget the tests assume.
+    moves.
     """
     import ssms
 
     env = dict(os.environ)
-    env.pop("SSMS_BUDGET", None)
     root = str(Path(ssms.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (root, env.get("PYTHONPATH")) if p

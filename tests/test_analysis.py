@@ -109,9 +109,13 @@ def test_verify_tree_bound_pass_and_fail():
 def test_verify_tree_bound_accepts_branching_bound():
     rate = {1: 0.1}
     bound = branching_bound(hardcore(1.0), Lattice(2), 1, rate)
-    res = verify_tree_bound(fake_runs([4] * 1000), bound)
+    res = verify_tree_bound(fake_runs([4] * 1000), bound.expected_calls)
     assert res.limit == pytest.approx(5.0)
     assert res.passed
+    # the limit is a real >= 0, not the bound that carries it
+    for limit in (bound, "a", None, True, -1.0, float("nan")):
+        with pytest.raises(ModelParameterError):
+            verify_tree_bound(fake_runs([4] * 1000), limit)
 
 
 def test_verify_tree_bound_needs_enough_runs():
@@ -127,8 +131,8 @@ def test_verify_tree_bound_on_z2_at_radius_three():
     assert bound.contractive
     assert bound.alpha == pytest.approx(0.503, abs=1e-3)
     sampler = WindowSampler(system, z2, 3, budget=10**5)
-    runs = [sampler.sample_spin((0, 0), seed)[1] for seed in range(2000)]
-    check = verify_tree_bound(runs, bound)
+    runs = [sampler.sample_window([(0, 0)], seed)[1] for seed in range(2000)]
+    check = verify_tree_bound(runs, bound.expected_calls)
     assert check.passed
     assert check.runs == 2000
 
@@ -175,8 +179,8 @@ def test_default_matrix_tree_bounds():
                 continue
             sampler = WindowSampler(system, graph, 1)
             v = next(iter(graph.vertices()))
-            runs = [sampler.sample_spin(v, seed)[1] for seed in range(1000)]
-            res = verify_tree_bound(runs, bound)
+            runs = [sampler.sample_window([v], seed)[1] for seed in range(1000)]
+            res = verify_tree_bound(runs, bound.expected_calls)
             assert res.passed, (system.label, graph.kind, res)
             if system.label == "ising(lambda=1)":
                 assert all(r.total_calls == 1 for r in runs)

@@ -177,8 +177,10 @@ def test_lattice_box_canonical_order():
     assert box == ((1, -1), (1, 0), (2, -1), (2, 0))
     with pytest.raises(ConfigError):
         z2.box((0, 0), (0, 2))
-    with pytest.raises(ConfigError):
-        z2.box((0,), (2, 2))
+    # origin and shape are sequences of one integer per axis
+    for origin, shape in (((0,), (2, 2)), (5, (2, 2)), ((0, 0), 5)):
+        with pytest.raises(ConfigError):
+            z2.box(origin, shape)
     # origin coordinates and sides are integers, and a bool is not one
     for origin, shape in (((0, 0), (2.0, 2)), ((0, 0), (True, 2)), ((0.5, 0), (2, 2))):
         with pytest.raises(ConfigError):

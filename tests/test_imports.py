@@ -1,7 +1,8 @@
-"""Every module uses each name it imports.
+"""Every module uses each name it imports, and every function, class and
+method of the package is named somewhere outside its own definition.
 
-A stdlib ``ast`` check, so it needs no linter.  ``src/ssms/__init__.py`` is
-left out: its imports are the package's re-exports.
+Stdlib ``ast`` checks, so they need no linter.  ``src/ssms/__init__.py`` is
+left out of both: its imports are the package's re-exports.
 """
 
 import ast
@@ -10,11 +11,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def modules():
-    for folder in ("src/ssms", "tests", "demos"):
+def modules(folders=("src/ssms", "tests", "demos")):
+    for folder in folders:
         for path in sorted((ROOT / folder).glob("*.py")):
             if path.name != "__init__.py":
                 yield path
+
+
+def parse(path):
+    return ast.parse(path.read_text(), str(path))
 
 
 def unused_imports(tree):
@@ -35,7 +40,7 @@ def test_no_module_imports_a_name_it_does_not_use():
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in modules()
-        for line, name in unused_imports(ast.parse(path.read_text(), str(path)))
+        for line, name in unused_imports(parse(path))
     ]
     assert found == []
 
@@ -43,3 +48,59 @@ def test_no_module_imports_a_name_it_does_not_use():
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nimport re as regex\nfrom a.b import c, d\nd()\n")
     assert unused_imports(tree) == [(1, "os"), (2, "regex"), (3, "c")]
+
+
+def dead_definitions(defining, naming):
+    """(label, line, name) of each function, class or method, dunders
+    excepted, defined in a tree of the ``{label: tree}`` map ``defining``
+    and named in none of the ``naming`` trees.
+
+    A name counts when a tree reads it, imports it or spells it as a whole
+    string (a lookup such as ``getattr(cls, "name")``); a definition does
+    not name itself.
+    """
+    named = set()
+    for tree in naming:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        (label, node.lineno, node.name)
+        for label, tree in defining.items()
+        for node in ast.walk(tree)
+        if isinstance(node, kinds)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in named
+    )
+
+
+def test_every_package_definition_is_named_somewhere():
+    defining = {str(path.relative_to(ROOT)): parse(path) for path in modules(("src/ssms",))}
+    naming = [parse(path) for path in modules(("src/ssms", "tests", "demos", "bench"))]
+    found = [f"{label}:{line}: {name}" for label, line, name in dead_definitions(defining, naming)]
+    assert found == []
+
+
+def test_the_check_sees_a_dead_definition():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def dead(self): pass\n"
+        "def helper(): pass\n"
+        "def looked_up(): pass\n"
+        "def unused(): pass\n"
+        "class B: pass\n"
+        "A().used()\n"
+        "helper()\n"
+        "NAMES = ('looked_up', 'named in a sentence: unused')\n"
+    )
+    found = dead_definitions({"m": tree}, [tree])
+    assert found == [("m", 4, "dead"), ("m", 7, "unused"), ("m", 8, "B")]

@@ -27,7 +27,6 @@ from ssms import (
     min_marginals,
     mixing_rate_estimate,
     path_graph,
-    ssms,
 )
 from ssms.errors import InvalidVertexError, ModelParameterError
 
@@ -43,7 +42,6 @@ BAD_CONTEXTS = {
 }
 
 ENTRY_POINTS = {
-    "ssms": lambda ctx: ssms(SYSTEM, GRAPH, ctx, 2, 1, 7),
     "sample_window": lambda ctx: WindowSampler(SYSTEM, GRAPH, 1).sample_window([2], 7, ctx),
     "min_marginals": lambda ctx: min_marginals(SYSTEM, GRAPH, ctx, 2, 1),
     "mixing_rate_estimate": lambda ctx: mixing_rate_estimate(SYSTEM, GRAPH, 2, 1, ctx),
@@ -110,5 +108,5 @@ def test_every_count_site_rejects_a_float_and_a_bool():
 def test_ssms_checks_its_context_before_drawing():
     rng = RandomSource(7)
     with pytest.raises(ModelParameterError):
-        ssms(SYSTEM, GRAPH, {1: True}, 2, 1, rng)
+        WindowSampler(SYSTEM, GRAPH, 1).sample_window([2], rng, {1: True})
     assert rng.counter == 0

@@ -23,7 +23,6 @@ from ssms import (
     min_marginals,
     partition_function,
     path_graph,
-    ssms,
 )
 from ssms.errors import (
     BudgetExhaustedError,
@@ -36,7 +35,7 @@ from ssms.errors import (
     NotSeparatingError,
 )
 from ssms.marginals import NEG_TOL
-from ssms.sampler import MarginalCache, budget_from_env
+from ssms.sampler import MarginalCache
 
 # First four variates of the stream seeded with 42, frozen as a regression
 # pin after checking them against an outside implementation of the same
@@ -142,8 +141,9 @@ def test_zone_subdivision():
 
 
 def test_immediate_hit_costs_one_call():
-    cfg, stats = ssms(hardcore(1.0), path_graph(3), {}, 2, 1, FakeRng([0.25]))
-    assert cfg.spin(2) == 1
+    sampler = WindowSampler(hardcore(1.0), path_graph(3), 1)
+    spins, stats = sampler.sample_window([2], FakeRng([0.25]))
+    assert spins.spin(2) == 1
     assert stats.total_calls == 1
     assert stats.max_depth == 1
     assert stats.indecision_events == 0
@@ -153,11 +153,10 @@ def test_zone_resolution_trace():
     # 0.75 lands in the indecision zone of the middle vertex, both ends
     # resolve unoccupied on 0.25, and the subdivided zone then yields
     # occupation; the sphere spins themselves are discarded
-    cfg, stats = ssms(
-        hardcore(1.0), path_graph(3), {}, 2, 1, FakeRng([0.75, 0.25, 0.25]),
-        trace=True,
+    spins, stats = WindowSampler(hardcore(1.0), path_graph(3), 1).sample_window(
+        [2], FakeRng([0.75, 0.25, 0.25]), trace=True
     )
-    assert cfg.as_dict() == {2: 2}
+    assert spins.as_dict() == {2: 2}
     assert stats.total_calls == 3
     assert stats.max_depth == 2
     assert stats.indecision_events == 1
@@ -168,11 +167,10 @@ def test_mutual_recursion_trace():
     # vertex 3 falls into its own zone while resolving vertex 2, so the
     # engine descends to vertex 2 again one level deeper; the occupied
     # neighbor then forces vertex 2 unoccupied at the top
-    cfg, stats = ssms(
-        hardcore(1.0), path_graph(3), {}, 2, 1,
-        FakeRng([0.75, 0.25, 0.9, 0.25]), trace=True,
+    spins, stats = WindowSampler(hardcore(1.0), path_graph(3), 1).sample_window(
+        [2], FakeRng([0.75, 0.25, 0.9, 0.25]), trace=True
     )
-    assert cfg.as_dict() == {2: 1}
+    assert spins.as_dict() == {2: 1}
     assert stats.total_calls == 4
     assert stats.max_depth == 3
     assert stats.indecision_events == 2
@@ -182,17 +180,18 @@ def test_mutual_recursion_trace():
 
 
 def test_isolated_vertex_has_no_zone():
-    g = FiniteGraph(1, [])
-    cfg, stats = ssms(hardcore(1.0), g, {}, 1, 1, FakeRng([0.3]))
-    assert cfg.spin(1) == 1 and stats.total_calls == 1
-    cfg, _ = ssms(hardcore(1.0), g, {}, 1, 1, FakeRng([0.6]))
-    assert cfg.spin(1) == 2
+    sampler = WindowSampler(hardcore(1.0), FiniteGraph(1, []), 1)
+    spins, stats = sampler.sample_window([1], FakeRng([0.3]))
+    assert spins.spin(1) == 1 and stats.total_calls == 1
+    spins, _ = sampler.sample_window([1], FakeRng([0.6]))
+    assert spins.spin(1) == 2
 
 
 def test_one_draw_per_call():
+    sampler = WindowSampler(hardcore(1.0), cycle_graph(5), 1)
     for seed in range(30):
         rng = RandomSource(seed)
-        _, stats = ssms(hardcore(1.0), cycle_graph(5), {}, 1, 1, rng)
+        _, stats = sampler.sample_window([1], rng)
         assert rng.counter == stats.total_calls
 
     rng = RandomSource(99)
@@ -213,12 +212,12 @@ def test_window_run_is_deterministic():
 
 def test_budget_is_per_call_and_sharp():
     draws = [0.75, 0.25, 0.9, 0.25]
-    cfg, stats = ssms(
-        hardcore(1.0), path_graph(3), {}, 2, 1, FakeRng(draws), budget=4
+    _, stats = WindowSampler(hardcore(1.0), path_graph(3), 1, budget=4).sample_window(
+        [2], FakeRng(draws)
     )
     assert stats.total_calls == 4
     with pytest.raises(BudgetExhaustedError):
-        ssms(hardcore(1.0), path_graph(3), {}, 2, 1, FakeRng(draws), budget=3)
+        WindowSampler(hardcore(1.0), path_graph(3), 1, budget=3).sample_window([2], FakeRng(draws))
 
 
 def test_window_counts_every_call_with_a_fresh_budget_per_vertex():
@@ -237,7 +236,8 @@ def test_window_counts_every_call_with_a_fresh_budget_per_vertex():
 
     sampler, rng, fixed, runs = WindowSampler(system, g, 1), RandomSource(0), {}, []
     for v in window:
-        fixed[v], run = sampler.sample_spin(v, rng, fixed)
+        one, run = sampler.sample_window([v], rng, fixed)
+        fixed[v] = one.spin(v)
         runs.append(run)
     assert [s.total_calls for s in runs] == [3, 1, 1, 1, 1]
     assert dict(spins.items()) == fixed
@@ -249,17 +249,13 @@ def test_window_counts_every_call_with_a_fresh_budget_per_vertex():
 def test_success_is_budget_invariant():
     # a run that finishes within a small budget returns the same spin and
     # statistics under any larger budget
+    system, g = hardcore(1.0), cycle_graph(5)
     for seed in range(40):
-        big_cfg, big_stats = ssms(
-            hardcore(1.0), cycle_graph(5), {}, 1, 1, RandomSource(seed),
-            budget=10**6,
-        )
-        small_cfg, small_stats = ssms(
-            hardcore(1.0), cycle_graph(5), {}, 1, 1, RandomSource(seed),
-            budget=big_stats.total_calls,
-        )
-        assert small_cfg == big_cfg
-        assert small_stats.total_calls == big_stats.total_calls
+        big, big_stats = WindowSampler(system, g, 1, budget=10**6).sample_window([1], seed)
+        budget = big_stats.total_calls
+        small, small_stats = WindowSampler(system, g, 1, budget=budget).sample_window([1], seed)
+        assert small == big
+        assert small_stats == big_stats
 
 
 def test_cache_does_not_change_the_stream():
@@ -335,19 +331,17 @@ def test_bounded_frontier_uses_exact_oracle():
     # the five independent sets
     z = partition_function(hardcore(1.0), path_graph(3))
     assert z == pytest.approx(5.0)
-    cfg, stats = ssms(
-        hardcore(1.0), path_graph(3), {}, 2, 1, FakeRng([0.1]), h=0
-    )
-    assert cfg.spin(2) == 1
+    sampler = WindowSampler(hardcore(1.0), path_graph(3), 1)
+    spins, stats = sampler.sample_window([2], FakeRng([0.1]), h=0)
+    assert spins.spin(2) == 1
     assert stats.total_calls == 1
-    cfg, _ = ssms(
-        hardcore(1.0), path_graph(3), {}, 2, 1, FakeRng([0.85]), h=0
-    )
-    assert cfg.spin(2) == 2
+    spins, _ = sampler.sample_window([2], FakeRng([0.85]), h=0)
+    assert spins.spin(2) == 2
 
 
 # Recorded engine streams: (spin, total_calls, max_depth, indecision_events)
-# of ssms(system, graph, {}, v, 1, RandomSource(seed), h=h) for seeds 0..9.
+# of WindowSampler(system, graph, 1).sample_window([v], RandomSource(seed), h=h)
+# for seeds 0..9.
 # A run with max_depth > h reached the frontier and consulted the oracle.
 BOUNDED_CASES = {
     "path3": (hardcore(1.0), path_graph(3), 2),
@@ -382,20 +376,23 @@ BOUNDED_STREAMS = {
 @pytest.mark.parametrize("case,h", BOUNDED_STREAMS, ids=[f"{c}-h{h}" for c, h in BOUNDED_STREAMS])
 def test_bounded_runs_follow_the_recorded_stream(case, h):
     system, graph, v = BOUNDED_CASES[case]
+    sampler = WindowSampler(system, graph, 1)
     got = []
     for seed in range(10):
         rng = RandomSource(seed)
-        cfg, stats = ssms(system, graph, {}, v, 1, rng, h=h)
+        spins, stats = sampler.sample_window([v], rng, h=h)
         assert rng.counter == stats.total_calls
-        got.append((cfg.spin(v), stats.total_calls, stats.max_depth, stats.indecision_events))
+        got.append((spins.spin(v), stats.total_calls, stats.max_depth, stats.indecision_events))
     assert got == BOUNDED_STREAMS[case, h]
     assert any(depth > h for _, _, depth, _ in got)
 
 
 def test_traced_run_follows_the_recorded_stream():
     rng = RandomSource(0)
-    cfg, stats = ssms(coloring(4), cycle_graph(5), {}, 1, 1, rng, h=2, trace=True)
-    assert (cfg.spin(1), stats.total_calls, stats.max_depth, stats.indecision_events) == (4, 7, 3, 3)
+    spins, stats = WindowSampler(coloring(4), cycle_graph(5), 1).sample_window(
+        [1], rng, trace=True, h=2
+    )
+    assert (spins.spin(1), stats.total_calls, stats.max_depth, stats.indecision_events) == (4, 7, 3, 3)
     assert rng.counter == 7
     assert stats.trace == [
         (1, 1, True), (2, 2, True), (1, 3, False), (3, 3, False),
@@ -414,33 +411,30 @@ def test_lattice_window_follows_the_recorded_stream():
 
 
 def test_bounded_needs_finite_graph():
-    with pytest.raises(FiniteOnlyError):
-        ssms(hardcore(0.3), Lattice(2), {}, (0, 0), 1, 7, h=3)
+    z2 = Lattice(2)
+    for window in ([(0, 0)], z2.box((0, 0), (2, 2))):
+        with pytest.raises(FiniteOnlyError):
+            WindowSampler(hardcore(0.3), z2, 1).sample_window(window, 7, h=3)
     for h in (-1, 1.5):
         with pytest.raises(ModelParameterError, match="depth bound"):
-            ssms(hardcore(1.0), path_graph(3), {}, 2, 1, 7, h=h)
+            WindowSampler(hardcore(1.0), path_graph(3), 1).sample_window([2], 7, h=h)
 
 
 def test_bounded_agrees_with_unbounded_on_shallow_runs():
+    # one vertex, and a whole-graph window whose cap applies to each
+    # vertex's run in turn
     h = 6
-    agreements = 0
-    for seed in range(200):
-        cfg, stats = ssms(hardcore(1.0), path_graph(3), {}, 2, 1,
-                          RandomSource(seed))
-        bcfg, bstats = ssms(hardcore(1.0), path_graph(3), {}, 2, 1,
-                            RandomSource(seed), h=h)
-        if stats.max_depth <= h:
-            assert bcfg == cfg
-            assert bstats.total_calls == stats.total_calls
-            agreements += 1
-    assert agreements >= 150
-
-
-def test_single_vertex_window_equals_single_call():
-    for seed in (2, 9, 17):
-        spins, _ = WindowSampler(hardcore(1.0), path_graph(3), 1).sample_window([2], seed)
-        cfg, _ = ssms(hardcore(1.0), path_graph(3), {}, 2, 1, seed)
-        assert spins.spin(2) == cfg.spin(2)
+    for graph, window in ((path_graph(3), [2]), (cycle_graph(5), [1, 2, 3, 4, 5])):
+        sampler = WindowSampler(hardcore(1.0), graph, 1)
+        agreements = 0
+        for seed in range(200):
+            spins, stats = sampler.sample_window(window, seed)
+            capped, capped_stats = sampler.sample_window(window, seed, h=h)
+            if stats.max_depth <= h:
+                assert capped == spins
+                assert capped_stats == stats
+                agreements += 1
+        assert agreements >= 150
 
 
 def test_window_validation():
@@ -448,19 +442,13 @@ def test_window_validation():
     sampler = WindowSampler(hardcore(1.0), g, 1)
     with pytest.raises(ConfigError):
         sampler.sample_window([1, 1], 7)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ModelParameterError, match="already assigned"):
         sampler.sample_window([1, 2], 7, fixed={2: 1})
     with pytest.raises(InvalidVertexError):
         sampler.sample_window([1, 9], 7)
     # an unhashable vertex is named before the distinctness check hashes it
-    for run in (
-        lambda: WindowSampler(hardcore(0.3), Lattice(2), 1).sample_window([[0, 0]], 1),
-        lambda: ssms(hardcore(0.3), Lattice(2), {}, [0, 0], 1, 1),
-    ):
-        with pytest.raises(InvalidVertexError, match=r"\[0, 0\]"):
-            run()
-    with pytest.raises(ModelParameterError):
-        ssms(hardcore(1.0), g, {2: 1}, 2, 1, 7)
+    with pytest.raises(InvalidVertexError, match=r"\[0, 0\]"):
+        WindowSampler(hardcore(0.3), Lattice(2), 1).sample_window([[0, 0]], 1)
     for ell in (0, 1.5, True):
         with pytest.raises(ModelParameterError, match="radius"):
             WindowSampler(hardcore(1.0), g, ell)
@@ -471,13 +459,14 @@ def test_window_validation():
 
 def test_conditioning_is_respected():
     # an occupied end pins its neighbor empty; the far end stays free
+    sampler = WindowSampler(hardcore(1.0), path_graph(3), 1)
     for seed in range(25):
-        cfg, _ = ssms(hardcore(1.0), path_graph(3), {1: 2}, 2, 1, seed)
-        assert cfg.spin(2) == 1
+        spins, _ = sampler.sample_window([2], seed, {1: 2})
+        assert spins.spin(2) == 1
     seen = set()
     for seed in range(40):
-        cfg, _ = ssms(hardcore(1.0), path_graph(3), {1: 2}, 3, 1, seed)
-        seen.add(cfg.spin(3))
+        spins, _ = sampler.sample_window([3], seed, {1: 2})
+        seen.add(spins.spin(3))
     assert seen == {1, 2}
 
 
@@ -515,28 +504,13 @@ def test_window_joint_distribution_is_uniform_over_independent_sets():
 def test_conditional_occupation_frequency():
     # end vertex of the path with the far end occupied: the middle is
     # forced empty and the law of vertex 3 is a fair coin
+    sampler = WindowSampler(hardcore(1.0), path_graph(3), 1)
     hits = 0
     n = 4000
     for seed in range(n):
-        cfg, _ = ssms(hardcore(1.0), path_graph(3), {1: 2}, 3, 1, seed)
-        hits += cfg.spin(3) == 2
+        spins, _ = sampler.sample_window([3], seed, {1: 2})
+        hits += spins.spin(3) == 2
     assert abs(hits / n - 0.5) < 4 * 0.5 / n**0.5
-
-
-def test_env_budget_override(monkeypatch):
-    monkeypatch.delenv("SSMS_BUDGET", raising=False)
-    assert budget_from_env() == 10**7
-    monkeypatch.setenv("SSMS_BUDGET", "2")
-    assert budget_from_env() == 2
-    with pytest.raises(BudgetExhaustedError):
-        ssms(hardcore(1.0), path_graph(3), {}, 2, 1,
-             FakeRng([0.75, 0.25, 0.25]))
-    monkeypatch.setenv("SSMS_BUDGET", "zero")
-    with pytest.raises(ConfigError):
-        budget_from_env()
-    monkeypatch.setenv("SSMS_BUDGET", "0")
-    with pytest.raises(ConfigError):
-        budget_from_env()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -57,7 +57,7 @@ def test_box_arguments_are_rejected_with_a_code():
         box_occupation(0.5, 4, 5)            # no center site on an even side
     with pytest.raises(ModelParameterError):
         box_occupation(0.5, 3, 3, site=(3, 0))
-    for site in ((0.5, 0), (0, 1.0), (True, 0)):
+    for site in ((0.5, 0), (0, 1.0), (True, 0), 5, (1, 2, 3)):
         with pytest.raises(ModelParameterError):
             box_occupation(0.5, 3, 3, site=site)
     for lam in ("a", None, True, 0.0):
