@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import (
     DegenerateSupportError,
@@ -177,6 +176,10 @@ def goodness_of_fit(counts, exact):
     number of buckets minus one.  The TV distance is computed on the
     unpooled distributions.
     """
+    # Imported here: scipy.stats is most of the package's import time and
+    # memory, and only this function needs it.
+    from scipy.stats import chi2
+
     counts = np.asarray(counts, dtype=float)
     exact = np.asarray(exact, dtype=float)
     if counts.shape != exact.shape or counts.ndim != 1:

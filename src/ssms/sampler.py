@@ -10,6 +10,15 @@ subdivided into J_1..J_q with lengths mu_i - p_v^i to resolve v.  Sphere
 spins sampled along the way are discarded: a call's only lasting effect is
 the spin of its own vertex.
 
+A call draws y first.  Below a lower bound on p_v^1 that holds under
+every context (``MarginalCache.p1_bound``, one per ball class), y lies in
+I_1 whatever the context, so the spin is 1 with no lookup.  Only a larger y
+looks up v's partition, which is built on a miss; the spins, counts and
+draws are the same as when every call looks up first.  The depth-capped
+sampler's oracle call takes no shortcut.  A fixed context of weight 0 on
+its own fields and edges is rejected before the first draw: a shortcut
+could otherwise return a spin where the lookup it skips would raise.
+
 ``WindowSampler.sample_window`` is the one way to draw: one top-level call
 per window vertex, in order, each drawn spin conditioning the next.
 
@@ -25,7 +34,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .bruteforce import Support
+from .bruteforce import ENUM_CAP, Support
 from .errors import (
     BudgetExhaustedError,
     ConfigError,
@@ -40,7 +49,7 @@ from .errors import (
 )
 from .graph import FiniteGraph
 from .marginals import NEG_TOL, _min_marginals_on_ball, conditional_marginal
-from .spinsys import PartialConfiguration, checked_context
+from .spinsys import PartialConfiguration, check_positive_weight, checked_context
 
 DEFAULT_BUDGET = 10**7
 
@@ -172,7 +181,7 @@ class RecursionStats:
     trace: list = None
 
 
-_BallFrame = namedtuple("_BallFrame", "origin ball v sphere interior support")
+_BallFrame = namedtuple("_BallFrame", "origin ball v sphere interior support p1_bound")
 
 
 def _on_frame(ball, lam):
@@ -182,6 +191,10 @@ def _on_frame(ball, lam):
 
 class MarginalCache:
     """Pure memoization of ball marginals for one (system, graph, radius).
+
+    A call that has drawn its variate reads ``p1_bound(v)`` first: one
+    float per ball class, kept on the class's frame.  Only a variate at or
+    above it looks up v's partition.
 
     The cache is one table of ``IntervalPartition``s.  A vertex's worst-case
     partition is its min marginal p_v; once its whole sphere is assigned,
@@ -257,14 +270,19 @@ class MarginalCache:
             if (j := label.get(u, 0)) > i
         ]
         graph = FiniteGraph(len(ball), edges)
-        return _BallFrame(
-            v,
-            ball,
-            label[v],
-            tuple(label[w] for w in sphere),
-            tuple(label[w] for w in interior),
-            Support(self.system, graph, label.values()),
-        )
+        support = Support(self.system, graph, label.values())
+        sphere = tuple(label[w] for w in sphere)
+        interior = tuple(label[w] for w in interior)
+        bound = _p1_bound(support, graph, label[v], sphere, interior)
+        return _BallFrame(v, ball, label[v], sphere, interior, support, bound)
+
+    def p1_bound(self, v):
+        """Lower bound on p_v^1 under every context, shared by v's ball
+        class (``_p1_bound``)."""
+        frame = self._frames.get(self.graph.ball_class(v))
+        if frame is None:
+            frame = self._frames[self.ball_parts(v)[2]]
+        return frame.p1_bound
 
     def min_intervals(self, v, lam):
         """IntervalPartition of v's min marginals under the context ``lam``."""
@@ -317,6 +335,35 @@ class MarginalCache:
         return part
 
 
+def _p1_bound(support, graph, v, sphere, interior):
+    """Lower bound on p_v^1 under every context, for v on the ball frame
+    ``graph`` with compiled ``support``; 0.0 where no shortcut is safe.
+
+    By the Markov property, v's conditional under any context and boundary
+    is a mixture, over feasible configurations of v's neighbours, of its
+    conditional given them.  So p_v^1 is never below the least of those: the
+    radius-1 min marginal with no context.  NEG_TOL below it covers the
+    roundoff of both enumerations.
+
+    The bound is 0 unless spin 1 has a positive field and a positive
+    interaction with every spin (``WindowSampler.sample_window`` says why),
+    and every miss on the ball fits ENUM_CAP, so that the lookup a shortcut
+    skips could raise neither ``InfeasibleContextError`` nor
+    ``TooLargeError``.  The empty context frees the most vertices: the
+    interior on a monotone ball (the extremal path), the whole ball
+    otherwise.
+    """
+    system = support.system
+    if not (system.b[0] > 0.0 and (system.A[0] > 0.0).all()):
+        return 0.0
+    free = len(interior) if support.monotone else len(sphere) + len(interior)
+    if system.q**free > ENUM_CAP:
+        return 0.0
+    near = graph._neighbors(v)
+    p = _min_marginals_on_ball(Support(system, graph, (v, *near)), v, near, (v,), {})
+    return max(float(p[1]) - NEG_TOL, 0.0)
+
+
 def _run(cache, lam, v, rng, stats, budget, h=None):
     """Iterative engine for one top-level call; ``lam`` is restored on exit.
 
@@ -330,13 +377,15 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
     ``h`` caps the depth of the bounded variant (None for the unbounded
     sampler): a call entered at depth h + 1 reads the exact whole-graph
     oracle, whose partition has no zone, instead of v's min marginals, so
-    it never recurses.
+    it never recurses.  Whether the oracle's enumeration fits the cap
+    depends on the context, so that call takes no ``p1_bound`` shortcut.
 
     Counts are kept in locals, so the budget applies to this call alone,
     and are added to ``stats`` on exit.  A budget trip names the top-level
     vertex, then the call being entered and its depth.
     """
     trace = stats.trace
+    p1_bound = cache.p1_bound
     calls = max_depth = undecided = 0
     stack = []
     top = v
@@ -352,12 +401,15 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
                 )
             if depth > max_depth:
                 max_depth = depth
+            y = rng.next_double()
             if len(stack) == h:
                 part = cache.whole_graph_marginal(v, lam)
+                spin = part.locate(y)
+            elif 0.0 <= y < p1_bound(v):
+                spin = 1
             else:
                 part = cache.min_intervals(v, lam)
-            y = rng.next_double()
-            spin = part.locate(y)
+                spin = part.locate(y)
             if trace is not None:
                 trace.append((v, depth, spin == 0))
             if spin == 0:
@@ -406,6 +458,15 @@ class WindowSampler:
         vertex's run follows the uncapped one draw for draw until a call is
         entered at depth h + 1; that call samples from the exact whole-graph
         conditional instead of recursing, so ``h`` needs a finite graph.
+
+        A ``fixed`` context with a field or edge factor of 0 raises
+        ``InfeasibleContextError`` before any draw.  That check is all the
+        shortcut needs: a class bound is positive only where spin 1 has a
+        positive field and interaction with every spin, so any free vertex
+        can take spin 1 whatever its neighbours hold.  A context of positive
+        weight then extends to every ball, every spin the engine adds keeps
+        its weight positive, and no lookup a shortcut skips could have found
+        the context infeasible.
         """
         if h is not None:
             if not self.graph.is_finite():
@@ -417,6 +478,7 @@ class WindowSampler:
         if len(set(window)) != len(window):
             raise ConfigError("window vertices must be distinct")
         lam = checked_context(self.system, self.graph, fixed)
+        check_positive_weight(self.system, self.graph, lam)
         for v in window:
             if v in lam:
                 raise ModelParameterError(

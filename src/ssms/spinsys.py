@@ -17,6 +17,7 @@ from .bruteforce import Support, weight_tensor
 from .errors import (
     DegenerateSystemError,
     FiniteOnlyError,
+    InfeasibleContextError,
     MissingSpinError,
     ModelParameterError,
     RepeatedVertexError,
@@ -173,6 +174,27 @@ def checked_context(system, graph, fixed):
         graph.check_vertex(v)
         _check_spin(v, s, system.q)
     return spins
+
+
+def check_positive_weight(system, graph, spins):
+    """Raise ``InfeasibleContextError`` unless the assignment ``spins`` (a
+    checked context) has positive weight on its own fields and edges.
+
+    Each factor is tested on its own rather than multiplied out, so a long
+    assignment whose weight underflows a double still passes.
+    """
+    b = system.b
+    A = system.A
+    fmt = graph.format_vertex
+    for v, s in spins.items():
+        if b[s - 1] == 0.0:
+            raise InfeasibleContextError(f"vertex {fmt(v)} has spin {s}, whose field is 0")
+        for w in graph._neighbors(v):
+            t = spins.get(w)
+            if t is not None and A[s - 1, t - 1] == 0.0:
+                raise InfeasibleContextError(
+                    f"neighbours {fmt(v)} and {fmt(w)} cannot hold spins {s} and {t}"
+                )
 
 
 def _distinct(support):

@@ -1,12 +1,17 @@
 """Every module uses each name it imports, and every function, class and
 method of the package is named somewhere outside its own definition.
+Importing the package does not load scipy.
 
 Stdlib ``ast`` checks, so they need no linter.  ``src/ssms/__init__.py`` is
 left out of both: its imports are the package's re-exports.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,3 +109,13 @@ def test_the_check_sees_a_dead_definition():
     )
     found = dead_definitions({"m": tree}, [tree])
     assert found == [("m", 4, "dead"), ("m", 7, "unused"), ("m", 8, "B")]
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # scipy.stats is most of the import's time and memory; only
+    # goodness_of_fit needs it, and imports it when called.
+    code = "import sys, ssms; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -410,6 +410,20 @@ def test_lattice_window_follows_the_recorded_stream():
     assert rng.counter == 127
 
 
+def test_calls_grow_linearly_with_the_window():
+    # The paper's run time is linear in the window's size: ising(1.2) at
+    # radius 3 on Z^2 (alpha 0.503) stays within 1.1 calls per vertex from
+    # a 4x4 box to a 32x32 one, and no run goes deeper than 2.
+    z2 = Lattice(2)
+    got = []
+    for side in (4, 8, 16, 32):
+        window = z2.box((0, 0), (side, side))
+        _, stats = WindowSampler(ising(1.2), z2, 3).sample_window(window, 1)
+        assert stats.total_calls <= 1.1 * len(window)
+        got.append((stats.total_calls, stats.max_depth))
+    assert got == [(16, 1), (70, 2), (274, 2), (1091, 2)]
+
+
 def test_bounded_needs_finite_graph():
     z2 = Lattice(2)
     for window in ([(0, 0)], z2.box((0, 0), (2, 2))):
