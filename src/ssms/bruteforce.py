@@ -1,28 +1,38 @@
 """Vectorized exhaustive enumeration of spin assignments on small supports.
 
-The joint weight over a support is materialized as a dense tensor with one
-axis of length q per free vertex; field and interaction factors are applied
-by broadcasting, so no index arrays are ever built.  Enumeration refuses
-more than q^k = 2^22 assignments.
+The joint weight over a support is a dense tensor with one axis of length q
+per free vertex, the cell-wise product of the field and interaction
+factors.  Enumeration refuses more than q^k = 2^22 assignments.
 
 Enumeration is split in two.  ``Support`` compiles what does not depend on
-the fixed spins: each vertex's neighbours inside the support and, for each
-free count, the field tensor and the interaction factors shaped to
-broadcast, with the all-ones rows marked.  ``weight_tensor`` then takes one
+the fixed spins: each vertex's neighbours inside the support and whether
+the Gibbs measure on it is monotone.  ``weight_tensor`` then takes one
 fixed/free pattern and support order, on the whole compiled support or on
 any part of it: it enumerates the subgraph induced by the vertices it is
 given and reads no edge leaving them.  A caller that enumerates one support
 many times (a ball frame of the sampler's marginal cache) compiles it once;
-every other caller compiles a one-shot support.  A call copies the memoized
-field tensor and multiplies only the interaction factors that are not all
-ones; since x * 1.0 == x, the weights are bit-identical to multiplying
-every factor in turn.  ``scaled_weights`` is the same enumeration with the
-pinned spins' scalar factor kept apart, for a caller that goes on to pin
-more vertices (the extremal boundaries of ``marginals``).
+every other caller compiles a one-shot support.
 
-``Support.monotone`` also records whether the Gibbs measure on the support
-is monotone, which lets the worst-case marginals read only the two
-extremal boundaries (see ``marginals``).
+The factors themselves depend only on the system and the free count k:
+the field product, row s of A on axis j, and A across axes j1 < j2.
+``Factors`` builds them once per k and any number of supports share one
+(the marginal cache shares one across its ball frames).  A shared
+``Factors`` expands every factor of up to GATHER_CAP cells to all q^k
+cells as one row of a table, and a product gathers its rows by id and
+multiplies them in one call.  Past the cut-over, and on a one-shot
+support, where a table would serve a single product, each factor is an
+array shaped to broadcast, multiplied into a copy of the field in turn.
+Either way an enumeration walks its edges once, skips the
+interaction rows that are all ones, and multiplies the rest cell by cell
+in walk order; since x * 1.0 == x, the weights are bit-identical to
+multiplying every factor in turn.  ``scaled_weights`` is the same
+enumeration with the pinned spins' scalar factor kept apart, and
+``weight_factors`` stops before the product, for a caller that multiplies
+in more factors (the extremal boundaries of ``marginals``).
+
+``Support.monotone`` records whether the Gibbs measure on the support is
+monotone, which lets the worst-case marginals read only the two extremal
+boundaries (see ``marginals``).
 """
 
 import numpy as np
@@ -30,15 +40,135 @@ import numpy as np
 from .errors import TooLargeError
 
 ENUM_CAP = 2**22
+# Shared factors of at most this many cells are gathered from a table.
+# Measured on 2 CPUs for q = 2, 3 and 4, an enumeration took 0.4-1.0x the
+# time of a broadcast one from 27 to 1,024 cells (within 2 us below that);
+# past it a table, one row of q^k doubles per factor (0.5 MB at q = 2 and
+# k = 10), grows faster than the time it saves.
+GATHER_CAP = 2**10
+
+
+class Factors:
+    """The factors of ``system``'s weights over k free axes, built once per k.
+
+    ``axes(k)`` is ``(table, field, rows, pairs)``: ``field`` is the field
+    product, ``rows[s - 1][j]`` row s of A on axis j, and ``pairs[j1, j2]``
+    A across axes j1 < j2.  ``rows[s - 1]`` is None when that row is all
+    ones: A is symmetric, so the column is too, and a fixed vertex with
+    spin s weighs nothing on its neighbours.  With ``shared`` set, up to
+    GATHER_CAP cells each factor is the id of its row in the read-only
+    ``table`` of shape (factors, q^k), whose row 0 is all ones and row 1
+    the field.  Otherwise ``table`` is None and each factor a read-only
+    array shaped to broadcast over ``(q,) * k``.
+    """
+
+    __slots__ = ("system", "shared", "_live", "_axes")
+
+    def __init__(self, system, shared=False):
+        self.system = system
+        self.shared = shared
+        # The spins whose row of A is not all ones.
+        self._live = [s for s, row in enumerate(system.A.tolist()) if row != [1.0] * system.q]
+        self._axes = {}
+
+    def axes(self, k):
+        hit = self._axes.get(k)
+        if hit is None:
+            gather = self.shared and self.system.q**k <= GATHER_CAP
+            hit = self._axes[k] = self._table(k) if gather else self._arrays(k)
+        return hit
+
+    def _table(self, k):
+        q = self.system.q
+        b = self.system.b
+        A = self.system.A
+        live = self._live
+        cells = q**k
+        # digits[j] is the spin index on axis j of each cell, in C order.
+        digits = np.arange(cells) // (q ** np.arange(k - 1, -1, -1))[:, None] % q
+        pairs = [(j1, j2) for j1 in range(k) for j2 in range(j1 + 1, k)]
+        j1 = [j for j, _ in pairs]
+        j2 = [j for _, j in pairs]
+        table = np.concatenate([
+            np.ones((1, cells)),
+            np.multiply.reduce(b[digits], axis=0, keepdims=True),
+            A[live][:, digits].reshape(-1, cells),
+            A[digits[j1], digits[j2]].reshape(-1, cells),
+        ])
+        table.flags.writeable = False
+        rows = [None] * q
+        for i, s in enumerate(live):
+            rows[s] = list(range(2 + i * k, 2 + (i + 1) * k))
+        first = 2 + len(live) * k
+        return table, 1, rows, {pair: first + n for n, pair in enumerate(pairs)}
+
+    def _arrays(self, k):
+        q = self.system.q
+        b = self.system.b
+        A = self.system.A
+
+        def on_axis(a, j):
+            return a.reshape((1,) * j + (q,) + (1,) * (k - 1 - j))
+
+        field = np.ones((q,) * k)
+        for j in range(k):
+            field *= on_axis(b, j)
+        field.flags.writeable = False
+        rows = [None] * q
+        for s in self._live:
+            rows[s] = [on_axis(A[s], j) for j in range(k)]
+        return None, field, rows, _Pairs(A, k)
+
+    def products(self, k, factors, tails=((),)):
+        """Cell-wise products over k free axes as an array of shape
+        (len(tails), q^k): row i multiplies ``factors`` and then
+        ``tails[i]``, one factor after another in order."""
+        table, field, _, _ = self.axes(k)
+        if table is not None:
+            # A shorter list is padded with the all-ones row: x * 1.0 == x.
+            width = len(factors) + max(map(len, tails))
+            ids = [[*factors, *tail] + [0] * (width - len(factors) - len(tail)) for tail in tails]
+            return np.multiply.reduce(table[ids], axis=1)
+        out = np.empty((len(tails),) + field.shape)
+        W = out[:1]
+        W[...] = factors[0]
+        for f in factors[1:]:
+            W *= f
+        out[1:] = W
+        for i, tail in enumerate(tails):
+            Wx = out[i : i + 1]
+            for f in tail:
+                Wx *= f
+        return out.reshape(len(tails), -1)
+
+
+class _Pairs(dict):
+    """A across axes j1 < j2 of k, shaped to broadcast, each made on first
+    use: an enumeration reads only the pairs its free edges join."""
+
+    __slots__ = ("A", "k")
+
+    def __init__(self, A, k):
+        self.A = A
+        self.k = k
+
+    def __missing__(self, axes):
+        j1, j2 = axes
+        q = self.A.shape[0]
+        shape = (1,) * j1 + (q,) + (1,) * (j2 - j1 - 1) + (q,) + (1,) * (self.k - 1 - j2)
+        P = self[axes] = self.A.reshape(shape)
+        return P
 
 
 class Support:
     """Compiled enumeration of ``system`` on the vertex set ``vertices`` of
-    ``graph``, for any fixed/free split and any order of those vertices."""
+    ``graph``, for any fixed/free split and any order of those vertices.
+    Its factors come from ``factors``, a shared ``Factors`` of the same
+    system, or from one of its own."""
 
-    __slots__ = ("system", "adjacent", "later", "monotone", "_b", "_A", "_fields", "_axes")
+    __slots__ = ("system", "adjacent", "later", "monotone", "factors", "_b", "_A")
 
-    def __init__(self, system, graph, vertices):
+    def __init__(self, system, graph, vertices, factors=None):
         members = set(vertices)
         self.system = system
         # Neighbor lists come sorted, so the filtered ones stay sorted.
@@ -47,45 +177,11 @@ class Support:
         }
         self.later = {u: tuple(w for w in nb if u < w) for u, nb in self.adjacent.items()}
         self.monotone = _is_monotone(system.A, self.adjacent)
+        self.factors = Factors(system) if factors is None else factors
         # Python floats for the scalar factors: the same doubles, cheaper
         # arithmetic.
         self._b = system.b.tolist()
         self._A = system.A.tolist()
-        self._fields = {}
-        self._axes = {}
-
-    def field(self, k):
-        """Read-only product of the field vector over k free axes."""
-        W = self._fields.get(k)
-        if W is None:
-            q = self.system.q
-            b = self.system.b
-            W = np.ones((q,) * k)
-            for j in range(k):
-                W *= b.reshape((1,) * j + (q,) + (1,) * (k - 1 - j))
-            W.flags.writeable = False
-            self._fields[k] = W
-        return W
-
-    def axes(self, k):
-        """Interaction factors shaped for k free axes: ``rows[s - 1][j]`` is
-        row s of A on axis j, and ``pairs`` maps axes j1 < j2 to A across
-        them, filled on first use.
-
-        ``rows[s - 1]`` is None when that row is all ones: A is symmetric,
-        so the column is too, and a fixed vertex with spin s weighs nothing
-        on its neighbours.
-        """
-        hit = self._axes.get(k)
-        if hit is None:
-            q = self.system.q
-            rows = [
-                None if np.all(a == 1.0)
-                else [a.reshape((1,) * j + (q,) + (1,) * (k - 1 - j)) for j in range(k)]
-                for a in self.system.A
-            ]
-            hit = self._axes[k] = (rows, {})
-        return hit
 
 
 def _is_monotone(A, adjacent):
@@ -144,6 +240,17 @@ def scaled_weights(compiled, support, fixed):
     ``scalar * W``: the fields of the pinned spins and the interactions
     between two of them are left in ``scalar``, for a caller that multiplies
     in more factors before scaling."""
+    free, factors, scalar = weight_factors(compiled, support, fixed)
+    k = len(free)
+    W = compiled.factors.products(k, factors)
+    return free, W.reshape((compiled.system.q,) * k), scalar
+
+
+def weight_factors(compiled, support, fixed):
+    """``scaled_weights`` before its product: ``(free, factors, scalar)``
+    with ``factors`` the field and then every interaction factor that is not
+    all ones, in the order of the edge walk, as ``Factors.axes`` gives them
+    for ``len(free)`` axes."""
     later = compiled.later
     q = compiled.system.q
     b = compiled._b
@@ -164,8 +271,9 @@ def scaled_weights(compiled, support, fixed):
         raise TooLargeError(
             f"enumeration of {q}^{k} assignments exceeds the {ENUM_CAP} cap"
         )
-    rows, pairs = compiled.axes(k)
-    W = compiled.field(k).copy()
+    _, field, rows, pairs = compiled.factors.axes(k)
+    factors = [field]
+    append = factors.append
 
     for u in support:
         su = pinned.get(u)
@@ -179,20 +287,13 @@ def scaled_weights(compiled, support, fixed):
                 if sw is not None:
                     scalar *= A[su - 1][sw - 1]
                 elif rows[su - 1] is not None:
-                    W *= rows[su - 1][jw]
+                    append(rows[su - 1][jw])
             elif sw is not None:
                 if rows[sw - 1] is not None:
-                    W *= rows[sw - 1][pos[u]]
+                    append(rows[sw - 1][pos[u]])
             else:
                 # A is symmetric, so the pair factor on axes (j1, j2) is A
                 # itself whichever endpoint comes first.
                 ju = pos[u]
-                axes = (ju, jw) if ju < jw else (jw, ju)
-                P = pairs.get(axes)
-                if P is None:
-                    j1, j2 = axes
-                    P = pairs[axes] = compiled.system.A.reshape(
-                        (1,) * j1 + (q,) + (1,) * (j2 - j1 - 1) + (q,) + (1,) * (k - 1 - j2)
-                    )
-                W *= P
-    return free, W, scalar
+                append(pairs[ju, jw] if ju < jw else pairs[jw, ju])
+    return free, factors, scalar

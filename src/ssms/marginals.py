@@ -24,9 +24,9 @@ each spin's minimum and the widest gap between two boundaries both sit at
 the extremes.  The free interior is enumerated once, with the fixed
 vertices.  The two extremes differ only in their boundary factors: the
 fields of the pinned sphere spins and their interactions with the interior
-and with each other.  Each extreme multiplies its own into a copy of the
-interior weights, so a miss takes one enumeration of the free interior
-instead of one of sphere and interior together.
+and with each other.  Each extreme appends its own to the interior's
+factors and both products are taken together, so a miss enumerates the
+free interior rather than sphere and interior together.
 
 With no free sphere vertex the one boundary is the context itself, so the
 min marginals are v's exact conditional with p_v^0 = 0.  The fixed
@@ -38,7 +38,7 @@ this: its sphere conditional is the min-marginal entry of the same context.
 
 import numpy as np
 
-from .bruteforce import Support, scaled_weights, weight_tensor
+from .bruteforce import Support, weight_factors, weight_tensor
 from .errors import (
     InfeasibleBoundaryError,
     InfeasibleContextError,
@@ -52,6 +52,11 @@ from .spinsys import _distinct, checked_context
 # Probabilities this far below zero are treated as roundoff; anything worse
 # indicates a real defect and is escalated.
 NEG_TOL = 1e-9
+# A min miss with fewer than FLOAT_TAIL_Q spins and at most FLOAT_TAIL_ROWS
+# boundary rows finishes in Python floats; numpy sums fewer than 8 terms left
+# to right, and past 4 rows its per-call overhead is cheaper than a loop.
+FLOAT_TAIL_Q = 8
+FLOAT_TAIL_ROWS = 4
 
 
 def _normalized(weights):
@@ -139,29 +144,32 @@ def _extremal_boundaries(ball, sphere_free, fixed):
 
 
 def _extremal_rows(ball, v, interior_free, fixed, sphere_free):
-    """Unnormalized marginal of v under each extremal boundary.
+    """Unnormalized marginal of v under each extremal boundary, as the two
+    rows of a (2, q) array.
 
-    The weight on the ball minus the free sphere vertices is enumerated
-    once.  Each extreme then multiplies in only its boundary factors: the
-    field of each pinned sphere spin, A's row on each free interior
-    neighbour (skipped when all ones), and a scalar for each fixed or pinned
-    sphere neighbour.  The scalar continues the enumeration's own, so where
-    A holds only 0s and 1s the rows equal a whole-ball enumeration per
-    extreme bit for bit.
+    The weight on the ball minus the free sphere vertices is one list of
+    factors.  Each extreme then appends only its boundary factors: A's row
+    on each free interior neighbour of a pinned sphere spin (skipped when
+    all ones), and a scalar for the field of each pinned sphere spin and
+    for each fixed or pinned sphere neighbour.  Both products are taken at
+    once (``Factors.products``).  The scalar continues the enumeration's
+    own, so where A holds only 0s and 1s the rows equal a whole-ball
+    enumeration per extreme bit for bit.
     """
     q = ball.system.q
     # v first among the free vertices, so its axis leads.
     inner = [v] + [w for w in interior_free if w != v] + list(fixed)
-    free, W, inner_scalar = scaled_weights(ball, inner, fixed)
+    free, factors, inner_scalar = weight_factors(ball, inner, fixed)
     pos = {w: j for j, w in enumerate(free)}
-    rows, _ = ball.axes(len(free))
+    _, _, rows, _ = ball.factors.axes(len(free))
     b = ball._b
     A = ball._A
     adjacent = ball.adjacent
-    out = []
+    tails = []
+    scalars = []
     for tau in _extremal_boundaries(ball, sphere_free, fixed):
         scalar = inner_scalar
-        factors = []
+        tail = []
         for w in sphere_free:
             x = tau[w]
             scalar *= b[x - 1]
@@ -170,32 +178,29 @@ def _extremal_rows(ball, v, interior_free, fixed, sphere_free):
                 j = pos.get(u)
                 if j is not None:
                     if row is not None:
-                        factors.append(row[j])
+                        tail.append(row[j])
                 elif u in fixed:
                     scalar *= A[x - 1][fixed[u] - 1]
                 elif u > w:
                     # Both ends are free sphere vertices: one factor per edge.
                     scalar *= A[x - 1][tau[u] - 1]
-        Wx = W
-        if factors:
-            Wx = W * factors[0]
-            for f in factors[1:]:
-                Wx *= f
-        if scalar != 1.0:
-            Wx = Wx * scalar
-        out.append(Wx.reshape(q, -1).sum(axis=1))
-    return out
+        tails.append(tail)
+        scalars.append([scalar])
+    W = ball.factors.products(len(free), factors, tails)
+    # x * 1.0 == x, so an extreme with no scalar loses no bit here.
+    W *= scalars
+    return W.reshape(2, q, -1).sum(axis=2)
 
 
-def _sphere_grouped_marginals(ball, v, sphere, interior, spins):
-    """Matrix of conditional marginals of v, one row per boundary scanned.
+def _boundary_rows(ball, v, sphere, interior, spins):
+    """Unnormalized marginals of v, one row per boundary scanned, and the
+    number of free sphere vertices.
 
     ``ball`` is the compiled ``Support`` on sphere and interior.  A monotone
     ball with a free sphere vertex scans its two extremal boundaries; any
     other scans every free sphere assignment, lexicographically (canonical
-    vertex order, spins ascending).  Rows with zero total weight are
-    infeasible and returned masked out.  Also returns the number of free
-    sphere vertices.
+    vertex order, spins ascending).  A row of zero total weight is an
+    infeasible boundary.
     """
     q = ball.system.q
     sphere_free = [w for w in sphere if w not in spins]
@@ -203,23 +208,32 @@ def _sphere_grouped_marginals(ball, v, sphere, interior, spins):
     fixed = {w: spins[w] for w in sorted([*sphere, *interior]) if w in spins}
     s = len(sphere_free)
     if s and ball.monotone:
-        M = np.array(_extremal_rows(ball, v, interior_free, fixed, sphere_free))
-    else:
-        support = sphere_free + interior_free + list(fixed)
-        free, W = weight_tensor(ball, support, fixed)
-        jv = free.index(v)
-        keep = tuple(range(s)) + (jv,)
-        drop = tuple(j for j in range(len(free)) if j not in keep)
-        M = W.sum(axis=drop) if drop else W
-        M = M.reshape(q**s, q)
+        return _extremal_rows(ball, v, interior_free, fixed, sphere_free), s
+    support = sphere_free + interior_free + list(fixed)
+    free, W = weight_tensor(ball, support, fixed)
+    jv = free.index(v)
+    keep = tuple(range(s)) + (jv,)
+    drop = tuple(j for j in range(len(free)) if j not in keep)
+    M = W.sum(axis=drop) if drop else W
+    return M.reshape(q**s, q), s
+
+
+def _sphere_grouped_marginals(ball, v, sphere, interior, spins):
+    """Matrix of conditional marginals of v, one row per feasible boundary
+    scanned (``_boundary_rows``), and the number of free sphere vertices."""
+    M, s = _boundary_rows(ball, v, sphere, interior, spins)
+    return _feasible_rows(M), s
+
+
+def _feasible_rows(M):
+    """The rows of M with positive total, each divided by its total."""
     totals = M.sum(axis=1)
     feasible = totals > 0.0
     if not feasible.any():
         raise InfeasibleContextError(
             "context admits no feasible boundary assignment on the sphere"
         )
-    mu = M[feasible] / totals[feasible, None]
-    return mu, s
+    return M[feasible] / totals[feasible, None]
 
 
 def min_marginals(system, graph, fixed, v, ell):
@@ -237,25 +251,49 @@ def min_marginals(system, graph, fixed, v, ell):
     boundary together with the interior.  Either path raises
     ``TooLargeError`` past ``ENUM_CAP``.
     """
-    return _min_marginals_on_ball(*_ball_query(system, graph, fixed, v, ell))
+    return np.array(_min_marginals_on_ball(*_ball_query(system, graph, fixed, v, ell)))
 
 
 def _min_marginals_on_ball(ball, v, sphere, interior, spins):
-    """``min_marginals`` for a caller that already holds v's sphere and ball
-    interior, the ``Support`` compiled on them, and a validated context
-    ``spins`` that leaves v free."""
-    mu, s = _sphere_grouped_marginals(ball, v, sphere, interior, spins)
-    p = mu.min(axis=0)
-    out = np.empty(ball.system.q + 1)
-    out[1:] = p
-    if s == 0:
-        out[0] = 0.0
+    """``min_marginals`` as a list of Python floats, for a caller that
+    already holds v's sphere and ball interior, the ``Support`` compiled on
+    them, and a validated context ``spins`` that leaves v free.
+
+    With fewer than FLOAT_TAIL_Q spins and at most FLOAT_TAIL_ROWS boundary
+    rows, as on every extremal miss, the rows are normalized and the minima
+    and the zone taken in Python floats.  numpy sums fewer than 8 terms
+    left to right, as the loops here do, so the floats are the bits of
+    numpy's tail, without its per-call overhead.  Otherwise numpy takes the
+    tail: from 8 spins on its sums are pairwise, and over many rows it is
+    the faster.
+    """
+    M, s = _boundary_rows(ball, v, sphere, interior, spins)
+    if ball.system.q < FLOAT_TAIL_Q and len(M) <= FLOAT_TAIL_ROWS:
+        p = None
+        for row in M.tolist():
+            total = 0.0
+            for x in row:
+                total += x
+            if total > 0.0:
+                mu = [x / total for x in row]
+                p = mu if p is None else list(map(min, p, mu))
+        if p is None:
+            raise InfeasibleContextError(
+                "context admits no feasible boundary assignment on the sphere"
+            )
+        total = 0.0
+        for x in p:
+            total += x
     else:
-        rest = 1.0 - float(p.sum())
-        if rest < -NEG_TOL:
-            raise InternalError(f"zone of indecision computed as {rest}")
-        out[0] = max(rest, 0.0)
-    return out
+        p = _feasible_rows(M).min(axis=0)
+        total = float(p.sum())
+        p = p.tolist()
+    if s == 0:
+        return [0.0, *p]
+    rest = 1.0 - total
+    if rest < -NEG_TOL:
+        raise InternalError(f"zone of indecision computed as {rest}")
+    return [max(rest, 0.0), *p]
 
 
 def mixing_rate_estimate(system, graph, v, ell, fixed=None):

@@ -34,7 +34,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .bruteforce import ENUM_CAP, Support
+from .bruteforce import ENUM_CAP, Factors, Support
 from .errors import (
     BudgetExhaustedError,
     ConfigError,
@@ -101,21 +101,29 @@ class IntervalPartition:
 
     def __init__(self, p):
         p = [float(x) for x in p]
-        if any(x < -1e-12 for x in p) or any(x > 1.0 + 1e-12 for x in p):
-            raise InvalidProbabilitiesError(f"interval masses outside [0,1]: {p}")
+        # One pass checks the range, clamps roundoff below 0 and sums the
+        # edges; ``last`` ends on the edge of the last spin of positive mass.
+        masses = []
+        cum = []
+        acc = 0.0
+        last = 0
+        for x in p:
+            if x < -1e-12 or x > 1.0 + 1e-12:
+                raise InvalidProbabilitiesError(f"interval masses outside [0,1]: {p}")
+            if x < 0.0:
+                x = 0.0
+            if masses:
+                if x > 0.0:
+                    last = len(cum)
+                acc += x
+                cum.append(acc)
+            masses.append(x)
         total = sum(p)
         if abs(total - 1.0) > NEG_TOL:
             raise InvalidProbabilitiesError(f"interval masses sum to {total}, not 1")
-        p = [max(x, 0.0) for x in p]
-        cum = []
-        acc = 0.0
-        for x in p[1:]:
-            acc += x
-            cum.append(acc)
-        if p[0] == 0.0:
-            last = max(i for i, x in enumerate(p[1:]) if x > 0.0)
+        if masses[0] == 0.0:
             cum[last:] = [1.0] * (len(cum) - last)
-        self.p = tuple(p)
+        self.p = tuple(masses)
         self.cum = cum
         self.q = len(cum)
         self._splits = None
@@ -222,11 +230,14 @@ class MarginalCache:
     subgraph as a ``FiniteGraph`` with the i-th sorted ball vertex labelled
     i, built once per class together with its compiled enumeration
     ``Support``, so a miss neither walks the graph, compiles a support nor
-    re-validates frame labels.  Relabelling keeps the ball order and the
-    sorted neighbor lists, so the enumeration multiplies the same factors
-    in the same order as on the graph itself and the marginals are
-    bit-identical.  Cached values are deterministic functions of their
-    keys, so lookups never change sampling behavior, only speed.
+    re-validates frame labels.  All frames share one ``Factors``, so a
+    field tensor or factor table is built once per free count, not once
+    per class (on a tree every vertex is a class).  Relabelling keeps the
+    ball order and the sorted neighbor lists, so the enumeration
+    multiplies the same factors in the same order as on the graph itself
+    and the marginals are bit-identical.  Cached values are deterministic
+    functions of their keys, so lookups never change sampling behavior,
+    only speed.
     """
 
     def __init__(self, system, graph, ell):
@@ -237,6 +248,7 @@ class MarginalCache:
         self._frames = {}
         self._parts = {}
         self._radix = system.q + 1
+        self._factors = Factors(system, shared=True)
 
     def ball_parts(self, v):
         """(sphere, sorted ball, ball class) of v, computed once.
@@ -270,7 +282,7 @@ class MarginalCache:
             if (j := label.get(u, 0)) > i
         ]
         graph = FiniteGraph(len(ball), edges)
-        support = Support(self.system, graph, label.values())
+        support = Support(self.system, graph, label.values(), self._factors)
         sphere = tuple(label[w] for w in sphere)
         interior = tuple(label[w] for w in interior)
         bound = _p1_bound(support, graph, label[v], sphere, interior)
@@ -302,7 +314,7 @@ class MarginalCache:
             p = _min_marginals_on_ball(
                 frame.support, frame.v, frame.sphere, frame.interior, _on_frame(ball, lam)
             )
-            part = self._parts[key] = IntervalPartition(p.tolist())
+            part = self._parts[key] = IntervalPartition(p)
         return part
 
     def sphere_conditional(self, v, lam):
@@ -360,8 +372,9 @@ def _p1_bound(support, graph, v, sphere, interior):
     if system.q**free > ENUM_CAP:
         return 0.0
     near = graph._neighbors(v)
-    p = _min_marginals_on_ball(Support(system, graph, (v, *near)), v, near, (v,), {})
-    return max(float(p[1]) - NEG_TOL, 0.0)
+    near_ball = Support(system, graph, (v, *near), support.factors)
+    p = _min_marginals_on_ball(near_ball, v, near, (v,), {})
+    return max(p[1] - NEG_TOL, 0.0)
 
 
 def _run(cache, lam, v, rng, stats, budget, h=None):

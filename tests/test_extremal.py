@@ -9,6 +9,7 @@ each instance took.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,11 +28,14 @@ from ssms import (
     ising,
     min_marginals,
 )
-from ssms.bruteforce import ENUM_CAP, Support, weight_tensor
+from ssms import bruteforce
+from ssms.bruteforce import ENUM_CAP, Factors, Support, scaled_weights, weight_tensor
 from ssms.errors import InfeasibleBoundaryError, InfeasibleContextError, TooLargeError
 from ssms.marginals import (
+    FLOAT_TAIL_Q,
     _extremal_boundaries,
     _extremal_rows,
+    _min_marginals_on_ball,
     _sphere_grouped_marginals,
     mixing_rate_estimate,
 )
@@ -249,3 +253,125 @@ def test_extremal_rows_equal_one_enumeration_per_extreme(graph_name, system_name
             assert np.array_equal(row, ref)
         else:
             np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0)
+
+
+def per_extreme_rows(ball, v, interior_free, fixed, sphere_free):
+    """The extremal rows one extreme at a time, as they were computed before
+    both were taken in one gather: the interior weights, then a copy per
+    extreme with its boundary factors multiplied in, then its scalar."""
+    system = ball.system
+    q = system.q
+    inner = [v] + [w for w in interior_free if w != v] + list(fixed)
+    free, W, inner_scalar = scaled_weights(ball, inner, fixed)
+    k = len(free)
+    pos = {w: j for j, w in enumerate(free)}
+    out = []
+    for tau in _extremal_boundaries(ball, sphere_free, fixed):
+        scalar = inner_scalar
+        Wx = W
+        for w in sphere_free:
+            x = tau[w]
+            scalar *= system.b[x - 1]
+            row = system.A[x - 1]
+            for u in ball.adjacent[w]:
+                j = pos.get(u)
+                if j is not None:
+                    if not np.all(row == 1.0):
+                        Wx = Wx * row.reshape((1,) * j + (q,) + (1,) * (k - 1 - j))
+                elif u in fixed:
+                    scalar *= system.A[x - 1, fixed[u] - 1]
+                elif u > w:
+                    scalar *= system.A[x - 1, tau[u] - 1]
+        if scalar != 1.0:
+            Wx = Wx * scalar
+        out.append(Wx.reshape(q, -1).sum(axis=1))
+    return out
+
+
+@pytest.mark.parametrize("gather_cap", [0, ENUM_CAP], ids=["broadcast", "gathered"])
+@pytest.mark.parametrize("system_name", MONOTONE)
+@pytest.mark.parametrize("graph_name", ["z1", "z2", "grid4x4", "tree:3"])
+@PROPERTY
+@given(data=st.data())
+def test_one_gather_equals_the_rows_per_extreme(graph_name, system_name, gather_cap, data):
+    # Both extremes in one product, the shorter factor list padded with the
+    # all-ones row, equal the extremes taken one at a time bit for bit, on
+    # either side of the cut-over between gathered and broadcast products.
+    graph, max_ell, vertices = GRAPHS[graph_name]
+    system = SYSTEMS[system_name]
+    v = data.draw(st.sampled_from(vertices))
+    ell = data.draw(st.integers(1, max_ell))
+    context = draw_context(data, system, graph, v, ell)
+    sphere, interior = graph.sphere_and_interior(v, ell)
+    ball = Support(system, graph, sphere + interior, Factors(system, shared=True))
+    sphere_free = [w for w in sphere if w not in context]
+    interior_free = [w for w in interior if w not in context]
+    fixed = {w: context[w] for w in sorted(sphere + interior) if w in context}
+    with mock.patch.object(bruteforce, "GATHER_CAP", gather_cap):
+        got = _extremal_rows(ball, v, interior_free, fixed, sphere_free)
+        want = per_extreme_rows(ball, v, interior_free, fixed, sphere_free)
+    assert got.shape == (2, system.q)
+    for row, ref in zip(got, want):
+        assert row.tobytes() == ref.tobytes()
+
+
+def numpy_tail(ball, v, sphere, interior, spins):
+    """``min_marginals`` as it was computed on numpy arrays throughout: the
+    reference for the tail in Python floats."""
+    mu, s = _sphere_grouped_marginals(ball, v, sphere, interior, spins)
+    p = mu.min(axis=0)
+    out = np.empty(ball.system.q + 1)
+    out[1:] = p
+    if s == 0:
+        out[0] = 0.0
+    else:
+        out[0] = max(1.0 - float(p.sum()), 0.0)
+    return out
+
+
+# (graph, radius, vertex): at most 5 ball vertices, so q = 10 enumerates at
+# most 10^5 cells.
+TAIL_BALLS = [
+    (Lattice(1), 1, (0,)),
+    (Lattice(1), 2, (3,)),
+    (Lattice(2), 1, (0, 0)),
+    (RegularTree(3), 1, (0,)),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_float_tail_equals_the_numpy_tail(data):
+    # Generic positive weights, so every row sums distinct terms.  Mostly 0
+    # to 2 free sphere vertices, so that most misses below FLOAT_TAIL_Q
+    # spins have at most FLOAT_TAIL_ROWS rows and finish in Python floats;
+    # those must give numpy's bits, and every other miss stays on numpy.
+    q = data.draw(st.integers(2, 10))
+    weight = st.floats(0.05, 20.0)
+    b = [data.draw(weight) for _ in range(q)]
+    upper = {(i, j): data.draw(weight) for i in range(q) for j in range(i, q)}
+    system = SpinSystem(q, b, [[upper[min(i, j), max(i, j)] for j in range(q)] for i in range(q)])
+    graph, ell, v = data.draw(st.sampled_from(TAIL_BALLS))
+    sphere, interior = graph.sphere_and_interior(v, ell)
+    ball = Support(system, graph, sphere + interior)
+    free_sphere = data.draw(st.sets(st.sampled_from(sphere), max_size=2))
+    context = {
+        w: data.draw(st.integers(1, q))
+        for w in sphere + interior
+        if w != v and w not in free_sphere and (w in sphere or data.draw(st.booleans()))
+    }
+    got = _min_marginals_on_ball(ball, v, sphere, interior, context)
+    assert all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == numpy_tail(ball, v, sphere, interior, context).tobytes()
+    assert np.array_equal(min_marginals(system, graph, context, v, ell), got)
+
+
+def test_numpy_sums_left_to_right_only_below_the_float_tail_cut():
+    # One witness of the cut the property above relies on: numpy's sum of
+    # FLOAT_TAIL_Q or more terms is no longer the left-to-right fold.
+    for n, same in ((FLOAT_TAIL_Q - 1, True), (FLOAT_TAIL_Q, False)):
+        row = np.array([1.0] + [2.0**-53] * (n - 1))
+        left_to_right = 0.0
+        for x in row.tolist():
+            left_to_right += x
+        assert (float(row.sum()) == left_to_right) == same

@@ -1,8 +1,11 @@
 """Recursive sampler: randomness, interval logic, traces, and exactness."""
 
 import math
+import re
+import tracemalloc
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from ssms import (
     Lattice,
     LineGraph,
     RandomSource,
+    RegularTree,
     WindowSampler,
     coloring,
     cycle_graph,
@@ -124,6 +128,55 @@ def test_interval_partition_validation():
         part.locate(1.0)
     with pytest.raises(InvalidProbabilitiesError):
         part.locate(-0.1)
+
+
+def reference_partition(p):
+    """``(p, cum)`` of an IntervalPartition as it was built before its
+    checks and edges shared one pass: convert, scan the range twice, sum,
+    clamp, then the running sums and the zero-zone edge rule."""
+    p = [float(x) for x in p]
+    if any(x < -1e-12 for x in p) or any(x > 1.0 + 1e-12 for x in p):
+        raise InvalidProbabilitiesError(f"interval masses outside [0,1]: {p}")
+    total = sum(p)
+    if abs(total - 1.0) > NEG_TOL:
+        raise InvalidProbabilitiesError(f"interval masses sum to {total}, not 1")
+    p = [max(x, 0.0) for x in p]
+    cum = []
+    acc = 0.0
+    for x in p[1:]:
+        acc += x
+        cum.append(acc)
+    if p[0] == 0.0:
+        last = max(i for i, x in enumerate(p[1:]) if x > 0.0)
+        cum[last:] = [1.0] * (len(cum) - last)
+    return tuple(p), cum
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_pass_partition_equals_the_reference(data):
+    # Normalized masses with exact zeros, roundoff just below 0, masses past
+    # the range and sums off by more than the tolerance: the same edges, or
+    # the same error with the same message.
+    q = data.draw(st.integers(1, 6))
+    weights = [data.draw(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 3.0)) for _ in range(q)]
+    total = sum(weights) or 1.0
+    p = [0.0] + [w / total for w in weights]
+    if data.draw(st.booleans()):
+        p[0] = data.draw(st.floats(0.0, 1.0))
+        p[1:] = [x * (1.0 - p[0]) for x in p[1:]]
+    for i in range(len(p)):
+        p[i] += data.draw(st.sampled_from([0.0, 0.0, -5e-13, -2e-12, 1e-10, 0.5]))
+    source = data.draw(st.sampled_from([list, tuple, np.array]))(p)
+    try:
+        want = reference_partition(source)
+    except InvalidProbabilitiesError as exc:
+        with pytest.raises(InvalidProbabilitiesError, match="^" + re.escape(str(exc)) + "$"):
+            IntervalPartition(source)
+        return
+    part = IntervalPartition(source)
+    assert (part.p, part.cum) == want
+    assert all(type(x) is float for x in part.p + tuple(part.cum))
 
 
 def test_zone_subdivision():
@@ -244,6 +297,28 @@ def test_window_counts_every_call_with_a_fresh_budget_per_vertex():
     assert stats.total_calls == sum(s.total_calls for s in runs)
     assert stats.max_depth == max(s.max_depth for s in runs)
     assert stats.indecision_events == sum(s.indecision_events for s in runs)
+
+
+def test_divergent_tree_run_trips_in_bounded_memory():
+    # Every tree vertex is its own ball class, so this walk builds a ball
+    # frame per call, each enumerating up to 4^10 cells.  The frames share
+    # one set of factors, so the field tensors are built once per free
+    # count, not once per frame (about 250 MB traced when they were not).
+    sampler = WindowSampler(coloring(4), RegularTree(3), 2, budget=100)
+    entered = "(0,0,0,0,0,0,0,0,0,0,1,1,0,0,0,0,1,0,0,0,1,1" + ",0" * 17 + ",1,0,0)"
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            BudgetExhaustedError,
+            match="^" + re.escape(
+                f"call budget 100 exhausted for vertex (): entering vertex {entered} at depth 72"
+            ) + "$",
+        ):
+            sampler.sample_window([(), (0,), (1,), (0, 0)], 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_success_is_budget_invariant():
