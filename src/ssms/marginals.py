@@ -101,7 +101,14 @@ def conditional_marginal(system, graph, v, fixed, support):
                     f"free vertex {graph.format_vertex(u)} has neighbor "
                     f"{graph.format_vertex(w)} outside the support"
                 )
-    free, W = weight_tensor(Support(system, graph, support), support, spins)
+    return _conditional_on_support(Support(system, graph, support), support, v, spins)
+
+
+def _conditional_on_support(compiled, support, v, spins):
+    """``conditional_marginal`` once its arguments are checked: v's
+    marginal by enumeration of the compiled support, whose vertices
+    ``support`` lists in the order the enumeration takes them."""
+    free, W = weight_tensor(compiled, support, spins)
     jv = free.index(v)
     axes = tuple(j for j in range(len(free)) if j != jv)
     totals = W.sum(axis=axes) if axes else W

@@ -20,7 +20,8 @@ its own fields and edges is rejected before the first draw: a shortcut
 could otherwise return a spin where the lookup it skips would raise.
 
 ``WindowSampler.sample_window`` is the one way to draw: one top-level call
-per window vertex, in order, each drawn spin conditioning the next.
+per window vertex, in order, each drawn spin conditioning the next.  The
+engine (``_run``) runs the whole window in one loop.
 
 The recursion is run on an explicit work stack, so deep excursions do not
 hit the interpreter's call-depth limit.  Only undecided calls wait on the
@@ -28,11 +29,17 @@ stack: a call whose variate lands in a spin interval hands its spin straight
 to the call waiting on it.  A guard aborts any top-level call whose
 recursion exceeds the call budget, since the recursion is not guaranteed to
 terminate when the zone of indecision is too wide.
+
+The variates come from ``RandomSource``, a splitmix64 stream whose words
+are computed in numpy blocks; any object with a ``next_double`` method can
+stand in for it.
 """
 
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bruteforce import ENUM_CAP, Factors, Support
 from .errors import (
@@ -46,40 +53,78 @@ from .errors import (
     ModelParameterError,
     NotSeparatingError,
     check_count,
+    is_integer,
 )
 from .graph import FiniteGraph
-from .marginals import NEG_TOL, _min_marginals_on_ball, conditional_marginal
+from .marginals import NEG_TOL, _conditional_on_support, _min_marginals_on_ball
 from .spinsys import PartialConfiguration, check_positive_weight, checked_context
 
 DEFAULT_BUDGET = 10**7
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_BLOCK_MIN = 32
+_BLOCK_MAX = 4096
+# n * gamma modulo 2^64 for n = 1..4096: word n of a block is mixed from
+# the stream's offset plus entry n - 1.
+_GAMMA_STEPS = np.arange(1, _BLOCK_MAX + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 class RandomSource:
     """splitmix64 stream mapped to [0, 1) doubles.
 
-    The state advances by the golden-gamma increment and is finalized by the
-    standard two-round xor-multiply mix; the top 53 bits of each output word
-    are divided by 2^53, giving the usual uniform double grid.  The counter
-    records how many doubles have been consumed.
+    Word n of the stream (n = 1, 2, ...) is the standard two-round
+    xor-multiply mix of ``seed + n * gamma`` modulo 2^64, gamma the golden
+    increment.  That is what advancing the state by gamma and mixing each
+    state gives, so the words are computed in numpy blocks: 32 first, each
+    later block twice the last, up to 4,096.  ``next_uint64`` and
+    ``next_double`` both take the next word of the one buffer; a double is
+    the top 53 bits of its word divided by 2^53, the usual uniform grid.
+    The counter records how many doubles have been consumed.
+
+    The seed must be an integer; its low 64 bits seed the stream, so -1
+    seeds the same stream as 2^64 - 1.
     """
 
-    _MASK = (1 << 64) - 1
+    __slots__ = ("seed", "counter", "_words", "_pos", "_drawn")
 
     def __init__(self, seed):
-        self.seed = int(seed) & self._MASK
-        self._state = self.seed
+        if not is_integer(seed):
+            raise ModelParameterError(f"seed must be an integer, got {seed!r}")
+        self.seed = seed & _MASK64
         self.counter = 0
+        self._words = []
+        self._pos = 0
+        self._drawn = 0
+
+    def _refill(self):
+        drawn = self._drawn
+        # 32, 64, 128, ... words: each block doubles the last, up to 4,096.
+        size = min(drawn + _BLOCK_MIN, _BLOCK_MAX)
+        z = _GAMMA_STEPS[:size] + np.uint64((self.seed + drawn * _GAMMA) & _MASK64)
+        z ^= z >> _S30
+        z *= _MIX1
+        z ^= z >> _S27
+        z *= _MIX2
+        z ^= z >> _S31
+        self._words = z.tolist()
+        self._drawn = drawn + size
+        self._pos = 0
 
     def next_uint64(self):
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
+        i = self._pos
+        if i == len(self._words):
+            self._refill()
+            i = 0
+        self._pos = i + 1
+        return self._words[i]
 
     def next_double(self):
         self.counter += 1
-        return (self.next_uint64() >> 11) * (2.0**-53)
+        return (self.next_uint64() >> 11) * 2.0**-53
 
 
 class IntervalPartition:
@@ -211,7 +256,9 @@ class MarginalCache:
     change, so a min partition splits its zone under a given conditional
     entry once and keeps the edges (``IntervalPartition.locate_zone``).
     The bounded sampler's whole-graph oracle stores its exact marginal in
-    the same table as a partition with no zone.
+    the same table as a partition with no zone; the whole graph's support
+    is compiled on the oracle's first miss and every miss enumerates it
+    with no re-validation, on factors of its own.
 
     The key of a lookup at v is ``(cls, code)``: ``cls`` is the graph's
     ``ball_class(v)`` and ``code`` reads the context restricted to v's
@@ -249,6 +296,9 @@ class MarginalCache:
         self._parts = {}
         self._radix = system.q + 1
         self._factors = Factors(system, shared=True)
+        # The whole graph's compiled support and vertex order, for the
+        # bounded sampler's oracle; compiled on its first miss.
+        self._oracle = None
 
     def ball_parts(self, v):
         """(sphere, sorted ball, ball class) of v, computed once.
@@ -342,7 +392,14 @@ class MarginalCache:
         key = ("oracle", v, tuple(sorted(lam.items())))
         part = self._parts.get(key)
         if part is None:
-            mu = conditional_marginal(self.system, self.graph, v, lam, self.graph.vertices())
+            if self._oracle is None:
+                vertices = list(self.graph.vertices())
+                self._oracle = (Support(self.system, self.graph, vertices), vertices)
+            compiled, vertices = self._oracle
+            # One-shot factors per miss, as conditional_marginal builds them:
+            # no whole-graph field tensor outlives its miss.
+            compiled.factors = Factors(self.system)
+            mu = _conditional_on_support(compiled, vertices, v, lam)
             part = self._parts[key] = IntervalPartition([0.0, *mu])
         return part
 
@@ -377,15 +434,18 @@ def _p1_bound(support, graph, v, sphere, interior):
     return max(p[1] - NEG_TOL, 0.0)
 
 
-def _run(cache, lam, v, rng, stats, budget, h=None):
-    """Iterative engine for one top-level call; ``lam`` is restored on exit.
+def _run(cache, lam, window, rng, stats, budget, h=None):
+    """Iterative engine for a whole window: one top-level call per window
+    vertex, in order.  Returns the window's spins as a dict; each is left
+    in ``lam`` as well, to condition the later calls, and nothing else is.
 
     Only an undecided call waits on the stack, as ``(v, y, part, free
     sphere, iterator over the free sphere)``.  Every waiting call is the
     parent of the entry above it, so the call being entered has depth
     ``len(stack) + 1``.  Each child leaves just its own spin in ``lam``, so
     once the iterator is spent the free sphere is exactly what the call
-    deletes after resolving its zone.
+    deletes after resolving its zone.  The stack is empty between
+    top-level calls.
 
     ``h`` caps the depth of the bounded variant (None for the unbounded
     sampler): a call entered at depth h + 1 reads the exact whole-graph
@@ -393,20 +453,25 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
     it never recurses.  Whether the oracle's enumeration fits the cap
     depends on the context, so that call takes no ``p1_bound`` shortcut.
 
-    Counts are kept in locals, so the budget applies to this call alone,
-    and are added to ``stats`` on exit.  A budget trip names the top-level
-    vertex, then the call being entered and its depth.
+    Counts are kept in locals and added to ``stats`` on exit.  Each window
+    vertex gets a fresh ``budget`` of calls; a trip names that vertex, then
+    the call being entered and its depth.
     """
     trace = stats.trace
     p1_bound = cache.p1_bound
+    draw = rng.next_double
     calls = max_depth = undecided = 0
     stack = []
-    top = v
+    out = {}
+    if not window:
+        return out
+    top = v = window[0]
+    limit = budget
     try:
         while True:
             calls += 1
             depth = len(stack) + 1
-            if calls > budget:
+            if calls > limit:
                 fmt = cache.graph.format_vertex
                 raise BudgetExhaustedError(
                     f"call budget {budget} exhausted for vertex {fmt(top)}: "
@@ -414,7 +479,7 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
                 )
             if depth > max_depth:
                 max_depth = depth
-            y = rng.next_double()
+            y = draw()
             if len(stack) == h:
                 part = cache.whole_graph_marginal(v, lam)
                 spin = part.locate(y)
@@ -431,18 +496,23 @@ def _run(cache, lam, v, rng, stats, budget, h=None):
                 stack.append((v, y, part, free, iter(free)))
             elif stack:
                 lam[v] = spin
-            else:
-                return spin
             # Enter the top call's next free sphere vertex, resolving every
             # call whose free sphere is now fully assigned on the way.
-            while (v := next(stack[-1][4], None)) is None:
-                u, y, part, free, _ = stack.pop()
-                spin = part.locate_zone(y, cache.sphere_conditional(u, lam))
+            while stack and (v := next(stack[-1][4], None)) is None:
+                v, y, part, free, _ = stack.pop()
+                spin = part.locate_zone(y, cache.sphere_conditional(v, lam))
                 for w in free:
                     del lam[w]
-                if not stack:
-                    return spin
-                lam[u] = spin
+                if stack:
+                    lam[v] = spin
+            if not stack:
+                # v was the top-level call: its spin conditions the rest of
+                # the window, whose next vertex starts with a fresh budget.
+                lam[v] = out[v] = spin
+                if len(out) == len(window):
+                    return out
+                top = v = window[len(out)]
+                limit = calls + budget
     finally:
         stats.total_calls += calls
         stats.indecision_events += undecided
@@ -466,11 +536,14 @@ class WindowSampler:
         (spins, stats), with ``stats`` the window's RecursionStats, traced
         with ``trace``.
 
-        Window spins persist as conditioning for later vertices; each
-        window vertex gets a fresh call budget.  With a depth cap ``h`` each
-        vertex's run follows the uncapped one draw for draw until a call is
-        entered at depth h + 1; that call samples from the exact whole-graph
-        conditional instead of recursing, so ``h`` needs a finite graph.
+        ``seed_or_rng`` is an integer seed of a ``RandomSource`` or any
+        object with a ``next_double`` method.  One engine loop (``_run``)
+        draws the whole window.  Window spins persist as conditioning for
+        later vertices; each window vertex gets a fresh call budget.  With
+        a depth cap ``h`` each vertex's run follows the uncapped one draw
+        for draw until a call is entered at depth h + 1; that call samples
+        from the exact whole-graph conditional instead of recursing, so
+        ``h`` needs a finite graph.
 
         A ``fixed`` context with a field or edge factor of 0 raises
         ``InfeasibleContextError`` before any draw.  That check is all the
@@ -499,10 +572,6 @@ class WindowSampler:
                 )
         rng = seed_or_rng if hasattr(seed_or_rng, "next_double") else RandomSource(seed_or_rng)
         stats = RecursionStats(trace=[] if trace else None)
-        out = {}
-        for v in window:
-            spin = _run(self._cache, lam, v, rng, stats, self.budget, h)
-            lam[v] = spin
-            out[v] = spin
+        out = _run(self._cache, lam, window, rng, stats, self.budget, h)
         # The engine's own spins: nothing to validate.
         return PartialConfiguration._wrap(out), stats

@@ -80,6 +80,22 @@ def _vertex_of_class(data, graph, v):
     return (u, tuple(a + b for a, b in zip(u, graph.ball_class(v))))
 
 
+def _feasible_assignment(data, system, graph, vertices):
+    """Spins on ``vertices`` drawn one by one in order; a drawn spin that
+    clashes with an assigned neighbor is replaced by the first compatible
+    one, so the assignment has positive weight."""
+    full = {}
+    for w in vertices:
+        wanted = data.draw(st.integers(1, system.q))
+        ok = [
+            s for s in range(1, system.q + 1)
+            if system.b[s - 1] > 0
+            and all(system.A[s - 1, full[x] - 1] > 0 for x in graph.neighbors(w) if x in full)
+        ]
+        full[w] = wanted if wanted in ok else ok[0]
+    return full
+
+
 def _contexts(data, system, graph, v, ell, max_free=12):
     """A feasible context on v's ball that leaves v free, and its variants
     that differ from it at exactly one ball vertex.
@@ -98,15 +114,7 @@ def _contexts(data, system, graph, v, ell, max_free=12):
     one ball vertex would give a variant the entry of the base context.
     """
     ball = graph.ball(v, ell)
-    full = {}
-    for w in ball:
-        wanted = data.draw(st.integers(1, system.q))
-        ok = [
-            s for s in range(1, system.q + 1)
-            if system.b[s - 1] > 0
-            and all(system.A[s - 1, full[x] - 1] > 0 for x in graph.neighbors(w) if x in full)
-        ]
-        full[w] = wanted if wanted in ok else ok[0]
+    full = _feasible_assignment(data, system, graph, ball)
     keep = data.draw(st.lists(st.booleans(), min_size=len(ball), max_size=len(ball)))
     free = [w for w, k in zip(ball, keep) if not k and w != v]
     while system.q ** (max_free + 2) > ENUM_CAP:
@@ -210,3 +218,32 @@ def test_cached_ball_parts_equal_the_graph_queries(graph, ell, data):
     for _ in range(data.draw(st.integers(1, 6))):
         v = _vertex(data, graph)
         assert cache.ball_parts(v) == (graph.sphere(v, ell), graph.ball(v, ell), graph.ball_class(v))
+
+
+FINITE = {name: case for name, case in CASES.items() if case[0].is_finite()}
+
+
+@pytest.mark.parametrize("graph,ell,systems", FINITE.values(), ids=FINITE.keys())
+@PROPERTY
+@given(data=st.data())
+def test_oracle_equals_conditional_marginal(graph, ell, systems, data):
+    """The bounded sampler's oracle enumerates the whole graph on a support
+    the cache compiles once; every context must give ``conditional_marginal``
+    on the whole graph bit for bit.  Besides v, a few vertices are left
+    free, and each context is followed by its variants that differ from it
+    at one vertex, all looked up in one cache."""
+    system = data.draw(st.sampled_from(systems))
+    vertices = graph.vertices()
+    v = data.draw(st.sampled_from(vertices))
+    full = _feasible_assignment(data, system, graph, vertices)
+    max_free = 1
+    while system.q ** (max_free + 3) <= 2**12:
+        max_free += 1
+    free = data.draw(st.lists(st.sampled_from(vertices), max_size=max_free, unique=True))
+    base = {w: s for w, s in full.items() if w != v and w not in free}
+    cache = MarginalCache(system, graph, ell)
+    for w in [v, *data.draw(st.lists(st.sampled_from(vertices), max_size=4, unique=True))]:
+        lam = {x: s for x, s in full.items() if x != v and (x in base) != (x == w)}
+        p = cache.whole_graph_marginal(v, lam).p
+        assert p[0] == 0.0
+        assert np.array_equal(p[1:], conditional_marginal(system, graph, v, lam, vertices))

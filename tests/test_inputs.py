@@ -1,6 +1,6 @@
 """Bad input fails before any work, with the package's own errors.
 
-Counts (radii, sizes, degrees, budgets) are ints that are not bools;
+Counts (radii, sizes, degrees, budgets) and seeds are ints that are not bools;
 spins are ints in 1..q; a context's keys are vertices of the graph.
 """
 
@@ -101,6 +101,20 @@ def test_every_count_site_rejects_a_float_and_a_bool():
         (f"{name}({bad!r})", lambda run=run, bad=bad: run(bad), ModelParameterError)
         for name, run in COUNT_SITES.items()
         for bad in (1.5, True)
+    ]
+    assert _misses(cases) == []
+
+
+def test_a_seed_must_be_an_integer():
+    sampler = WindowSampler(SYSTEM, GRAPH, 1)
+    sites = {
+        "RandomSource": RandomSource,
+        "sample_window": lambda seed: sampler.sample_window([2], seed),
+    }
+    cases = [
+        (f"{name}({bad!r})", lambda run=run, bad=bad: run(bad), ModelParameterError)
+        for name, run in sites.items()
+        for bad in (7.9, 7.0, True, "12", None)
     ]
     assert _misses(cases) == []
 
