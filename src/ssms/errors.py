@@ -60,7 +60,21 @@ class InvalidProbabilitiesError(SsmsError):
 
 
 class BudgetExhaustedError(SsmsError):
+    """A top-level call ran past its call budget.
+
+    Besides the message, a trip carries its snapshot as fields: the
+    ``budget``, the top-level vertex ``top`` it was spent on, and the
+    ``vertex`` being entered at ``depth`` when it ran out.
+    """
+
     code = "budget-exhausted"
+
+    def __init__(self, message, budget=None, top=None, vertex=None, depth=None):
+        super().__init__(message)
+        self.budget = budget
+        self.top = top
+        self.vertex = vertex
+        self.depth = depth
 
 
 class InternalError(SsmsError):

@@ -11,6 +11,7 @@ equal arguments give identical output.
 import math
 import re
 from abc import ABC, abstractmethod
+from itertools import chain
 from operator import add, sub
 
 from .errors import (
@@ -80,6 +81,13 @@ class LocalGraph(ABC):
     def check_vertex(self, v):
         if v not in self:
             raise InvalidVertexError(f"not a vertex of this {self.kind} graph: {v!r}")
+
+    def check_vertices(self, vertices):
+        """``check_vertex`` on each of ``vertices`` in order, so a bad one
+        raises exactly as it would alone.  Realizations override it with a
+        one-pass test of the common case that falls back to this loop."""
+        for v in vertices:
+            self.check_vertex(v)
 
     def _layers(self, v, ell):
         """Breadth-first layers [L_0, ..., L_ell], each sorted; L_0 = [v]."""
@@ -239,6 +247,17 @@ class FiniteGraph(LocalGraph):
     def __contains__(self, v):
         return is_integer(v) and 1 <= v <= self._n
 
+    def check_vertices(self, vertices):
+        # Plain ints in range pass in C-level loops; anything else, such as
+        # an int subclass, takes the per-vertex loop.
+        if not vertices or (
+            set(map(type, vertices)) == {int}
+            and 1 <= min(vertices)
+            and max(vertices) <= self._n
+        ):
+            return
+        super().check_vertices(vertices)
+
     def is_finite(self):
         return True
 
@@ -284,6 +303,16 @@ class Lattice(LocalGraph):
 
     def __contains__(self, v):
         return isinstance(v, tuple) and len(v) == self._dim and all(map(is_integer, v))
+
+    def check_vertices(self, vertices):
+        # Tuples of dim plain ints pass in C-level loops; anything else, such
+        # as an int-subclass coordinate, takes the per-vertex loop.
+        if set(map(type, vertices)) <= {tuple} and (
+            set(map(len, vertices)) <= {self._dim}
+            and set(map(type, chain.from_iterable(vertices))) <= {int}
+        ):
+            return
+        super().check_vertices(vertices)
 
     def _growth_formula(self, ell):
         # Exact count of lattice points at L1 distance ell from the origin.

@@ -11,16 +11,18 @@ spins sampled along the way are discarded: a call's only lasting effect is
 the spin of its own vertex.
 
 A call draws y first.  Below a lower bound on p_v^1 that holds under
-every context (``MarginalCache.p1_bound``, one per ball class), y lies in
-I_1 whatever the context, so the spin is 1 with no lookup.  Only a larger y
-looks up v's partition, which is built on a miss; the spins, counts and
-draws are the same as when every call looks up first.  The depth-capped
-sampler's oracle call takes no shortcut.  A fixed context of weight 0 on
-its own fields and edges is rejected before the first draw: a shortcut
-could otherwise return a spin where the lookup it skips would raise.
+every context (one per ball class, kept in v's ball-memo entry or read off
+its class's frame), y lies in I_1 whatever the context, so the spin is 1
+with no lookup.  Only a larger y looks up v's partition, which is built on
+a miss; the spins, counts and draws are the same as when every call looks
+up first.  The depth-capped sampler's oracle call takes no shortcut.  A
+fixed context of weight 0 on its own fields and edges is rejected before
+the first draw: a shortcut could otherwise return a spin where the lookup
+it skips would raise.
 
 ``WindowSampler.sample_window`` is the one way to draw: one top-level call
-per window vertex, in order, each drawn spin conditioning the next.  The
+per window vertex, in order, each drawn spin conditioning the next.  It
+checks the whole window in one pass (``LocalGraph.check_vertices``), and the
 engine (``_run``) runs the whole window in one loop.
 
 The recursion is run on an explicit work stack, so deep excursions do not
@@ -60,6 +62,10 @@ from .marginals import NEG_TOL, _conditional_on_support, _min_marginals_on_ball
 from .spinsys import PartialConfiguration, check_positive_weight, checked_context
 
 DEFAULT_BUDGET = 10**7
+# The ball memo is cleared when it holds this many entries, so a divergent
+# walk that visits ever new vertices holds bounded memory.  A warm 20x20
+# lattice sampler at radius 2 holds about a thousand.
+_BALLS_CAP = 2**14
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -123,8 +129,14 @@ class RandomSource:
         return self._words[i]
 
     def next_double(self):
+        # next_uint64 inlined: one draw per engine call.
+        i = self._pos
+        if i == len(self._words):
+            self._refill()
+            i = 0
+        self._pos = i + 1
         self.counter += 1
-        return (self.next_uint64() >> 11) * 2.0**-53
+        return (self._words[i] >> 11) * 2.0**-53
 
 
 class IntervalPartition:
@@ -245,9 +257,13 @@ def _on_frame(ball, lam):
 class MarginalCache:
     """Pure memoization of ball marginals for one (system, graph, radius).
 
-    A call that has drawn its variate reads ``p1_bound(v)`` first: one
-    float per ball class, kept on the class's frame.  Only a variate at or
-    above it looks up v's partition.
+    A call that has drawn its variate compares it with v's class bound on
+    p_v^1 first: one float per ball class, kept on the class's frame and in
+    the fourth field of each of the class's ball-memo entries
+    (``ball_parts``), so a vertex with an entry reads it there and any other
+    asks ``p1_bound(v)``, which makes an entry only for a class's first
+    vertex.  Entries stay lazy: a call the bound settles never needs v's
+    ball.  Only a variate at or above the bound looks up v's partition.
 
     The cache is one table of ``IntervalPartition``s.  A vertex's worst-case
     partition is its min marginal p_v; once its whole sphere is assigned,
@@ -301,11 +317,13 @@ class MarginalCache:
         self._oracle = None
 
     def ball_parts(self, v):
-        """(sphere, sorted ball, ball class) of v, computed once.
+        """(sphere, sorted ball, ball class, class p1 bound) of v: v's entry
+        in the ball memo, made on first use.
 
         Only a class's first vertex runs a breadth-first search; every later
         one translates the representative's ball and reads its sphere off
-        the frame's sphere labels.
+        the frame's sphere labels.  The memo is pure, so it is cleared
+        whenever it reaches ``_BALLS_CAP`` entries.
         """
         parts = self._balls.get(v)
         if parts is None:
@@ -318,8 +336,11 @@ class MarginalCache:
             else:
                 ball = self.graph.translate(frame.ball, frame.origin, v)
                 sphere = tuple(ball[i - 1] for i in frame.sphere)
-            parts = (sphere, ball, cls)
-            self._balls[v] = parts
+            parts = (sphere, ball, cls, frame.p1_bound)
+            balls = self._balls
+            if len(balls) >= _BALLS_CAP:
+                balls.clear()
+            balls[v] = parts
         return parts
 
     def _frame(self, v, sphere, interior):
@@ -340,10 +361,11 @@ class MarginalCache:
 
     def p1_bound(self, v):
         """Lower bound on p_v^1 under every context, shared by v's ball
-        class (``_p1_bound``)."""
+        class (``_p1_bound``).  Only a class's first vertex gets a memo
+        entry here; any other reads its class's frame."""
         frame = self._frames.get(self.graph.ball_class(v))
         if frame is None:
-            frame = self._frames[self.ball_parts(v)[2]]
+            return self.ball_parts(v)[3]
         return frame.p1_bound
 
     def min_intervals(self, v, lam):
@@ -351,7 +373,7 @@ class MarginalCache:
         parts = self._balls.get(v)
         if parts is None:
             parts = self.ball_parts(v)
-        _, ball, cls = parts
+        _, ball, cls, _ = parts
         radix = self._radix
         get = lam.get
         code = 0
@@ -453,13 +475,21 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
     it never recurses.  Whether the oracle's enumeration fits the cap
     depends on the context, so that call takes no ``p1_bound`` shortcut.
 
+    A call reads v's ball-memo entry once: its fourth field is the class
+    bound on p_v^1, and an undecided call takes its free sphere from it.  A
+    vertex with no entry yet gets the bound from ``cache.p1_bound``, and its
+    lookup, if it makes one, makes the entry.
+
     Counts are kept in locals and added to ``stats`` on exit.  Each window
     vertex gets a fresh ``budget`` of calls; a trip names that vertex, then
-    the call being entered and its depth.
+    the call being entered and its depth, in its message and as fields.
     """
     trace = stats.trace
+    balls = cache._balls
     p1_bound = cache.p1_bound
+    min_intervals = cache.min_intervals
     draw = rng.next_double
+    oracle_depth = 0 if h is None else h + 1
     calls = max_depth = undecided = 0
     stack = []
     out = {}
@@ -475,24 +505,34 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
                 fmt = cache.graph.format_vertex
                 raise BudgetExhaustedError(
                     f"call budget {budget} exhausted for vertex {fmt(top)}: "
-                    f"entering vertex {fmt(v)} at depth {depth}"
+                    f"entering vertex {fmt(v)} at depth {depth}",
+                    budget=budget,
+                    top=top,
+                    vertex=v,
+                    depth=depth,
                 )
             if depth > max_depth:
                 max_depth = depth
             y = draw()
-            if len(stack) == h:
+            if depth == oracle_depth:
                 part = cache.whole_graph_marginal(v, lam)
                 spin = part.locate(y)
-            elif 0.0 <= y < p1_bound(v):
-                spin = 1
             else:
-                part = cache.min_intervals(v, lam)
-                spin = part.locate(y)
+                # One read of v's memo entry gives its class bound; a vertex
+                # with no entry yet reads the bound off its class's frame.
+                entry = balls.get(v)
+                if 0.0 <= y < (p1_bound(v) if entry is None else entry[3]):
+                    spin = 1
+                else:
+                    part = min_intervals(v, lam)
+                    spin = part.locate(y)
             if trace is not None:
                 trace.append((v, depth, spin == 0))
             if spin == 0:
+                # Only a lookup leaves a call undecided (the oracle's
+                # partition has no zone), and it made v's entry if missing.
                 undecided += 1
-                free = [w for w in cache.ball_parts(v)[0] if w not in lam]
+                free = [w for w in (entry or balls[v])[0] if w not in lam]
                 stack.append((v, y, part, free, iter(free)))
             elif stack:
                 lam[v] = spin
@@ -559,17 +599,17 @@ class WindowSampler:
                 raise FiniteOnlyError("bounded sampling requires a finite graph")
             check_count(h, 0, "depth bound")
         window = list(window)
-        for v in window:
-            self.graph.check_vertex(v)
+        self.graph.check_vertices(window)
         if len(set(window)) != len(window):
             raise ConfigError("window vertices must be distinct")
         lam = checked_context(self.system, self.graph, fixed)
         check_positive_weight(self.system, self.graph, lam)
-        for v in window:
-            if v in lam:
-                raise ModelParameterError(
-                    f"vertex {self.graph.format_vertex(v)} is already assigned"
-                )
+        if lam:
+            for v in window:
+                if v in lam:
+                    raise ModelParameterError(
+                        f"vertex {self.graph.format_vertex(v)} is already assigned"
+                    )
         rng = seed_or_rng if hasattr(seed_or_rng, "next_double") else RandomSource(seed_or_rng)
         stats = RecursionStats(trace=[] if trace else None)
         out = _run(self._cache, lam, window, rng, stats, self.budget, h)

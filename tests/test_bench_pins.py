@@ -1,9 +1,12 @@
-"""The benchmark's seed-1 digests, checked on every test run.
+"""The benchmark's seed-1 digests and its tracer, checked on every test run.
 
 ``bench/run.py`` hashes each workload's exact batch (spins, engine calls
 and RNG draws) at the default seed and pins the result in ``PINS``.  Running
 the batches here, untimed, makes any change to a spin, a count or a draw
-fail the tests, not only the benchmark.  The script is only read.
+fail the tests, not only the benchmark.  ``bench/tracer.py`` wraps the
+package's engine and cache lookups by name, so a renamed or fused function
+would silently read 0 there; a tiny traced batch guards the live spans.
+The scripts are only read.
 """
 
 import types
@@ -11,18 +14,20 @@ from pathlib import Path
 
 import pytest
 
-RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_bench():
+def _load(name):
     # Compiled in memory, so no bytecode cache is written next to the script.
-    module = types.ModuleType("ssms_bench_run")
-    module.__file__ = str(RUN)
-    exec(compile(RUN.read_text(), str(RUN), "exec"), module.__dict__)
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"ssms_bench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
-bench = _load_bench()
+bench = _load("run")
+tracer = _load("tracer")
 
 
 @pytest.mark.parametrize("name", sorted(bench.PINS))
@@ -31,3 +36,13 @@ def test_seed_one_batch_matches_its_pinned_digest(name):
     loop = bench.run_windows(wl, 0)
     assert loop["failures"] == {}
     assert loop["exact"]["digest"] == bench.PINS[name]
+
+
+def test_the_tracer_sees_the_engine_and_both_lookups():
+    wl = bench.WORKLOADS["lattice-warm"](bench.DEFAULT_SEED, 0, True)
+    spans = tracer.Tracer()
+    loop = bench.run_windows(wl, 0, spans)
+    assert loop["failures"] == {}
+    metrics = tracer.layer_metrics(spans.kept, loop["exact"]["calls"])
+    for name in ("engine.calls_per_s", "cache.min_lookups", "cache.cond_lookups"):
+        assert metrics[name] > 0, name

@@ -39,7 +39,7 @@ from ssms.errors import (
     NotSeparatingError,
 )
 from ssms.marginals import NEG_TOL
-from ssms.sampler import MarginalCache
+from ssms.sampler import _BALLS_CAP, MarginalCache
 
 # First four variates of the stream seeded with 42, frozen as a regression
 # pin after checking them against an outside implementation of the same
@@ -297,6 +297,38 @@ def test_window_counts_every_call_with_a_fresh_budget_per_vertex():
     assert stats.total_calls == sum(s.total_calls for s in runs)
     assert stats.max_depth == max(s.max_depth for s in runs)
     assert stats.indecision_events == sum(s.indecision_events for s in runs)
+
+
+def test_budget_trip_carries_its_snapshot_as_fields():
+    # the trip above, read back from the exception's fields, not its text
+    system, g = hardcore(1.0), cycle_graph(5)
+    with pytest.raises(BudgetExhaustedError) as info:
+        WindowSampler(system, g, 1, budget=2).sample_window(list(g.vertices()), 0)
+    trip = info.value
+    assert (trip.budget, trip.top, trip.vertex, trip.depth) == (2, 1, 5, 2)
+    assert str(trip) == "call budget 2 exhausted for vertex 1: entering vertex 5 at depth 2"
+    lattice = Lattice(2)
+    with pytest.raises(BudgetExhaustedError) as info:
+        WindowSampler(coloring(6), lattice, 1, budget=50).sample_window([(3, 4)], 7)
+    trip = info.value
+    assert (trip.budget, trip.top, trip.vertex, trip.depth) == (50, (3, 4), (-47, 4), 51)
+    assert str(trip) == (
+        "call budget 50 exhausted for vertex (3,4): entering vertex (-47,4) at depth 51"
+    )
+
+
+def test_divergent_lattice_walk_keeps_a_bounded_ball_memo():
+    # coloring(6) at radius 1 leaves every call undecided, so the walk runs
+    # (0,0), (-1,0), (-2,0), ... and enters a new vertex per call.  The ball
+    # memo is cleared at _BALLS_CAP entries, so it never holds the whole walk.
+    sampler = WindowSampler(coloring(6), Lattice(2), 1, budget=3 * 10**4)
+    with pytest.raises(
+        BudgetExhaustedError,
+        match=r"^call budget 30000 exhausted for vertex \(0,0\): "
+        r"entering vertex \(-30000,0\) at depth 30001$",
+    ):
+        sampler.sample_window([(0, 0)], 7)
+    assert 0 < len(sampler._cache._balls) <= _BALLS_CAP < 3 * 10**4
 
 
 def test_divergent_tree_run_trips_in_bounded_memory():
