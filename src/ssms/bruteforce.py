@@ -6,29 +6,36 @@ factors.  Enumeration refuses more than q^k = 2^22 assignments.
 
 Enumeration is split in two.  ``Support`` compiles what does not depend on
 the fixed spins: each vertex's neighbours inside the support and whether
-the Gibbs measure on it is monotone.  ``weight_tensor`` then takes one
-fixed/free pattern and support order, on the whole compiled support or on
+the Gibbs measure on it is monotone.  ``weight_rows`` then takes one
+fixed/free pattern and edge-walk order, on the whole compiled support or on
 any part of it: it enumerates the subgraph induced by the vertices it is
 given and reads no edge leaving them.  A caller that enumerates one support
 many times (a ball frame of the sampler's marginal cache) compiles it once;
-every other caller compiles a one-shot support.
+every other caller compiles a one-shot support.  ``weight_tensor`` is
+``weight_rows`` walking a support in its own order, shaped as a tensor.
 
 The factors themselves depend only on the system and the free count k:
 the field product, row s of A on axis j, and A across axes j1 < j2.
 ``Factors`` builds them once per k and any number of supports share one
 (the marginal cache shares one across its ball frames).  A shared
 ``Factors`` expands every factor of up to GATHER_CAP cells to all q^k
-cells as one row of a table, and a product gathers its rows by id and
-multiplies them in one call.  Past the cut-over, and on a one-shot
-support, where a table would serve a single product, each factor is an
-array shaped to broadcast, multiplied into a copy of the field in turn.
-Either way an enumeration walks its edges once, skips the
-interaction rows that are all ones, and multiplies the rest cell by cell
-in walk order; since x * 1.0 == x, the weights are bit-identical to
-multiplying every factor in turn.  ``scaled_weights`` is the same
-enumeration with the pinned spins' scalar factor kept apart, and
-``weight_factors`` stops before the product, for a caller that multiplies
-in more factors (the extremal boundaries of ``marginals``).
+cells as one row of a table, filled in place, and a product gathers its
+rows by id in one flat ``take`` and multiplies them in one call.  Past
+the cut-over, and on a one-shot support, where a table would serve a
+single product, each factor is an array shaped to broadcast, multiplied
+into a copy of the field in turn.  Either way an enumeration walks its
+edges once, keeping one code per walked vertex (its axis, or its pinned
+spin), skips the interaction rows that are all ones, and multiplies the
+rest cell by cell in walk order; since x * 1.0 == x, the weights are
+bit-identical to multiplying every factor in turn.  The pinned spins'
+fields and their interactions with each other are one scalar, applied
+after the product.
+
+A miss of the marginal cache is one call: given the free sphere of a
+monotone ball as ``extremes``, ``weight_rows`` also pins it to each of
+the two extremal boundaries inside the same pass (see ``marginals``),
+appending each extreme's boundary factors to the walk's and gathering
+both rows at once.
 
 ``Support.monotone`` records whether the Gibbs measure on the support is
 monotone, which lets the worst-case marginals read only the two extremal
@@ -89,17 +96,16 @@ class Factors:
         pairs = [(j1, j2) for j1 in range(k) for j2 in range(j1 + 1, k)]
         j1 = [j for j, _ in pairs]
         j2 = [j for _, j in pairs]
-        table = np.concatenate([
-            np.ones((1, cells)),
-            np.multiply.reduce(b[digits], axis=0, keepdims=True),
-            A[live][:, digits].reshape(-1, cells),
-            A[digits[j1], digits[j2]].reshape(-1, cells),
-        ])
+        first = 2 + len(live) * k
+        table = np.empty((first + len(pairs), cells))
+        table[0] = 1.0
+        np.multiply.reduce(b[digits], axis=0, out=table[1])
+        table[2:first] = A[live][:, digits].reshape(-1, cells)
+        table[first:] = A[digits[j1], digits[j2]].reshape(-1, cells)
         table.flags.writeable = False
         rows = [None] * q
         for i, s in enumerate(live):
             rows[s] = list(range(2 + i * k, 2 + (i + 1) * k))
-        first = 2 + len(live) * k
         return table, 1, rows, {pair: first + n for n, pair in enumerate(pairs)}
 
     def _arrays(self, k):
@@ -125,10 +131,16 @@ class Factors:
         ``tails[i]``, one factor after another in order."""
         table, field, _, _ = self.axes(k)
         if table is not None:
-            # A shorter list is padded with the all-ones row: x * 1.0 == x.
+            # One flat gather for every row; a shorter list is padded with
+            # the all-ones row: x * 1.0 == x.
             width = len(factors) + max(map(len, tails))
-            ids = [[*factors, *tail] + [0] * (width - len(factors) - len(tail)) for tail in tails]
-            return np.multiply.reduce(table[ids], axis=1)
+            ids = []
+            for tail in tails:
+                ids += factors
+                ids += tail
+                ids += [0] * (width - len(factors) - len(tail))
+            cells = table.take(ids, axis=0).reshape(len(tails), width, -1)
+            return np.multiply.reduce(cells, axis=1)
         out = np.empty((len(tails),) + field.shape)
         W = out[:1]
         W[...] = factors[0]
@@ -229,71 +241,109 @@ def weight_tensor(compiled, support, fixed):
     ``support`` are not read.  Interactions between two fixed vertices enter
     as a scalar factor, so an infeasible pinned pair zeroes the whole tensor.
     """
-    free, W, scalar = scaled_weights(compiled, support, fixed)
-    if scalar != 1.0:
-        W = W * scalar
-    return free, W
+    pinned = {v: fixed[v] for v in support if v in fixed}
+    free = [v for v in support if v not in pinned]
+    W = weight_rows(compiled, free, support, pinned)
+    return free, W.reshape((compiled.system.q,) * len(free))
 
 
-def scaled_weights(compiled, support, fixed):
-    """``weight_tensor`` as ``(free, W, scalar)`` with the weights
-    ``scalar * W``: the fields of the pinned spins and the interactions
-    between two of them are left in ``scalar``, for a caller that multiplies
-    in more factors before scaling."""
-    free, factors, scalar = weight_factors(compiled, support, fixed)
-    k = len(free)
-    W = compiled.factors.products(k, factors)
-    return free, W.reshape((compiled.system.q,) * k), scalar
+def weight_rows(compiled, free, walk, fixed, extremes=None):
+    """One enumeration of the free vertices ``free``, axes in that order,
+    with the spins ``fixed`` pinned, as an array of shape (rows, q^k).
 
+    ``walk`` lists every free and fixed vertex once; each edge is read from
+    its smaller end, in walk order, and ``fixed`` holds exactly the walk's
+    pinned vertices.  Support vertices in neither are left out, with their
+    edges.  The field and every interaction factor that is not all ones are
+    collected as ids in walk order, and the fields of the pinned spins and
+    the interactions between two of them as one scalar, which scales the
+    product.
 
-def weight_factors(compiled, support, fixed):
-    """``scaled_weights`` before its product: ``(free, factors, scalar)``
-    with ``factors`` the field and then every interaction factor that is not
-    all ones, in the order of the edge walk, as ``Factors.axes`` gives them
-    for ``len(free)`` axes."""
-    later = compiled.later
+    With ``extremes``, a list of vertices outside the walk (the free sphere
+    of a monotone ball), the result has two rows, one per extremal boundary:
+    every vertex of ``extremes`` spin 1, or every one spin 2, except that a
+    spin s with A_ss = 0 yields to the other spin next to a fixed vertex of
+    spin s.  Each extreme appends its own factors to the walk's: A's row on
+    each free neighbour of a pinned vertex, and, to its own scalar, the
+    field of each pinned vertex and its interaction with each fixed or
+    pinned neighbour, one factor per edge.  Both products are taken at once
+    (``Factors.products``).  Without ``extremes`` there is one row.
+    """
     q = compiled.system.q
-    b = compiled._b
-    A = compiled._A
-    scalar = 1.0
-    pinned = {}
-    pos = {}
-    for v in support:
-        s = fixed.get(v)
-        if s is None:
-            pos[v] = len(pos)
-        else:
-            pinned[v] = s
-            scalar *= b[s - 1]
-    free = list(pos)
     k = len(free)
     if q**k > ENUM_CAP:
         raise TooLargeError(
             f"enumeration of {q}^{k} assignments exceeds the {ENUM_CAP} cap"
         )
+    b = compiled._b
+    A = compiled._A
+    scalar = 1.0
+    # One code per walked vertex: its axis j >= 0 if free, ~(s - 1) < 0 if
+    # pinned to spin s, so ~code indexes that spin's row of A.
+    at = {w: j for j, w in enumerate(free)}
+    for u, s in fixed.items():
+        scalar *= b[s - 1]
+        at[u] = ~(s - 1)
     _, field, rows, pairs = compiled.factors.axes(k)
     factors = [field]
     append = factors.append
-
-    for u in support:
-        su = pinned.get(u)
+    later = compiled.later
+    for u in walk:
+        cu = at[u]
         for w in later[u]:
-            sw = pinned.get(w)
-            if sw is None:
-                jw = pos.get(w)
-                if jw is None:
-                    continue  # outside the support
-            if su is not None:
-                if sw is not None:
-                    scalar *= A[su - 1][sw - 1]
-                elif rows[su - 1] is not None:
-                    append(rows[su - 1][jw])
-            elif sw is not None:
-                if rows[sw - 1] is not None:
-                    append(rows[sw - 1][pos[u]])
+            cw = at.get(w)
+            if cw is None:
+                continue  # outside the walk
+            if cu < 0:
+                if cw < 0:
+                    scalar *= A[~cu][~cw]
+                elif rows[~cu] is not None:
+                    append(rows[~cu][cw])
+            elif cw < 0:
+                if rows[~cw] is not None:
+                    append(rows[~cw][cu])
             else:
                 # A is symmetric, so the pair factor on axes (j1, j2) is A
                 # itself whichever endpoint comes first.
-                ju = pos[u]
-                append(pairs[ju, jw] if ju < jw else pairs[jw, ju])
-    return free, factors, scalar
+                append(pairs[cu, cw] if cu < cw else pairs[cw, cu])
+    if extremes is None:
+        W = compiled.factors.products(k, factors)
+        if scalar != 1.0:
+            W *= scalar
+        return W
+    # flip_x: where spin x yields (A_xx = 0), next to a fixed spin x.
+    adjacent = compiled.adjacent
+    flip1 = flip2 = ()
+    if A[0][0] == 0.0:
+        flip1 = {w for u, s in fixed.items() if s == 1 for w in adjacent[u]}
+    if A[1][1] == 0.0:
+        flip2 = {w for u, s in fixed.items() if s == 2 for w in adjacent[u]}
+    tail1 = []
+    tail2 = []
+    scalar1 = scalar2 = scalar
+    for w in extremes:
+        x1 = 2 if w in flip1 else 1
+        x2 = 1 if w in flip2 else 2
+        scalar1 *= b[x1 - 1]
+        scalar2 *= b[x2 - 1]
+        row1 = rows[x1 - 1]
+        row2 = rows[x2 - 1]
+        for u in adjacent[w]:
+            c = at.get(u)
+            if c is None:
+                if u > w:
+                    # Both ends pinned by the extreme: one factor per edge.
+                    scalar1 *= A[x1 - 1][1 if u in flip1 else 0]
+                    scalar2 *= A[x2 - 1][0 if u in flip2 else 1]
+            elif c >= 0:
+                if row1 is not None:
+                    tail1.append(row1[c])
+                if row2 is not None:
+                    tail2.append(row2[c])
+            else:
+                scalar1 *= A[x1 - 1][~c]
+                scalar2 *= A[x2 - 1][~c]
+    W = compiled.factors.products(k, factors, (tail1, tail2))
+    # x * 1.0 == x, so an extreme with no scalar loses no bit here.
+    W *= [[scalar1], [scalar2]]
+    return W

@@ -22,6 +22,11 @@ from .errors import (
     is_integer,
 )
 
+# ``format_bounded`` writes a vertex of more than FORMAT_MAX coordinates as
+# its first and last FORMAT_ENDS.
+FORMAT_MAX = 64
+FORMAT_ENDS = 8
+
 
 class LocalGraph(ABC):
     """Immutable graph exposing neighborhoods on demand.
@@ -154,6 +159,17 @@ class LocalGraph(ABC):
 
     def format_vertex(self, v):
         return _format_vertex(v)
+
+    def format_bounded(self, v):
+        """``format_vertex(v)`` for a vertex of at most FORMAT_MAX
+        coordinates; a longer one (a deep tree path) is cut to its first
+        and last FORMAT_ENDS coordinates around "..." plus its coordinate
+        count, so a message naming it stays short."""
+        if isinstance(v, tuple) and len(v) > FORMAT_MAX:
+            head = ",".join(map(_format_vertex, v[:FORMAT_ENDS]))
+            tail = ",".join(map(_format_vertex, v[-FORMAT_ENDS:]))
+            return f"({head},...,{tail}; {len(v)} coordinates)"
+        return self.format_vertex(v)
 
     def parse_vertex(self, text):
         v = self._parse_vertex(text)

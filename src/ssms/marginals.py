@@ -34,11 +34,22 @@ vertices are then taken in ball order, as ``conditional_marginal`` takes
 them on the sorted ball, so the two enumerations multiply the same factors
 in the same order and agree bit for bit.  The sampler's cache relies on
 this: its sphere conditional is the min-marginal entry of the same context.
+
+A miss is one pass (``_ball_rows``).  It takes the context already
+restricted to the ball and in ball order: the cache reads it that way off
+the frame's labels, and ``_ball_query`` orders a public query's context
+once.  It splits the ball into free sphere, free interior and fixed spins
+and hands them to one enumeration (``bruteforce.weight_rows``), which walks
+the edges once and, on the extremal path, builds both extremes' factors in
+the same loop and gathers both products at once.  The walk visits
+``[v] + free interior + fixed`` on the extremal path and ``free sphere +
+free interior + fixed`` otherwise.  ``min_marginals``, ``mixing_rate_estimate``, the cache's
+min and sphere lookups and the sampler's p_v^1 bound all run this pass.
 """
 
 import numpy as np
 
-from .bruteforce import Support, weight_factors, weight_tensor
+from .bruteforce import Support, weight_rows, weight_tensor
 from .errors import (
     InfeasibleBoundaryError,
     InfeasibleContextError,
@@ -120,116 +131,47 @@ def _conditional_on_support(compiled, support, v, spins):
 
 def _ball_query(system, graph, fixed, v, ell):
     """Validate a public radius-ell query at v and return the arguments of
-    its boundary scan: ``(ball, v, sphere, interior, spins)``, with ``ball``
-    the ``Support`` compiled on v's sphere and interior."""
+    its miss (``_ball_rows``): ``(ball, v, sphere, interior, fixed)``, with
+    ``ball`` the ``Support`` compiled on v's sphere and interior and
+    ``fixed`` the context restricted to the ball, in ball order."""
     spins = checked_context(system, graph, fixed)
     check_count(ell, 1, "radius")
     graph.check_vertex(v)
     if v in spins:
         raise ModelParameterError(f"target vertex {graph.format_vertex(v)} is already fixed")
     sphere, interior = graph.sphere_and_interior(v, ell)
-    return Support(system, graph, sphere + interior), v, sphere, interior, spins
+    fixed = {w: spins[w] for w in sorted(sphere + interior) if w in spins}
+    return Support(system, graph, sphere + interior), v, sphere, interior, fixed
 
 
-def _extremal_boundaries(ball, sphere_free, fixed):
-    """The two extremal assignments of the free sphere vertices of a monotone
-    ``ball``: all spin 1 and all spin 2, except that spin s with A_ss = 0
-    yields to the other spin next to a fixed vertex of spin s."""
-    A = ball._A
-    adjacent = ball.adjacent
-    out = []
-    for x in (1, 2):
-        tau = dict.fromkeys(sphere_free, x)
-        if A[x - 1][x - 1] == 0.0:
-            for u, s in fixed.items():
-                if s == x:
-                    for w in adjacent.get(u, ()):
-                        if w in tau:
-                            tau[w] = 3 - x
-        out.append(tau)
-    return out
-
-
-def _extremal_rows(ball, v, interior_free, fixed, sphere_free):
-    """Unnormalized marginal of v under each extremal boundary, as the two
-    rows of a (2, q) array.
-
-    The weight on the ball minus the free sphere vertices is one list of
-    factors.  Each extreme then appends only its boundary factors: A's row
-    on each free interior neighbour of a pinned sphere spin (skipped when
-    all ones), and a scalar for the field of each pinned sphere spin and
-    for each fixed or pinned sphere neighbour.  Both products are taken at
-    once (``Factors.products``).  The scalar continues the enumeration's
-    own, so where A holds only 0s and 1s the rows equal a whole-ball
-    enumeration per extreme bit for bit.
-    """
-    q = ball.system.q
-    # v first among the free vertices, so its axis leads.
-    inner = [v] + [w for w in interior_free if w != v] + list(fixed)
-    free, factors, inner_scalar = weight_factors(ball, inner, fixed)
-    pos = {w: j for j, w in enumerate(free)}
-    _, _, rows, _ = ball.factors.axes(len(free))
-    b = ball._b
-    A = ball._A
-    adjacent = ball.adjacent
-    tails = []
-    scalars = []
-    for tau in _extremal_boundaries(ball, sphere_free, fixed):
-        scalar = inner_scalar
-        tail = []
-        for w in sphere_free:
-            x = tau[w]
-            scalar *= b[x - 1]
-            row = rows[x - 1]
-            for u in adjacent[w]:
-                j = pos.get(u)
-                if j is not None:
-                    if row is not None:
-                        tail.append(row[j])
-                elif u in fixed:
-                    scalar *= A[x - 1][fixed[u] - 1]
-                elif u > w:
-                    # Both ends are free sphere vertices: one factor per edge.
-                    scalar *= A[x - 1][tau[u] - 1]
-        tails.append(tail)
-        scalars.append([scalar])
-    W = ball.factors.products(len(free), factors, tails)
-    # x * 1.0 == x, so an extreme with no scalar loses no bit here.
-    W *= scalars
-    return W.reshape(2, q, -1).sum(axis=2)
-
-
-def _boundary_rows(ball, v, sphere, interior, spins):
+def _ball_rows(ball, v, sphere, interior, fixed):
     """Unnormalized marginals of v, one row per boundary scanned, and the
-    number of free sphere vertices.
+    number of free sphere vertices: one miss on the ball.
 
-    ``ball`` is the compiled ``Support`` on sphere and interior.  A monotone
-    ball with a free sphere vertex scans its two extremal boundaries; any
-    other scans every free sphere assignment, lexicographically (canonical
-    vertex order, spins ascending).  A row of zero total weight is an
-    infeasible boundary.
+    ``ball`` is the compiled ``Support`` on sphere and interior and
+    ``fixed`` the context restricted to the ball, in ball order, leaving v
+    free.  A monotone ball with a free sphere vertex scans its two extremal
+    boundaries: it enumerates v and the free interior once, walking
+    ``[v] + free interior + fixed``, and each extreme adds its boundary
+    factors (``weight_rows``).  Any other ball scans every free sphere
+    assignment, lexicographically (canonical vertex order, spins
+    ascending), in one enumeration walking ``free sphere + free interior +
+    fixed``.  A row of zero total weight is an infeasible boundary.
     """
     q = ball.system.q
-    sphere_free = [w for w in sphere if w not in spins]
-    interior_free = [w for w in interior if w not in spins]
-    fixed = {w: spins[w] for w in sorted([*sphere, *interior]) if w in spins}
+    sphere_free = [w for w in sphere if w not in fixed]
     s = len(sphere_free)
     if s and ball.monotone:
-        return _extremal_rows(ball, v, interior_free, fixed, sphere_free), s
-    support = sphere_free + interior_free + list(fixed)
-    free, W = weight_tensor(ball, support, fixed)
+        # v first among the free vertices, so its axis leads.
+        free = [v] + [w for w in interior if w != v and w not in fixed]
+        W = weight_rows(ball, free, free + list(fixed), fixed, sphere_free)
+        return W.reshape(2, q, -1).sum(axis=2), s
+    free = sphere_free + [w for w in interior if w not in fixed]
+    W = weight_rows(ball, free, free + list(fixed), fixed).reshape((q,) * len(free))
     jv = free.index(v)
-    keep = tuple(range(s)) + (jv,)
-    drop = tuple(j for j in range(len(free)) if j not in keep)
+    drop = tuple(j for j in range(s, len(free)) if j != jv)
     M = W.sum(axis=drop) if drop else W
     return M.reshape(q**s, q), s
-
-
-def _sphere_grouped_marginals(ball, v, sphere, interior, spins):
-    """Matrix of conditional marginals of v, one row per feasible boundary
-    scanned (``_boundary_rows``), and the number of free sphere vertices."""
-    M, s = _boundary_rows(ball, v, sphere, interior, spins)
-    return _feasible_rows(M), s
 
 
 def _feasible_rows(M):
@@ -258,13 +200,12 @@ def min_marginals(system, graph, fixed, v, ell):
     boundary together with the interior.  Either path raises
     ``TooLargeError`` past ``ENUM_CAP``.
     """
-    return np.array(_min_marginals_on_ball(*_ball_query(system, graph, fixed, v, ell)))
+    return np.array(_ball_min_marginals(*_ball_query(system, graph, fixed, v, ell)))
 
 
-def _min_marginals_on_ball(ball, v, sphere, interior, spins):
-    """``min_marginals`` as a list of Python floats, for a caller that
-    already holds v's sphere and ball interior, the ``Support`` compiled on
-    them, and a validated context ``spins`` that leaves v free.
+def _ball_min_marginals(ball, v, sphere, interior, fixed):
+    """``min_marginals`` as a list of Python floats from one miss on the
+    ball (``_ball_rows``, which takes the same arguments).
 
     With fewer than FLOAT_TAIL_Q spins and at most FLOAT_TAIL_ROWS boundary
     rows, as on every extremal miss, the rows are normalized and the minima
@@ -274,7 +215,7 @@ def _min_marginals_on_ball(ball, v, sphere, interior, spins):
     tail: from 8 spins on its sums are pairwise, and over many rows it is
     the faster.
     """
-    M, s = _boundary_rows(ball, v, sphere, interior, spins)
+    M, s = _ball_rows(ball, v, sphere, interior, fixed)
     if ball.system.q < FLOAT_TAIL_Q and len(M) <= FLOAT_TAIL_ROWS:
         p = None
         for row in M.tolist():
@@ -311,7 +252,7 @@ def mixing_rate_estimate(system, graph, v, ell, fixed=None):
     monotone system the widest gap lies between the two extremal boundaries,
     so only those are scanned, as in ``min_marginals``.
     """
-    mu, _ = _sphere_grouped_marginals(*_ball_query(system, graph, fixed, v, ell))
+    mu = _feasible_rows(_ball_rows(*_ball_query(system, graph, fixed, v, ell))[0])
     if mu.shape[0] == 1:
         return 0.0
     # TV(a, b) is the largest gap in probability a and b give a common spin

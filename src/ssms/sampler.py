@@ -58,7 +58,7 @@ from .errors import (
     is_integer,
 )
 from .graph import FiniteGraph
-from .marginals import NEG_TOL, _conditional_on_support, _min_marginals_on_ball
+from .marginals import NEG_TOL, _ball_min_marginals, _conditional_on_support
 from .spinsys import PartialConfiguration, check_positive_weight, checked_context
 
 DEFAULT_BUDGET = 10**7
@@ -250,7 +250,8 @@ _BallFrame = namedtuple("_BallFrame", "origin ball v sphere interior support p1_
 
 
 def _on_frame(ball, lam):
-    """The context on the sorted ``ball``, keyed by frame labels 1..n."""
+    """The context on the sorted ``ball``, keyed by frame labels 1..n: in
+    ball order and restricted to the ball, as a miss takes it."""
     return {i: lam[w] for i, w in enumerate(ball, 1) if w in lam}
 
 
@@ -293,7 +294,9 @@ class MarginalCache:
     subgraph as a ``FiniteGraph`` with the i-th sorted ball vertex labelled
     i, built once per class together with its compiled enumeration
     ``Support``, so a miss neither walks the graph, compiles a support nor
-    re-validates frame labels.  All frames share one ``Factors``, so a
+    re-validates frame labels; the context reaches it in label order,
+    restricted to the ball, and it runs as one pass
+    (``marginals._ball_rows``).  All frames share one ``Factors``, so a
     field tensor or factor table is built once per free count, not once
     per class (on a tree every vertex is a class).  Relabelling keeps the
     ball order and the sorted neighbor lists, so the enumeration
@@ -383,7 +386,7 @@ class MarginalCache:
         part = self._parts.get(key)
         if part is None:
             frame = self._frames[cls]
-            p = _min_marginals_on_ball(
+            p = _ball_min_marginals(
                 frame.support, frame.v, frame.sphere, frame.interior, _on_frame(ball, lam)
             )
             part = self._parts[key] = IntervalPartition(p)
@@ -452,7 +455,7 @@ def _p1_bound(support, graph, v, sphere, interior):
         return 0.0
     near = graph._neighbors(v)
     near_ball = Support(system, graph, (v, *near), support.factors)
-    p = _min_marginals_on_ball(near_ball, v, near, (v,), {})
+    p = _ball_min_marginals(near_ball, v, near, (v,), {})
     return max(p[1] - NEG_TOL, 0.0)
 
 
@@ -502,7 +505,7 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
             calls += 1
             depth = len(stack) + 1
             if calls > limit:
-                fmt = cache.graph.format_vertex
+                fmt = cache.graph.format_bounded
                 raise BudgetExhaustedError(
                     f"call budget {budget} exhausted for vertex {fmt(top)}: "
                     f"entering vertex {fmt(v)} at depth {depth}",

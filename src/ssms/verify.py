@@ -8,9 +8,10 @@ Four suites cover the claims the sampler is supposed to make good on:
 * ``runtime``: branching bounds against observed call counts.
 * ``coupling``: bounded and unbounded runs agree below the depth allowance.
 
-The module also houses a transfer-matrix oracle for single-site occupation
-of the hard-core model on square-lattice boxes, used to bracket the
-infinite-volume occupation frequency.
+The module also houses two infinite-volume references on Z^2: a
+transfer-matrix oracle for single-site occupation of the hard-core model on
+square-lattice boxes, used to bracket the occupation frequency, and
+Onsager's closed form for the Ising nearest-neighbour correlation.
 """
 
 import math
@@ -380,6 +381,29 @@ def hardcore_box_bracket(lam, size=7):
     free_ring = box_occupation(lam, size, size)
     occupied_ring = box_occupation(lam, size - 2, size - 2)
     return min(free_ring, occupied_ring), max(free_ring, occupied_ring)
+
+
+def ising_nn_correlation(lam):
+    """E[sigma_0 sigma_1] of two neighbours of Z^2 under ``ising(lam)``,
+    spins read as -1 and +1: Onsager's closed form in infinite volume,
+
+        1/2 coth(2K) [1 + (2/pi) (2 tanh^2(2K) - 1) K(kappa)],
+
+    with coupling K = ln(lam) / 2 and kappa = 2 sinh(2K) / cosh^2(2K), and
+    K(kappa) the complete elliptic integral of the first kind.  At the
+    critical lam = 1 + sqrt(2), kappa = 1 and the form is singular.
+    """
+    if not is_real(lam) or not lam > 1:
+        raise ModelParameterError(f"ising edge weight must be a real > 1, got {lam!r}")
+    # Imported here, as goodness_of_fit imports scipy.stats: import ssms
+    # stays scipy-free.
+    from scipy.special import ellipk
+
+    K = 0.5 * math.log(lam)
+    kappa = 2.0 * math.sinh(2.0 * K) / math.cosh(2.0 * K) ** 2
+    elliptic = float(ellipk(kappa**2))
+    tail = (2.0 / math.pi) * (2.0 * math.tanh(2.0 * K) ** 2 - 1.0) * elliptic
+    return 0.5 / math.tanh(2.0 * K) * (1.0 + tail)
 
 
 @dataclass(frozen=True)

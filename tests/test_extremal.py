@@ -6,9 +6,19 @@ docstring); every other system scans every boundary.  The property here
 holds both to a reference that conditions v on each assignment of its free
 sphere vertices in turn, on every drawn instance, and checks which path
 each instance took.
+
+The miss itself is one pass (``marginals._ball_rows`` over
+``bruteforce.weight_rows``).  ``reference_min_marginals`` below is the chain
+it replaced, copied as it was: ``_boundary_rows`` dispatching to
+``_extremal_rows`` or a whole-ball ``weight_tensor``, each walking its edges
+in ``weight_factors`` and multiplying in ``products``.  The properties on
+the extremal rows and the float tail hold that chain to the exhaustive
+scan; ``test_one_pass_miss_equals_the_reference`` holds the one-pass miss
+to it bit for bit, errors included.
 """
 
 import itertools
+import random
 from unittest import mock
 
 import numpy as np
@@ -29,16 +39,206 @@ from ssms import (
     min_marginals,
 )
 from ssms import bruteforce
-from ssms.bruteforce import ENUM_CAP, Factors, Support, scaled_weights, weight_tensor
-from ssms.errors import InfeasibleBoundaryError, InfeasibleContextError, TooLargeError
+from ssms.bruteforce import ENUM_CAP, Factors, Support, weight_tensor
+from ssms.errors import (
+    InfeasibleBoundaryError,
+    InfeasibleContextError,
+    InternalError,
+    TooLargeError,
+)
 from ssms.marginals import (
     FLOAT_TAIL_Q,
-    _extremal_boundaries,
-    _extremal_rows,
-    _min_marginals_on_ball,
-    _sphere_grouped_marginals,
+    FLOAT_TAIL_ROWS,
+    NEG_TOL,
+    _ball_min_marginals,
+    _ball_rows,
+    _feasible_rows,
     mixing_rate_estimate,
 )
+
+# The replaced chain, as it was: reference_min_marginals -> _boundary_rows ->
+# _extremal_rows / _extremal_boundaries -> weight_factors -> products.
+
+
+def products(factors_of, k, factors, tails=((),)):
+    table, field, _, _ = factors_of.axes(k)
+    if table is not None:
+        # A shorter list is padded with the all-ones row: x * 1.0 == x.
+        width = len(factors) + max(map(len, tails))
+        ids = [[*factors, *tail] + [0] * (width - len(factors) - len(tail)) for tail in tails]
+        return np.multiply.reduce(table[ids], axis=1)
+    out = np.empty((len(tails),) + field.shape)
+    W = out[:1]
+    W[...] = factors[0]
+    for f in factors[1:]:
+        W *= f
+    out[1:] = W
+    for i, tail in enumerate(tails):
+        Wx = out[i : i + 1]
+        for f in tail:
+            Wx *= f
+    return out.reshape(len(tails), -1)
+
+
+def weight_factors(compiled, support, fixed):
+    later = compiled.later
+    q = compiled.system.q
+    b = compiled._b
+    A = compiled._A
+    scalar = 1.0
+    pinned = {}
+    pos = {}
+    for v in support:
+        s = fixed.get(v)
+        if s is None:
+            pos[v] = len(pos)
+        else:
+            pinned[v] = s
+            scalar *= b[s - 1]
+    free = list(pos)
+    k = len(free)
+    if q**k > ENUM_CAP:
+        raise TooLargeError(
+            f"enumeration of {q}^{k} assignments exceeds the {ENUM_CAP} cap"
+        )
+    _, field, rows, pairs = compiled.factors.axes(k)
+    factors = [field]
+    append = factors.append
+
+    for u in support:
+        su = pinned.get(u)
+        for w in later[u]:
+            sw = pinned.get(w)
+            if sw is None:
+                jw = pos.get(w)
+                if jw is None:
+                    continue  # outside the support
+            if su is not None:
+                if sw is not None:
+                    scalar *= A[su - 1][sw - 1]
+                elif rows[su - 1] is not None:
+                    append(rows[su - 1][jw])
+            elif sw is not None:
+                if rows[sw - 1] is not None:
+                    append(rows[sw - 1][pos[u]])
+            else:
+                ju = pos[u]
+                append(pairs[ju, jw] if ju < jw else pairs[jw, ju])
+    return free, factors, scalar
+
+
+def scaled_weights(compiled, support, fixed):
+    free, factors, scalar = weight_factors(compiled, support, fixed)
+    k = len(free)
+    W = products(compiled.factors, k, factors)
+    return free, W.reshape((compiled.system.q,) * k), scalar
+
+
+def _extremal_boundaries(ball, sphere_free, fixed):
+    A = ball._A
+    adjacent = ball.adjacent
+    out = []
+    for x in (1, 2):
+        tau = dict.fromkeys(sphere_free, x)
+        if A[x - 1][x - 1] == 0.0:
+            for u, s in fixed.items():
+                if s == x:
+                    for w in adjacent.get(u, ()):
+                        if w in tau:
+                            tau[w] = 3 - x
+        out.append(tau)
+    return out
+
+
+def _extremal_rows(ball, v, interior_free, fixed, sphere_free):
+    q = ball.system.q
+    inner = [v] + [w for w in interior_free if w != v] + list(fixed)
+    free, factors, inner_scalar = weight_factors(ball, inner, fixed)
+    pos = {w: j for j, w in enumerate(free)}
+    _, _, rows, _ = ball.factors.axes(len(free))
+    b = ball._b
+    A = ball._A
+    adjacent = ball.adjacent
+    tails = []
+    scalars = []
+    for tau in _extremal_boundaries(ball, sphere_free, fixed):
+        scalar = inner_scalar
+        tail = []
+        for w in sphere_free:
+            x = tau[w]
+            scalar *= b[x - 1]
+            row = rows[x - 1]
+            for u in adjacent[w]:
+                j = pos.get(u)
+                if j is not None:
+                    if row is not None:
+                        tail.append(row[j])
+                elif u in fixed:
+                    scalar *= A[x - 1][fixed[u] - 1]
+                elif u > w:
+                    scalar *= A[x - 1][tau[u] - 1]
+        tails.append(tail)
+        scalars.append([scalar])
+    W = products(ball.factors, len(free), factors, tails)
+    W *= scalars
+    return W.reshape(2, q, -1).sum(axis=2)
+
+
+def _boundary_rows(ball, v, sphere, interior, spins):
+    q = ball.system.q
+    sphere_free = [w for w in sphere if w not in spins]
+    interior_free = [w for w in interior if w not in spins]
+    fixed = {w: spins[w] for w in sorted([*sphere, *interior]) if w in spins}
+    s = len(sphere_free)
+    if s and ball.monotone:
+        return _extremal_rows(ball, v, interior_free, fixed, sphere_free), s
+    support = sphere_free + interior_free + list(fixed)
+    free, W, scalar = scaled_weights(ball, support, fixed)
+    if scalar != 1.0:
+        W = W * scalar
+    jv = free.index(v)
+    keep = tuple(range(s)) + (jv,)
+    drop = tuple(j for j in range(len(free)) if j not in keep)
+    M = W.sum(axis=drop) if drop else W
+    return M.reshape(q**s, q), s
+
+
+def _sphere_grouped_marginals(ball, v, sphere, interior, spins):
+    M, s = _boundary_rows(ball, v, sphere, interior, spins)
+    return _feasible_rows(M), s
+
+
+def reference_min_marginals(ball, v, sphere, interior, spins):
+    """The replaced miss: v's min marginals as a list of Python floats,
+    under any context ``spins`` that leaves v free."""
+    M, s = _boundary_rows(ball, v, sphere, interior, spins)
+    if ball.system.q < FLOAT_TAIL_Q and len(M) <= FLOAT_TAIL_ROWS:
+        p = None
+        for row in M.tolist():
+            total = 0.0
+            for x in row:
+                total += x
+            if total > 0.0:
+                mu = [x / total for x in row]
+                p = mu if p is None else list(map(min, p, mu))
+        if p is None:
+            raise InfeasibleContextError(
+                "context admits no feasible boundary assignment on the sphere"
+            )
+        total = 0.0
+        for x in p:
+            total += x
+    else:
+        p = _feasible_rows(M).min(axis=0)
+        total = float(p.sum())
+        p = p.tolist()
+    if s == 0:
+        return [0.0, *p]
+    rest = 1.0 - total
+    if rest < -NEG_TOL:
+        raise InternalError(f"zone of indecision computed as {rest}")
+    return [max(rest, 0.0), *p]
+
 
 SYSTEMS = {
     "hardcore": hardcore(0.7),
@@ -360,7 +560,8 @@ def test_float_tail_equals_the_numpy_tail(data):
         for w in sphere + interior
         if w != v and w not in free_sphere and (w in sphere or data.draw(st.booleans()))
     }
-    got = _min_marginals_on_ball(ball, v, sphere, interior, context)
+    in_ball_order = {w: context[w] for w in sorted(sphere + interior) if w in context}
+    got = _ball_min_marginals(ball, v, sphere, interior, in_ball_order)
     assert all(type(x) is float for x in got)
     assert np.array(got).tobytes() == numpy_tail(ball, v, sphere, interior, context).tobytes()
     assert np.array_equal(min_marginals(system, graph, context, v, ell), got)
@@ -375,3 +576,120 @@ def test_numpy_sums_left_to_right_only_below_the_float_tail_cut():
         for x in row.tolist():
             left_to_right += x
         assert (float(row.sum()) == left_to_right) == same
+
+
+# Moving a factor equal to, or an exact power of two times, the ones it
+# passes changes no bit, so the other monotone systems here hide the order
+# of an extremal miss's factors; three distinct inexact entries of A show it.
+MISS_SYSTEMS = {
+    "hardcore": SYSTEMS["hardcore"],
+    "ising": SYSTEMS["ising"],
+    "attractive": SpinSystem(2, [1.0, 1.1], [[1.3, 0.9], [0.9, 1.7]]),
+    "coloring4": coloring(4),
+    "three-spin": SYSTEMS["three-spin"],
+    "zero-off-diagonal": SYSTEMS["zero-off-diagonal"],
+}
+
+# Graph, radii drawn, vertices drawn at.  Z^2 at radius 4 has 25 interior
+# vertices, past ENUM_CAP on every path.
+MISS_GRAPHS = {
+    "z1": (Lattice(1), (1, 2, 3), [(0,), (5,)]),
+    "z2": (Lattice(2), (1, 2, 3), [(0, 0), (2, -1)]),
+    "z2-ell4": (Lattice(2), (4,), [(0, 0)]),
+    "grid4x4": (grid_graph(4, 4), (1, 2, 3), list(range(1, 17))),
+    "tree:3": (RegularTree(3), (1, 2), [(), (1,), (0, 1)]),
+    "line:z2": (LineGraph(Lattice(2)), (1, 2), [((0, 0), (1, 0)), ((0, 0), (0, 1))]),
+}
+
+# Free vertices on a drawn ball are cut to keep each enumeration within this
+# many cells, unless the draw leaves the whole ball free.
+MISS_CELLS = 2**12
+
+
+def draw_miss_context(data, system, graph, v, ell):
+    """A context on v's ball that leaves v free, in a drawn order, plus
+    spins on vertices just outside the ball.  Spins may be raw (possibly
+    infeasible) or repaired; free vertices are cut to MISS_CELLS cells
+    unless the draw leaves every ball vertex free."""
+    sphere, interior = graph.sphere_and_interior(v, ell)
+    ball = sphere + interior
+    raw = data.draw(st.booleans())
+    spins = {}
+    for w in sorted(ball):
+        s = data.draw(st.integers(1, system.q))
+        ok = [
+            t for t in range(1, system.q + 1)
+            if system.b[t - 1] > 0
+            and all(system.A[t - 1, spins[x] - 1] > 0 for x in graph.neighbors(w) if x in spins)
+        ]
+        spins[w] = s if raw or s in ok or not ok else ok[0]
+    free = {v}
+    # The whole ball free: cheap on the extremal path, past ENUM_CAP on Z^2
+    # at radius 4 and for coloring(4) at radius 2; any other such draw would
+    # enumerate millions of cells and is cut like the rest.  A whole sphere
+    # fixed: the exact conditional, as the sampler's sphere lookups ask.
+    whole = len(interior) if Support(system, graph, ball).monotone else len(ball)
+    mode = data.draw(st.integers(0, 9))
+    if mode == 0 and not MISS_CELLS < system.q**whole <= ENUM_CAP:
+        free.update(ball)
+    else:
+        keep = data.draw(st.lists(st.booleans(), min_size=len(ball), max_size=len(ball)))
+        if mode < 4:
+            keep[: len(sphere)] = [True] * len(sphere)
+        room = system.q
+        for w, k in zip(ball, keep):
+            if not k and w != v and room * system.q <= MISS_CELLS:
+                free.add(w)
+                room *= system.q
+    context = {w: s for w, s in spins.items() if w not in free}
+    for w in graph.sphere(v, ell + 1)[:6]:
+        context[w] = data.draw(st.integers(1, system.q))
+    items = list(context.items())
+    random.Random(data.draw(st.integers(0, 2**32))).shuffle(items)
+    return sphere, interior, dict(items)
+
+
+def attempt(fn, *args):
+    """``fn(*args)`` as bytes, or the type and message of what it raised."""
+    try:
+        out = fn(*args)
+    except (InfeasibleContextError, TooLargeError) as err:
+        return type(err), str(err)
+    if isinstance(out, tuple):
+        return tuple(np.asarray(x).tobytes() for x in out)
+    return np.asarray(out).tobytes()
+
+
+@pytest.mark.parametrize("gather_cap", [0, ENUM_CAP], ids=["broadcast", "gathered"])
+@pytest.mark.parametrize("system_name", MISS_SYSTEMS)
+@pytest.mark.parametrize("graph_name", MISS_GRAPHS)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_pass_miss_equals_the_reference(graph_name, system_name, gather_cap, data):
+    # The miss as the cache makes it (shared factors, the context restricted
+    # to the ball in ball order) and as the public functions make it (one-shot
+    # factors, any context), against the replaced chain, bit for bit; an
+    # error must be the reference's, type and message.
+    graph, ells, vertices = MISS_GRAPHS[graph_name]
+    system = MISS_SYSTEMS[system_name]
+    v = data.draw(st.sampled_from(vertices))
+    ell = data.draw(st.sampled_from(ells))
+    sphere, interior, context = draw_miss_context(data, system, graph, v, ell)
+    in_ball_order = {w: context[w] for w in sorted(sphere + interior) if w in context}
+    with mock.patch.object(bruteforce, "GATHER_CAP", gather_cap):
+        ball = Support(system, graph, sphere + interior, Factors(system, shared=True))
+        args = (ball, v, sphere, interior)
+        want = attempt(reference_min_marginals, *args, context)
+        assert attempt(_ball_min_marginals, *args, in_ball_order) == want
+        want_rows = attempt(_boundary_rows, *args, context)
+        assert attempt(_ball_rows, *args, in_ball_order) == want_rows
+    one_shot = Support(system, graph, sphere + interior)
+    want = attempt(reference_min_marginals, one_shot, v, sphere, interior, context)
+    assert attempt(min_marginals, system, graph, context, v, ell) == want
+    # mixing_rate_estimate reads the feasible rows of the same miss.
+    want_rows = attempt(_sphere_grouped_marginals, one_shot, v, sphere, interior, context)
+    if isinstance(want_rows[0], type):
+        assert attempt(mixing_rate_estimate, system, graph, v, ell, context) == want_rows
+    else:
+        rows = _feasible_rows(_ball_rows(one_shot, v, sphere, interior, in_ball_order)[0])
+        assert rows.tobytes() == want_rows[0]

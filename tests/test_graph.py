@@ -247,6 +247,18 @@ def test_format_parse_round_trip():
         assert t.parse_vertex(t.format_vertex(v)) == v
 
 
+def test_bounded_format_cuts_only_past_64_coordinates():
+    t = RegularTree(3)
+    at_most = tuple(i % 3 for i in range(64))
+    assert t.format_bounded(at_most) == t.format_vertex(at_most)
+    longer = (1,) + at_most
+    assert t.format_bounded(longer) == "(1,0,1,2,0,1,2,0,...,2,0,1,2,0,1,2,0; 65 coordinates)"
+    g = path_graph(4)
+    assert g.format_bounded(3) == "3"
+    lz = LineGraph(Lattice(2))
+    assert lz.format_bounded(((0, 0), (0, 1))) == "((0,0),(0,1))"
+
+
 def test_parse_vertex_rejects_garbage():
     # malformed text is a ConfigError; well-formed but absent vertices are
     # InvalidVertexError

@@ -45,10 +45,12 @@ def reference_run(cache, lam, v, rng, stats, budget, h=None):
             calls += 1
             depth = len(stack) + 1
             if calls > budget:
-                fmt = cache.graph.format_vertex
+                fmt = cache.graph.format_bounded
                 raise BudgetExhaustedError(
                     f"call budget {budget} exhausted for vertex {fmt(top)}: "
-                    f"entering vertex {fmt(v)} at depth {depth}"
+                    f"entering vertex {fmt(v)} at depth {depth}",
+                    vertex=v,
+                    depth=depth,
                 )
             if depth > max_depth:
                 max_depth = depth
@@ -85,17 +87,18 @@ def reference_run(cache, lam, v, rng, stats, budget, h=None):
 
 def outcome(draw, seed):
     """What a window draw at ``seed`` gave: its spins, stats and draws, or
-    the error it raised."""
+    the error it raised; a budget trip also gives the vertex and depth it
+    was entering, which its message may cut short."""
     rng = RandomSource(seed)
     try:
         spins, stats = draw(rng)
     except SsmsError as err:
-        return type(err), str(err)
+        return type(err), str(err), getattr(err, "vertex", None), getattr(err, "depth", None)
     return spins, stats, rng.counter
 
 
 # Low enough that the divergent cells trip quickly.  A trip names the vertex
-# and depth it was entering, so equal messages mean equal walks.
+# and depth it was entering, so equal trips mean equal walks.
 BUDGET = 400
 
 SYSTEMS = {

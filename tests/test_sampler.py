@@ -353,6 +353,22 @@ def test_divergent_tree_run_trips_in_bounded_memory():
     assert peak < 40e6
 
 
+def test_a_deep_tree_trip_names_its_vertex_in_bounded_text():
+    # The same walk at budget 200 enters a 66-coordinate vertex; the message
+    # cuts it to its ends and count, and the fields keep it whole.
+    sampler = WindowSampler(coloring(4), RegularTree(3), 2, budget=200)
+    with pytest.raises(BudgetExhaustedError) as info:
+        sampler.sample_window([(), (0,), (1,), (0, 0)], 0)
+    trip = info.value
+    assert (trip.budget, trip.top, trip.depth, len(trip.vertex)) == (200, (), 140, 66)
+    ends = ",".join(map(str, trip.vertex[:8])) + ",...," + ",".join(map(str, trip.vertex[-8:]))
+    assert str(trip) == (
+        f"call budget 200 exhausted for vertex (): entering vertex ({ends}; 66 coordinates) "
+        "at depth 140"
+    )
+    assert len(str(trip)) < 200
+
+
 def test_success_is_budget_invariant():
     # a run that finishes within a small budget returns the same spin and
     # statistics under any larger budget
