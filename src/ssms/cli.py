@@ -14,7 +14,7 @@ import sys
 from .analysis import branching_bound
 from .errors import ConfigError, SsmsError, TooLargeError
 from .graph import Lattice, LineGraph, graph_from_spec
-from .marginals import default_probes, estimate_mixing_rate
+from .marginals import estimate_mixing_rate
 from .sampler import DEFAULT_BUDGET, RandomSource, WindowSampler
 from .spinsys import coloring, hardcore, ising, partition_function
 from .verify import run_suite
@@ -122,15 +122,13 @@ def _emit(text, path):
 def cmd_sample(args):
     system, graph = build_system(args)
     window, box = parse_window(graph, args.window)
-    if args.radius < 1:
-        raise ConfigError(f"--radius must be >= 1, got {args.radius}")
     if args.seed < 1:
         raise ConfigError(f"--seed must be positive, got {args.seed}")
-    if args.budget < 1:
-        raise ConfigError(f"--budget must be positive, got {args.budget}")
     wants_pgm = box is not None and system.q == 2
     if args.pgm is not None and not wants_pgm:
         raise ConfigError("--pgm needs a box window and a two-spin model")
+    # The sampler checks --radius and --budget, before any enumeration.
+    sampler = WindowSampler(system, graph, args.radius, budget=args.budget)
     if graph.is_finite():
         # catches systems with no feasible configuration at all, such as
         # too few colors for the graph; skipped when enumeration is too big
@@ -138,7 +136,6 @@ def cmd_sample(args):
             partition_function(system, graph)
         except TooLargeError:
             pass
-    sampler = WindowSampler(system, graph, args.radius, budget=args.budget)
     rng = RandomSource(args.seed)
     spins, stats = sampler.sample_window(window, rng)
     write_spin_csv(args.csv, graph, window, spins)
@@ -157,27 +154,20 @@ def cmd_sample(args):
 
 
 def parse_ells(text):
-    parts = [p for p in text.split(",") if p.strip()]
+    """The integers of a comma list; ``estimate_mixing_rate`` checks them."""
     try:
-        ells = sorted({int(p) for p in parts})
+        return [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse radii list {text!r}") from None
-    if not ells or ells[0] < 1:
-        raise ConfigError(f"--ells needs a nonempty list of radii >= 1, got {text!r}")
-    return ells
 
 
 def cmd_estimate_mixing(args):
     system, graph = build_system(args)
-    ells = parse_ells(args.ells)
+    probes = None
     if args.probes:
-        probes = tuple(graph.parse_vertex(s) for s in args.probes.split(";") if s)
-        if not probes:
-            raise ConfigError("empty probe list")
-    else:
-        probes = default_probes(graph)
-    rate = estimate_mixing_rate(system, graph, ells, probes)
-    bounds = [branching_bound(system, graph, ell, rate) for ell in ells]
+        probes = [graph.parse_vertex(s) for s in args.probes.split(";") if s]
+    rate = estimate_mixing_rate(system, graph, parse_ells(args.ells), probes)
+    bounds = [branching_bound(system, graph, ell, rate) for ell in rate]
     least = next((b.ell for b in bounds if b.contractive), None)
     lines = ["ell,f_hat,growth,alpha,is_least_contractive"]
     for b in bounds:

@@ -29,11 +29,11 @@ factors and both products are taken together, so a miss enumerates the
 free interior rather than sphere and interior together.
 
 With no free sphere vertex the one boundary is the context itself, so the
-min marginals are v's exact conditional with p_v^0 = 0.  The fixed
-vertices are then taken in ball order, as ``conditional_marginal`` takes
-them on the sorted ball, so the two enumerations multiply the same factors
-in the same order and agree bit for bit.  The sampler's cache relies on
-this: its sphere conditional is the min-marginal entry of the same context.
+min marginals are v's exact conditional with p_v^0 = 0, the package's one
+exact conditional: the sampler's sphere conditional, and, with an empty
+sphere and the whole support as interior, ``conditional_marginal`` and the
+depth-capped oracle.  Each reports an infeasible context as
+``InfeasibleBoundaryError`` (``_no_extension``).
 
 A miss is one pass (``_ball_rows``).  It takes the context already
 restricted to the ball and in ball order: the cache reads it that way off
@@ -43,13 +43,15 @@ and hands them to one enumeration (``bruteforce.weight_rows``), which walks
 the edges once and, on the extremal path, builds both extremes' factors in
 the same loop and gathers both products at once.  The walk visits
 ``[v] + free interior + fixed`` on the extremal path and ``free sphere +
-free interior + fixed`` otherwise.  ``min_marginals``, ``mixing_rate_estimate``, the cache's
-min and sphere lookups and the sampler's p_v^1 bound all run this pass.
+free interior + fixed`` otherwise.  ``min_marginals``,
+``mixing_rate_estimate``, ``conditional_marginal``, the cache's min and
+sphere lookups, the depth-capped oracle and the sampler's p_v^1 bound all
+run this pass.
 """
 
 import numpy as np
 
-from .bruteforce import Support, weight_rows, weight_tensor
+from .bruteforce import Support, weight_rows
 from .errors import (
     InfeasibleBoundaryError,
     InfeasibleContextError,
@@ -68,19 +70,6 @@ NEG_TOL = 1e-9
 # to right, and past 4 rows its per-call overhead is cheaper than a loop.
 FLOAT_TAIL_Q = 8
 FLOAT_TAIL_ROWS = 4
-
-
-def _normalized(weights):
-    total = weights.sum()
-    if total <= 0.0:
-        return None
-    mu = weights / total
-    # Weights are nonnegative so entries cannot undershoot; renormalization
-    # drift beyond tolerance would mean the arithmetic itself is broken.
-    drift = abs(float(mu.sum()) - 1.0)
-    if drift > NEG_TOL:
-        raise InternalError(f"marginal normalization drifted by {drift}")
-    return mu
 
 
 def conditional_marginal(system, graph, v, fixed, support):
@@ -112,21 +101,21 @@ def conditional_marginal(system, graph, v, fixed, support):
                     f"free vertex {graph.format_vertex(u)} has neighbor "
                     f"{graph.format_vertex(w)} outside the support"
                 )
-    return _conditional_on_support(Support(system, graph, support), support, v, spins)
+    # The miss of a ball with an empty sphere and the support as its
+    # interior: the context is its one boundary, and p_v^0 = 0.
+    fixed = {w: spins[w] for w in support if w in spins}
+    try:
+        p = _ball_min_marginals(Support(system, graph, support), v, (), support, fixed)
+    except InfeasibleContextError:
+        raise _no_extension() from None
+    return np.array(p[1:])
 
 
-def _conditional_on_support(compiled, support, v, spins):
-    """``conditional_marginal`` once its arguments are checked: v's
-    marginal by enumeration of the compiled support, whose vertices
-    ``support`` lists in the order the enumeration takes them."""
-    free, W = weight_tensor(compiled, support, spins)
-    jv = free.index(v)
-    axes = tuple(j for j in range(len(free)) if j != jv)
-    totals = W.sum(axis=axes) if axes else W
-    mu = _normalized(totals)
-    if mu is None:
-        raise InfeasibleBoundaryError("fixed context admits no positive-weight extension")
-    return mu
+def _no_extension():
+    """The error an exact conditional (no free sphere vertex) raises in
+    place of its miss's ``InfeasibleContextError``: the one boundary left,
+    the context itself, has no positive-weight extension."""
+    return InfeasibleBoundaryError("fixed context admits no positive-weight extension")
 
 
 def _ball_query(system, graph, fixed, v, ell):
@@ -213,7 +202,8 @@ def _ball_min_marginals(ball, v, sphere, interior, fixed):
     left to right, as the loops here do, so the floats are the bits of
     numpy's tail, without its per-call overhead.  Otherwise numpy takes the
     tail: from 8 spins on its sums are pairwise, and over many rows it is
-    the faster.
+    the faster.  With no free sphere vertex the one row is v's exact
+    conditional, and a sum more than NEG_TOL from 1 raises ``InternalError``.
     """
     M, s = _ball_rows(ball, v, sphere, interior, fixed)
     if ball.system.q < FLOAT_TAIL_Q and len(M) <= FLOAT_TAIL_ROWS:
@@ -237,6 +227,11 @@ def _ball_min_marginals(ball, v, sphere, interior, fixed):
         total = float(p.sum())
         p = p.tolist()
     if s == 0:
+        # The weights are nonnegative, so no entry undershoots; drift in the
+        # sum beyond tolerance would mean the arithmetic itself is broken.
+        drift = abs(total - 1.0)
+        if drift > NEG_TOL:
+            raise InternalError(f"marginal normalization drifted by {drift}")
         return [0.0, *p]
     rest = 1.0 - total
     if rest < -NEG_TOL:

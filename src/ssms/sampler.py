@@ -48,7 +48,6 @@ from .errors import (
     BudgetExhaustedError,
     ConfigError,
     FiniteOnlyError,
-    InfeasibleBoundaryError,
     InfeasibleContextError,
     InternalError,
     InvalidProbabilitiesError,
@@ -58,7 +57,7 @@ from .errors import (
     is_integer,
 )
 from .graph import FiniteGraph
-from .marginals import NEG_TOL, _ball_min_marginals, _conditional_on_support
+from .marginals import NEG_TOL, _ball_min_marginals, _no_extension
 from .spinsys import PartialConfiguration, check_positive_weight, checked_context
 
 DEFAULT_BUDGET = 10**7
@@ -272,10 +271,11 @@ class MarginalCache:
     sphere conditional is that entry itself.  Entries are shared and never
     change, so a min partition splits its zone under a given conditional
     entry once and keeps the edges (``IntervalPartition.locate_zone``).
-    The bounded sampler's whole-graph oracle stores its exact marginal in
-    the same table as a partition with no zone; the whole graph's support
-    is compiled on the oracle's first miss and every miss enumerates it
-    with no re-validation, on factors of its own.
+    The bounded sampler's whole-graph oracle stores its exact marginal, the
+    miss ``conditional_marginal`` runs on the whole graph, in the same table
+    as a partition with no zone; the whole graph's support is compiled on
+    its first miss and enumerated with no re-validation, on factors of its
+    own.
 
     The key of a lookup at v is ``(cls, code)``: ``cls`` is the graph's
     ``ball_class(v)`` and ``code`` reads the context restricted to v's
@@ -407,9 +407,7 @@ class MarginalCache:
         try:
             return self.min_intervals(v, lam)
         except InfeasibleContextError:
-            raise InfeasibleBoundaryError(
-                "fixed context admits no positive-weight extension"
-            ) from None
+            raise _no_extension() from None
 
     def whole_graph_marginal(self, v, lam):
         """Exact marginal of v on a finite graph (oracle for bounded runs),
@@ -424,8 +422,12 @@ class MarginalCache:
             # One-shot factors per miss, as conditional_marginal builds them:
             # no whole-graph field tensor outlives its miss.
             compiled.factors = Factors(self.system)
-            mu = _conditional_on_support(compiled, vertices, v, lam)
-            part = self._parts[key] = IntervalPartition([0.0, *mu])
+            fixed = {w: lam[w] for w in vertices if w in lam}
+            try:
+                p = _ball_min_marginals(compiled, v, (), vertices, fixed)
+            except InfeasibleContextError:
+                raise _no_extension() from None
+            part = self._parts[key] = IntervalPartition(p)
         return part
 
 

@@ -26,10 +26,11 @@ from .analysis import (
     lemma1_check,
     verify_tree_bound,
 )
-from .bruteforce import Support, weight_tensor
+from .bruteforce import ENUM_CAP, Support, weight_tensor
 from .errors import (
     BudgetExhaustedError,
     ModelParameterError,
+    TooLargeError,
     UnknownSuiteError,
     check_count,
     is_integer,
@@ -330,21 +331,28 @@ def run_suite(name, seed=1):
     return suite(seed=seed)
 
 
-def _independent_row_masks(width):
-    return [m for m in range(1 << width) if not m & (m >> 1)]
-
-
 def box_occupation(lam, rows, cols, site=None):
     """Occupation probability of one site of a free-boundary hard-core box.
 
     Transfer-matrix computation over row masks; ``site`` is an (x, y) pair
     inside the ``cols`` x ``rows`` box and defaults to the center (odd sides
-    required in that case).
+    required in that case).  Past ``ENUM_CAP`` transfer-matrix cells, from
+    16 columns on, it raises ``TooLargeError`` before building anything.
     """
     if not is_real(lam) or not lam > 0:
         raise ModelParameterError(f"activity must be a positive real, got {lam!r}")
     check_count(rows, 1, "box rows")
     check_count(cols, 1, "box columns")
+    # Fib(cols + 2) independent row masks, counted no further than the cap.
+    fewer, count = 1, 2
+    for _ in range(cols - 1):
+        if count * count > ENUM_CAP:
+            break
+        fewer, count = count, fewer + count
+    if count * count > ENUM_CAP:
+        raise TooLargeError(
+            f"transfer matrix for {cols} columns exceeds the {ENUM_CAP} cell cap"
+        )
     if site is None:
         if rows % 2 == 0 or cols % 2 == 0:
             raise ModelParameterError("default center site needs odd box sides")
@@ -352,9 +360,10 @@ def box_occupation(lam, rows, cols, site=None):
     x, y = site if isinstance(site, (tuple, list)) and len(site) == 2 else (None, None)
     if not (is_integer(x) and is_integer(y) and 0 <= x < cols and 0 <= y < rows):
         raise ModelParameterError(f"site {site!r} is not a cell of the {cols}x{rows} box")
-    masks = _independent_row_masks(cols)
+    masks = [m for m in range(1 << cols) if not m & (m >> 1)]
     w = np.array([lam ** bin(m).count("1") for m in masks])
-    compat = np.array([[not (a & b) for b in masks] for a in masks], dtype=float)
+    masks = np.array(masks)
+    compat = (masks[:, None] & masks == 0).astype(float)
     fwd = w.copy()
     for _ in range(y):
         fwd = w * (compat @ fwd)
@@ -363,8 +372,7 @@ def box_occupation(lam, rows, cols, site=None):
         bwd = w * (compat @ bwd)
     per_mask = fwd * bwd / w
     z = per_mask.sum()
-    hit = np.array([bool(m >> x & 1) for m in masks])
-    return float(per_mask[hit].sum() / z)
+    return float(per_mask[masks >> x & 1 == 1].sum() / z)
 
 
 def hardcore_box_bracket(lam, size=7):

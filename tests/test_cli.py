@@ -273,6 +273,26 @@ def test_estimate_mixing_reaches_radius_three_on_z2(run_cli, tmp_path):
     assert rows[1][4] == rows[2][4] == "0"
 
 
+def test_the_library_checks_what_the_cli_passes_on(run_cli, tmp_path, p3_file):
+    # Radii, budgets and probes are checked once, by the library; the CLI
+    # reports its error with the library's code.
+    mixing = ["estimate-mixing", "--model", "ising", "--lambda", "1.2", "--graph", "z2"]
+    res = run_cli(*mixing, "--ells", "2,1,2", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert [line.split(",")[0] for line in res.stdout.splitlines()[1:]] == ["1", "2"]
+    sample = ["sample", "--model", "hardcore", "--lambda", "1.0", "--graph", f"file:{p3_file}",
+              "--window", "all", "--seed", "1"]
+    for args, message in [
+        ([*mixing, "--ells", "0,1"], "radius must be an integer >= 1, got 0"),
+        ([*mixing, "--ells", "1", "--probes", ";"], "empty probe list"),
+        ([*sample, "--radius", "0"], "radius must be an integer >= 1, got 0"),
+        ([*sample, "--radius", "1", "--budget", "0"], "budget must be an integer >= 1, got 0"),
+    ]:
+        res = run_cli(*args, cwd=tmp_path)
+        assert res.returncode == 1, args
+        assert res.stderr == f"invalid-parameter: {message}\n"
+
+
 def test_verify_command_csv(run_cli, tmp_path):
     res = run_cli("verify", "lemma1", "--seed", "1", "--out", "suite.csv",
                   cwd=tmp_path)

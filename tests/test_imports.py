@@ -1,5 +1,6 @@
-"""Every module uses each name it imports, and every function, class and
-method of the package is named somewhere outside its own definition.
+"""Every module uses each name it imports, and every function, class,
+method and module-level constant of the package is named somewhere outside
+its own definition.
 Importing the package does not load scipy.
 
 Stdlib ``ast`` checks, so they need no linter.  ``src/ssms/__init__.py`` is
@@ -55,34 +56,50 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(tree) == [(1, "os"), (2, "regex"), (3, "c")]
 
 
+def definitions(tree):
+    """(line, name) of each function, class and method of ``tree``, and of
+    each name its module-level assignments bind; dunders excepted."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = [(node.lineno, node.name) for node in ast.walk(tree) if isinstance(node, kinds)]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                (name.lineno, name.id)
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+    return [(line, name) for line, name in found if not (name[:2] == name[-2:] == "__")]
+
+
 def dead_definitions(defining, naming):
-    """(label, line, name) of each function, class or method, dunders
-    excepted, defined in a tree of the ``{label: tree}`` map ``defining``
-    and named in none of the ``naming`` trees.
+    """(label, line, name) of each function, class, method or module-level
+    constant, dunders excepted, defined in a tree of the ``{label: tree}``
+    map ``defining`` and named in none of the ``naming`` trees.
 
     A name counts when a tree reads it, imports it or spells it as a whole
     string (a lookup such as ``getattr(cls, "name")``); a definition does
-    not name itself.
+    not name itself, and an assignment, the one that defines a constant
+    included, does not name what it binds.
     """
     named = set()
     for tree in naming:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                named.add(node.id)
+                if not isinstance(node.ctx, ast.Store):
+                    named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 named.add(node.value)
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return sorted(
-        (label, node.lineno, node.name)
+        (label, line, name)
         for label, tree in defining.items()
-        for node in ast.walk(tree)
-        if isinstance(node, kinds)
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in named
+        for line, name in definitions(tree)
+        if name not in named
     )
 
 
@@ -106,9 +123,12 @@ def test_the_check_sees_a_dead_definition():
         "A().used()\n"
         "helper()\n"
         "NAMES = ('looked_up', 'named in a sentence: unused')\n"
+        "LIMIT, USED = 3, 4\n"
+        "__version__ = '1'\n"
+        "print(NAMES, USED)\n"
     )
     found = dead_definitions({"m": tree}, [tree])
-    assert found == [("m", 4, "dead"), ("m", 7, "unused"), ("m", 8, "B")]
+    assert found == [("m", 4, "dead"), ("m", 7, "unused"), ("m", 8, "B"), ("m", 12, "LIMIT")]
 
 
 def test_importing_the_package_leaves_scipy_unloaded():

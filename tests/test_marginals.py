@@ -1,6 +1,7 @@
 """Conditional marginals, worst-case boundary scans, and mixing rates."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from ssms import (
     Lattice,
+    SpinSystem,
     coloring,
     complete_graph,
     conditional_marginal,
@@ -22,11 +24,13 @@ from ssms import (
 from ssms.errors import (
     InfeasibleBoundaryError,
     InfeasibleContextError,
+    InternalError,
     ModelParameterError,
     NotSeparatingError,
     RepeatedVertexError,
 )
 from ssms.marginals import mixing_rate_estimate
+from ssms.sampler import MarginalCache
 
 
 def enumerate_marginal(system, graph, vertex, context):
@@ -89,6 +93,24 @@ def test_conditional_marginal_against_enumeration():
         want = enumerate_marginal(system, graph, vertex, frozen)
         np.testing.assert_allclose(got, want, atol=1e-12)
         assert context == frozen
+
+
+def test_exact_conditionals_share_their_errors():
+    # conditional_marginal and the capped sampler's oracle run one miss, so
+    # they raise the same errors.  On the path 1-2-3 every cell of this
+    # system is e^708: each spin of vertex 2 sums four, a finite 4 e^708,
+    # but the two together overflow, so the normalized row is all zeros.
+    a, b = math.exp(199.0), math.exp(310.0 / 3)
+    overflowing = SpinSystem(2, [b, b], [[a, a], [a, a]])
+    g = path_graph(3)
+    for lookup in (
+        lambda system, v, fixed: conditional_marginal(system, g, v, fixed, [1, 2, 3]),
+        lambda system, v, fixed: MarginalCache(system, g, 1).whole_graph_marginal(v, fixed),
+    ):
+        with pytest.raises(InternalError, match="normalization drifted by 1.0"):
+            lookup(overflowing, 2, {})
+        with pytest.raises(InfeasibleBoundaryError, match="admits no positive-weight extension"):
+            lookup(hardcore(1.0), 3, {1: 2, 2: 2})
 
 
 def test_marginal_on_lattice_needs_separating_context():

@@ -2,6 +2,8 @@
 
 import math
 import statistics
+import time
+import tracemalloc
 
 import pytest
 
@@ -17,7 +19,7 @@ from ssms import (
     ising,
     run_suite,
 )
-from ssms.errors import ModelParameterError, UnknownSuiteError
+from ssms.errors import ModelParameterError, TooLargeError, UnknownSuiteError
 from ssms.verify import (
     NONTERMINATING_CELLS,
     SUITES,
@@ -72,6 +74,34 @@ def test_box_arguments_are_rejected_with_a_code():
             box_occupation(lam, 3, 3)
     with pytest.raises(ModelParameterError):
         hardcore_box_bracket(0.5, size=6)
+
+
+def test_box_past_the_cap_raises_before_allocating():
+    # 40 columns have Fib(42) = 267,914,296 independent row masks: the list
+    # alone is GBs and its transfer matrix 10^17 cells.  It is refused first,
+    # before even the (even-sided) default site is looked at.
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match="40 columns"):
+            box_occupation(0.5, 3, 40)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert elapsed < 1.0
+    with pytest.raises(TooLargeError):
+        hardcore_box_bracket(0.3, size=21)
+    # 15 columns, 1,597^2 cells, are the widest box under the cap.
+    assert 0.0 < box_occupation(0.5, 1, 15) < 1.0
+    with pytest.raises(TooLargeError, match="16 columns"):
+        box_occupation(0.5, 1, 16, site=(0, 0))
+
+
+def test_bracket_is_frozen_bit_for_bit():
+    assert hardcore_box_bracket(0.3) == BRACKET_03
+    assert hardcore_box_bracket(0.5) == BRACKET_05
 
 
 def test_bracket_is_ordered_and_frozen():
