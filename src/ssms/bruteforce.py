@@ -11,7 +11,9 @@ fixed/free pattern and edge-walk order, on the whole compiled support or on
 any part of it: it enumerates the subgraph induced by the vertices it is
 given and reads no edge leaving them.  A caller that enumerates one support
 many times (a ball frame of the sampler's marginal cache) compiles it once;
-every other caller compiles a one-shot support.  ``weight_tensor`` is
+every other caller compiles a one-shot support.  A caller that already
+holds the induced neighbour lists, as a ball frame does, compiles them
+directly (``Support.from_adjacency``).  ``weight_tensor`` is
 ``weight_rows`` walking a support in its own order, shaped as a tensor.
 
 The factors themselves depend only on the system and the free count k:
@@ -20,7 +22,10 @@ the field product, row s of A on axis j, and A across axes j1 < j2.
 (the marginal cache shares one across its ball frames).  A shared
 ``Factors`` expands every factor of up to GATHER_CAP cells to all q^k
 cells as one row of a table, filled in place, and a product gathers its
-rows by id in one flat ``take`` and multiplies them in one call.  Past
+rows by id in one flat ``take`` and multiplies them in one call.  It
+builds one such table, for the widest free count asked for, and copies
+every narrower k's rows from that table's first q^k columns, computing
+only the field afresh.  Past
 the cut-over, and on a one-shot support, where a table would serve a
 single product, each factor is an array shaped to broadcast, multiplied
 into a copy of the field in turn.  Either way an enumeration walks its
@@ -67,9 +72,19 @@ class Factors:
     ``table`` of shape (factors, q^k), whose row 0 is all ones and row 1
     the field.  Otherwise ``table`` is None and each factor a read-only
     array shaped to broadcast over ``(q,) * k``.
+
+    A shared ``Factors`` builds one full table, for the widest K free axes
+    asked for (``reserve``, or the first ``axes(K)`` past the widest so
+    far), and serves every narrower k from its first q^k columns.  In C
+    order those are the cells whose first K - k digits are 0, so axis j of
+    k is axis K - k + j of K: row s of A on axis j is the full table's row
+    (s, K - k + j), and A across (j1, j2) its pair (K - k + j1, K - k + j2).
+    Those rows are copied, not recomputed, so they hold the same doubles.
+    Only the field row is computed afresh over k axes, as the full build
+    does it: the K-axis field would carry K - k extra factors of b_1.
     """
 
-    __slots__ = ("system", "shared", "_live", "_axes")
+    __slots__ = ("system", "shared", "_live", "_axes", "_digits")
 
     def __init__(self, system, shared=False):
         self.system = system
@@ -77,22 +92,42 @@ class Factors:
         # The spins whose row of A is not all ones.
         self._live = [s for s, row in enumerate(system.A.tolist()) if row != [1.0] * system.q]
         self._axes = {}
+        # The digits of the full table's cells (``_table``); None before it
+        # is built.
+        self._digits = None
 
     def axes(self, k):
         hit = self._axes.get(k)
         if hit is None:
-            gather = self.shared and self.system.q**k <= GATHER_CAP
-            hit = self._axes[k] = self._table(k) if gather else self._arrays(k)
+            if self.shared and self.system.q**k <= GATHER_CAP:
+                self.reserve(k)
+                hit = self._axes.get(k) or self._narrowed(k)
+            else:
+                hit = self._arrays(k)
+            self._axes[k] = hit
         return hit
 
-    def _table(self, k):
+    def reserve(self, k):
+        """Build the full gather table now for k free axes, or for as many
+        as GATHER_CAP allows, unless one at least as wide exists: a ball
+        frame reserves its widest miss when it is built, so its narrower
+        misses copy their rows instead of building tables of their own."""
+        q = self.system.q
+        while q**k > GATHER_CAP:
+            k -= 1
+        if self.shared and (self._digits is None or k > len(self._digits)):
+            digits = _digits(q, k)
+            self._axes[k] = self._table(digits)
+            self._digits = digits
+
+    def _table(self, digits):
+        """The gather table over the cells whose digits are ``digits``: all
+        q^k cells of k axes, in C order."""
         q = self.system.q
         b = self.system.b
         A = self.system.A
         live = self._live
-        cells = q**k
-        # digits[j] is the spin index on axis j of each cell, in C order.
-        digits = np.arange(cells) // (q ** np.arange(k - 1, -1, -1))[:, None] % q
+        k, cells = digits.shape
         pairs = [(j1, j2) for j1 in range(k) for j2 in range(j1 + 1, k)]
         j1 = [j for j, _ in pairs]
         j2 = [j for _, j in pairs]
@@ -107,6 +142,24 @@ class Factors:
         for i, s in enumerate(live):
             rows[s] = list(range(2 + i * k, 2 + (i + 1) * k))
         return table, 1, rows, {pair: first + n for n, pair in enumerate(pairs)}
+
+    def _narrowed(self, k):
+        """The gather table of k axes served from the full table's first
+        q^k cells, whose last k digits are those of k axes."""
+        digits = self._digits
+        shift = len(digits) - k
+        full, _, rows, pairs = self._axes[len(digits)]
+        cells = self.system.q**k
+        table = full[:, :cells].copy()
+        np.multiply.reduce(self.system.b[digits[shift:, :cells]], axis=0, out=table[1])
+        table.flags.writeable = False
+        rows = [None if ids is None else ids[shift:] for ids in rows]
+        pairs = {
+            (j1, j2): pairs[j1 + shift, j2 + shift]
+            for j1 in range(k)
+            for j2 in range(j1 + 1, k)
+        }
+        return table, 1, rows, pairs
 
     def _arrays(self, k):
         q = self.system.q
@@ -154,6 +207,12 @@ class Factors:
         return out.reshape(len(tails), -1)
 
 
+def _digits(q, k):
+    """digits[j] is the spin index on axis j of each of the q^k cells, in C
+    order."""
+    return np.arange(q**k) // (q ** np.arange(k - 1, -1, -1))[:, None] % q
+
+
 class _Pairs(dict):
     """A across axes j1 < j2 of k, shaped to broadcast, each made on first
     use: an enumeration reads only the pairs its free edges join."""
@@ -176,19 +235,30 @@ class Support:
     """Compiled enumeration of ``system`` on the vertex set ``vertices`` of
     ``graph``, for any fixed/free split and any order of those vertices.
     Its factors come from ``factors``, a shared ``Factors`` of the same
-    system, or from one of its own."""
+    system, or from one of its own.  ``from_adjacency`` compiles one whose
+    induced neighbour lists are already known, reading no graph."""
 
     __slots__ = ("system", "adjacent", "later", "monotone", "factors", "_b", "_A")
 
     def __init__(self, system, graph, vertices, factors=None):
         members = set(vertices)
-        self.system = system
         # Neighbor lists come sorted, so the filtered ones stay sorted.
-        self.adjacent = {
-            u: tuple(w for w in graph._neighbors(u) if w in members) for u in members
-        }
-        self.later = {u: tuple(w for w in nb if u < w) for u, nb in self.adjacent.items()}
-        self.monotone = _is_monotone(system.A, self.adjacent)
+        adjacent = {u: tuple(w for w in graph._neighbors(u) if w in members) for u in members}
+        self._compile(system, adjacent, factors)
+
+    @classmethod
+    def from_adjacency(cls, system, adjacent, factors=None):
+        """The support on the keys of ``adjacent``, where ``adjacent[u]`` is
+        the sorted tuple of u's neighbours among those keys."""
+        compiled = cls.__new__(cls)
+        compiled._compile(system, adjacent, factors)
+        return compiled
+
+    def _compile(self, system, adjacent, factors):
+        self.system = system
+        self.adjacent = adjacent
+        self.later = {u: tuple(w for w in nb if u < w) for u, nb in adjacent.items()}
+        self.monotone = _is_monotone(system.A, adjacent)
         self.factors = Factors(system) if factors is None else factors
         # Python floats for the scalar factors: the same doubles, cheaper
         # arithmetic.

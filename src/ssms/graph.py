@@ -11,8 +11,8 @@ equal arguments give identical output.
 import math
 import re
 from abc import ABC, abstractmethod
-from itertools import chain
-from operator import add, sub
+from itertools import chain, repeat
+from operator import add
 
 from .errors import (
     ConfigError,
@@ -347,8 +347,10 @@ class Lattice(LocalGraph):
         return None
 
     def translate(self, vertices, v0, v):
-        t = tuple(map(sub, v, v0))
-        return tuple([tuple(map(add, w, t)) for w in vertices])
+        # Shift each coordinate column by its offset and zip the columns back
+        # into vertices: C-level loops in any dimension.
+        columns = zip(zip(*vertices), v0, v)
+        return tuple(zip(*[map(add, column, repeat(b - a)) for column, a, b in columns]))
 
     def box(self, origin, shape):
         """Vertices of an axis-aligned box, canonically ordered."""
@@ -485,9 +487,7 @@ class LineGraph(LocalGraph):
     def translate(self, vertices, v0, v):
         # Move both endpoints of each edge by the base symmetry that takes
         # v0's first endpoint to v's; it preserves the endpoint order.
-        ends = self._base.translate(
-            [x for e in vertices for x in e], v0[0], v[0]
-        )
+        ends = self._base.translate(chain.from_iterable(vertices), v0[0], v[0])
         return tuple(zip(ends[::2], ends[1::2]))
 
     def _parse_vertex(self, text):

@@ -49,6 +49,8 @@ sphere lookups, the depth-capped oracle and the sampler's p_v^1 bound all
 run this pass.
 """
 
+from math import isfinite
+
 import numpy as np
 
 from .bruteforce import Support, weight_rows
@@ -58,6 +60,7 @@ from .errors import (
     InternalError,
     ModelParameterError,
     NotSeparatingError,
+    TooLargeError,
     check_count,
 )
 from .spinsys import _distinct, checked_context
@@ -109,6 +112,16 @@ def conditional_marginal(system, graph, v, fixed, support):
     except InfeasibleContextError:
         raise _no_extension() from None
     return np.array(p[1:])
+
+
+def _overflow(total):
+    """The error a miss raises for a row whose total weight is ``total``,
+    not a finite number: the weights overflowed a double, so every ratio
+    taken from the row would be NaN or 0."""
+    return TooLargeError(
+        f"a boundary row's weights sum to {total}: the system's weights "
+        "overflow a double on this support"
+    )
 
 
 def _no_extension():
@@ -164,8 +177,12 @@ def _ball_rows(ball, v, sphere, interior, fixed):
 
 
 def _feasible_rows(M):
-    """The rows of M with positive total, each divided by its total."""
+    """The rows of M with positive total, each divided by its total; a total
+    that is not finite raises (``_overflow``)."""
     totals = M.sum(axis=1)
+    finite = np.isfinite(totals)
+    if not finite.all():
+        raise _overflow(totals[~finite][0])
     feasible = totals > 0.0
     if not feasible.any():
         raise InfeasibleContextError(
@@ -204,6 +221,9 @@ def _ball_min_marginals(ball, v, sphere, interior, fixed):
     tail: from 8 spins on its sums are pairwise, and over many rows it is
     the faster.  With no free sphere vertex the one row is v's exact
     conditional, and a sum more than NEG_TOL from 1 raises ``InternalError``.
+    Either tail raises ``TooLargeError`` for a row whose total is not
+    finite (``_overflow``): past a double's range every later check would
+    compare with NaN and pass.
     """
     M, s = _ball_rows(ball, v, sphere, interior, fixed)
     if ball.system.q < FLOAT_TAIL_Q and len(M) <= FLOAT_TAIL_ROWS:
@@ -212,6 +232,8 @@ def _ball_min_marginals(ball, v, sphere, interior, fixed):
             total = 0.0
             for x in row:
                 total += x
+            if not isfinite(total):
+                raise _overflow(total)
             if total > 0.0:
                 mu = [x / total for x in row]
                 p = mu if p is None else list(map(min, p, mu))

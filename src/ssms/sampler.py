@@ -37,9 +37,12 @@ are computed in numpy blocks; any object with a ``next_double`` method can
 stand in for it.
 """
 
+import math
+import sys
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -56,7 +59,6 @@ from .errors import (
     check_count,
     is_integer,
 )
-from .graph import FiniteGraph
 from .marginals import NEG_TOL, _ball_min_marginals, _no_extension
 from .spinsys import PartialConfiguration, check_positive_weight, checked_context
 
@@ -65,6 +67,9 @@ DEFAULT_BUDGET = 10**7
 # walk that visits ever new vertices holds bounded memory.  A warm 20x20
 # lattice sampler at radius 2 holds about a thousand.
 _BALLS_CAP = 2**14
+
+# The natural log of the largest double.
+_LOG_MAX = math.log(sys.float_info.max)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -245,7 +250,9 @@ class RecursionStats:
     trace: list = None
 
 
-_BallFrame = namedtuple("_BallFrame", "origin ball v sphere interior support p1_bound")
+_BallFrame = namedtuple(
+    "_BallFrame", "origin ball v sphere interior support p1_bound sphere_of"
+)
 
 
 def _on_frame(ball, lam):
@@ -288,22 +295,26 @@ class MarginalCache:
     A class's first vertex, its representative, has its ball found by
     breadth-first search; every later vertex of the class gets the
     representative's sorted ball translated onto it (``graph.translate``)
-    and its sphere read off the frame's sphere labels.
+    and its sphere picked out of that by the frame's ``itemgetter`` of the
+    sphere's positions.
 
     A miss is enumerated on the class's ball frame: the ball's induced
-    subgraph as a ``FiniteGraph`` with the i-th sorted ball vertex labelled
-    i, built once per class together with its compiled enumeration
-    ``Support``, so a miss neither walks the graph, compiles a support nor
-    re-validates frame labels; the context reaches it in label order,
-    restricted to the ball, and it runs as one pass
-    (``marginals._ball_rows``).  All frames share one ``Factors``, so a
-    field tensor or factor table is built once per free count, not once
-    per class (on a tree every vertex is a class).  Relabelling keeps the
-    ball order and the sorted neighbor lists, so the enumeration
-    multiplies the same factors in the same order as on the graph itself
-    and the marginals are bit-identical.  Cached values are deterministic
-    functions of their keys, so lookups never change sampling behavior,
-    only speed.
+    subgraph with the i-th sorted ball vertex labelled i.  Once per class
+    the frame reads each ball vertex's neighbours off the graph as labels
+    and compiles that adjacency straight into its enumeration ``Support``
+    (``Support.from_adjacency``): edges the graph already gave are not
+    validated again, and the p1-bound miss runs on the same labels.  So a
+    miss neither walks the graph nor compiles a support; the context
+    reaches it in label order, restricted to the ball, and it runs as one
+    pass (``marginals._ball_rows``).  All frames share one ``Factors``, and
+    each frame reserves its widest miss in it when it is built
+    (``Factors.reserve``), so one factor table serves every free count a
+    frame needs, not one per free count or per class (on a tree every
+    vertex is a class).  Relabelling keeps the ball order and the sorted
+    neighbor lists, so the enumeration multiplies the same factors in the
+    same order as on the graph itself and the marginals are bit-identical.
+    Cached values are deterministic functions of their keys, so lookups
+    never change sampling behavior, only speed.
     """
 
     def __init__(self, system, graph, ell):
@@ -324,8 +335,8 @@ class MarginalCache:
         in the ball memo, made on first use.
 
         Only a class's first vertex runs a breadth-first search; every later
-        one translates the representative's ball and reads its sphere off
-        the frame's sphere labels.  The memo is pure, so it is cleared
+        one translates the representative's ball and picks its sphere out
+        of it (``_BallFrame.sphere_of``).  The memo is pure, so it is cleared
         whenever it reaches ``_BALLS_CAP`` entries.
         """
         parts = self._balls.get(v)
@@ -338,7 +349,7 @@ class MarginalCache:
                 ball = frame.ball
             else:
                 ball = self.graph.translate(frame.ball, frame.origin, v)
-                sphere = tuple(ball[i - 1] for i in frame.sphere)
+                sphere = frame.sphere_of(ball)
             parts = (sphere, ball, cls, frame.p1_bound)
             balls = self._balls
             if len(balls) >= _BALLS_CAP:
@@ -349,18 +360,29 @@ class MarginalCache:
     def _frame(self, v, sphere, interior):
         ball = tuple(sorted(interior + sphere))
         label = {w: i for i, w in enumerate(ball, 1)}
-        edges = [
-            (i, j)
-            for w, i in label.items()
-            for u in self.graph._neighbors(w)
-            if (j := label.get(u, 0)) > i
-        ]
-        graph = FiniteGraph(len(ball), edges)
-        support = Support(self.system, graph, label.values(), self._factors)
+        # The graph's neighbor lists are sorted and the labels keep the
+        # ball's order, so each label's list comes out sorted.
+        neighbors = self.graph._neighbors
+        adjacent = {
+            i: tuple([label[u] for u in neighbors(w) if u in label]) for w, i in label.items()
+        }
+        support = Support.from_adjacency(self.system, adjacent, self._factors)
+        # The empty context frees the most vertices: the interior on a
+        # monotone ball (the extremal path), the whole ball otherwise.
+        widest = len(interior) if support.monotone else len(ball)
+        self._factors.reserve(widest)
+        positions = [label[w] - 1 for w in sphere]
+        if len(positions) > 1:
+            sphere_of = itemgetter(*positions)
+        else:
+            # itemgetter needs a position and returns a bare item for one.
+            def sphere_of(ball):
+                return tuple([ball[i] for i in positions])
+
         sphere = tuple(label[w] for w in sphere)
         interior = tuple(label[w] for w in interior)
-        bound = _p1_bound(support, graph, label[v], sphere, interior)
-        return _BallFrame(v, ball, label[v], sphere, interior, support, bound)
+        bound = _p1_bound(support, label[v], widest)
+        return _BallFrame(v, ball, label[v], sphere, interior, support, bound, sphere_of)
 
     def p1_bound(self, v):
         """Lower bound on p_v^1 under every context, shared by v's ball
@@ -431,32 +453,45 @@ class MarginalCache:
         return part
 
 
-def _p1_bound(support, graph, v, sphere, interior):
-    """Lower bound on p_v^1 under every context, for v on the ball frame
-    ``graph`` with compiled ``support``; 0.0 where no shortcut is safe.
+def _p1_bound(support, v, widest):
+    """Lower bound on p_v^1 under every context, for the label v of a ball
+    frame with compiled ``support``, whose widest miss frees ``widest``
+    vertices; 0.0 where no shortcut is safe.
 
     By the Markov property, v's conditional under any context and boundary
     is a mixture, over feasible configurations of v's neighbours, of its
     conditional given them.  So p_v^1 is never below the least of those: the
-    radius-1 min marginal with no context.  NEG_TOL below it covers the
-    roundoff of both enumerations.
+    radius-1 min marginal with no context, a miss on the support induced by
+    v and its neighbours.  NEG_TOL below it covers the roundoff of both
+    enumerations.
 
     The bound is 0 unless spin 1 has a positive field and a positive
     interaction with every spin (``WindowSampler.sample_window`` says why),
-    and every miss on the ball fits ENUM_CAP, so that the lookup a shortcut
-    skips could raise neither ``InfeasibleContextError`` nor
-    ``TooLargeError``.  The empty context frees the most vertices: the
-    interior on a monotone ball (the extremal path), the whole ball
-    otherwise.
+    every miss on the ball fits ENUM_CAP, and no weight on the ball can
+    overflow a double, so that the lookup a shortcut skips could raise
+    neither ``InfeasibleContextError`` nor ``TooLargeError``.  No partial
+    product or sum of a miss exceeds q^n times the product of every field
+    and interaction factor on the ball's n vertices and m edges, each taken
+    at its largest entry and at least 1.
     """
     system = support.system
     if not (system.b[0] > 0.0 and (system.A[0] > 0.0).all()):
         return 0.0
-    free = len(interior) if support.monotone else len(sphere) + len(interior)
-    if system.q**free > ENUM_CAP:
+    if system.q**widest > ENUM_CAP:
         return 0.0
-    near = graph._neighbors(v)
-    near_ball = Support(system, graph, (v, *near), support.factors)
+    adjacent = support.adjacent
+    edges = sum(map(len, support.later.values()))
+    per_vertex = math.log(max(*support._b, 1.0)) + math.log(system.q)
+    per_edge = math.log(max(*map(max, support._A), 1.0))
+    if len(adjacent) * per_vertex + edges * per_edge > _LOG_MAX:
+        return 0.0
+    near = adjacent[v]
+    members = {v, *near}
+    near_ball = Support.from_adjacency(
+        system,
+        {u: tuple([w for w in adjacent[u] if w in members]) for u in members},
+        support.factors,
+    )
     p = _ball_min_marginals(near_ball, v, near, (v,), {})
     return max(p[1] - NEG_TOL, 0.0)
 
@@ -469,10 +504,11 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
     Only an undecided call waits on the stack, as ``(v, y, part, free
     sphere, iterator over the free sphere)``.  Every waiting call is the
     parent of the entry above it, so the call being entered has depth
-    ``len(stack) + 1``.  Each child leaves just its own spin in ``lam``, so
-    once the iterator is spent the free sphere is exactly what the call
-    deletes after resolving its zone.  The stack is empty between
-    top-level calls.
+    ``len(stack) + 1``; that depth and the top waiting call's iterator are
+    kept in locals, changed only on a push or a pop.  Each child leaves
+    just its own spin in ``lam``, so once the iterator is spent the free
+    sphere is exactly what the call deletes after resolving its zone.  The
+    stack is empty between top-level calls.
 
     ``h`` caps the depth of the bounded variant (None for the unbounded
     sampler): a call entered at depth h + 1 reads the exact whole-graph
@@ -487,7 +523,8 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
 
     Counts are kept in locals and added to ``stats`` on exit.  Each window
     vertex gets a fresh ``budget`` of calls; a trip names that vertex, then
-    the call being entered and its depth, in its message and as fields.
+    the call being entered and its depth, in its message and as fields.  A
+    call that trips is counted but does not raise the maximum depth.
     """
     trace = stats.trace
     balls = cache._balls
@@ -502,10 +539,13 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
         return out
     top = v = window[0]
     limit = budget
+    # The depth of the call being entered, len(stack) + 1, and the top
+    # waiting call's iterator, read only while the stack is not empty.
+    depth = 1
+    children = None
     try:
         while True:
             calls += 1
-            depth = len(stack) + 1
             if calls > limit:
                 fmt = cache.graph.format_bounded
                 raise BudgetExhaustedError(
@@ -538,18 +578,22 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
                 # partition has no zone), and it made v's entry if missing.
                 undecided += 1
                 free = [w for w in (entry or balls[v])[0] if w not in lam]
-                stack.append((v, y, part, free, iter(free)))
+                children = iter(free)
+                stack.append((v, y, part, free, children))
+                depth += 1
             elif stack:
                 lam[v] = spin
             # Enter the top call's next free sphere vertex, resolving every
             # call whose free sphere is now fully assigned on the way.
-            while stack and (v := next(stack[-1][4], None)) is None:
+            while stack and (v := next(children, None)) is None:
                 v, y, part, free, _ = stack.pop()
+                depth -= 1
                 spin = part.locate_zone(y, cache.sphere_conditional(v, lam))
                 for w in free:
                     del lam[w]
                 if stack:
                     lam[v] = spin
+                    children = stack[-1][4]
             if not stack:
                 # v was the top-level call: its spin conditions the rest of
                 # the window, whose next vertex starts with a fresh budget.

@@ -44,13 +44,19 @@ class SpinSystem:
             raise ModelParameterError(f"field vector must have shape ({q},)")
         if A.shape != (q, q):
             raise ModelParameterError(f"interaction matrix must have shape ({q},{q})")
-        if np.any(b < 0) or np.any(A < 0):
+        # The q + q^2 entries are checked as Python floats: on arrays this
+        # small numpy's per-call overhead outweighs the work.  Each test
+        # compares entry by entry, so a NaN fails or passes it as in numpy.
+        fields = b.tolist()
+        rows = A.tolist()
+        entries = fields + [x for row in rows for x in row]
+        if any(x < 0 for x in entries):
             raise ModelParameterError("field and interaction entries must be >= 0")
-        if not np.array_equal(A, A.T):
+        if not all(rows[i][j] == rows[j][i] for i in range(q) for j in range(q)):
             raise ModelParameterError("interaction matrix must be symmetric")
-        if not np.any(b > 0):
+        if not any(x > 0 for x in fields):
             raise ModelParameterError("at least one spin must have positive field")
-        for x in np.concatenate([b, A.ravel()]):
+        for x in entries:
             if x > 0 and abs(math.log(x)) > MAX_LOG_WEIGHT:
                 raise ModelParameterError(
                     f"weight entry {x} outside exp(+/-{MAX_LOG_WEIGHT}) range"

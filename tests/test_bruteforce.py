@@ -177,3 +177,59 @@ def test_enumeration_past_the_cap_raises_before_allocating():
         tracemalloc.stop()
     assert peak < 100_000
     assert compiled.factors._axes == {}
+
+
+@PROPERTY
+@given(data=st.data())
+def test_narrowed_tables_equal_fresh_ones(data):
+    # A shared Factors builds one full table, for the widest free count
+    # asked for so far, and serves every narrower k from its first q^k
+    # columns.  Each product on such a table must equal, bit for bit, the
+    # same product on a fresh table built for k alone, whatever the order
+    # of the requests and whether a width was reserved first.
+    q = data.draw(st.sampled_from([2, 3, 4]))
+    entry = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.05, 3.0))
+    A = np.zeros((q, q))
+    for i in range(q):
+        for j in range(i, q):
+            A[i, j] = A[j, i] = data.draw(entry)
+    b = [data.draw(st.floats(0.05, 3.0)) for _ in range(q)]
+    system = SpinSystem(q, b, A)
+    widths = [k for k in range(11) if q**k <= bruteforce.GATHER_CAP]
+    order = data.draw(st.sampled_from(["ascending", "descending", "mixed"]))
+    if order == "mixed":
+        widths = data.draw(st.permutations(widths))
+    elif order == "descending":
+        widths = widths[::-1]
+    shared = Factors(system, shared=True)
+    reserved = data.draw(st.sampled_from([None, *widths]))
+    if reserved is not None:
+        shared.reserve(reserved)
+    for k in widths:
+        fresh = Factors(system, shared=True)
+        fresh.reserve(k)
+        got, want = shared.axes(k), fresh.axes(k)
+        assert [ids is None for ids in got[2]] == [ids is None for ids in want[2]]
+        assert sorted(got[3]) == sorted(want[3])
+        # A factor by name: the field, row s of A on axis j, or A across a
+        # pair of axes; each table gives it its own id.
+        names = [("field",)]
+        names += [("row", s, j) for s, ids in enumerate(want[2]) if ids for j in range(k)]
+        names += [("pair", *pair) for pair in want[3]]
+
+        def ids(axes, picked):
+            _, field, rows, pairs = axes
+            return [
+                field if n[0] == "field" else rows[n[1]][n[2]] if n[0] == "row" else pairs[n[1:]]
+                for n in picked
+            ]
+
+        for _ in range(3):
+            factors = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=6))
+            tails = data.draw(
+                st.lists(st.lists(st.sampled_from(names), max_size=3), min_size=1, max_size=2)
+            )
+            W = shared.products(k, ids(got, factors), [ids(got, t) for t in tails])
+            ref = fresh.products(k, ids(want, factors), [ids(want, t) for t in tails])
+            assert _bits(W) == _bits(ref)
+    assert len(shared._digits) == max(widths if reserved is None else [reserved, *widths])

@@ -24,13 +24,13 @@ from ssms import (
 from ssms.errors import (
     InfeasibleBoundaryError,
     InfeasibleContextError,
-    InternalError,
     ModelParameterError,
     NotSeparatingError,
     RepeatedVertexError,
+    TooLargeError,
 )
-from ssms.marginals import mixing_rate_estimate
-from ssms.sampler import MarginalCache
+from ssms.marginals import FLOAT_TAIL_Q, mixing_rate_estimate
+from ssms.sampler import MarginalCache, WindowSampler
 
 
 def enumerate_marginal(system, graph, vertex, context):
@@ -99,7 +99,7 @@ def test_exact_conditionals_share_their_errors():
     # conditional_marginal and the capped sampler's oracle run one miss, so
     # they raise the same errors.  On the path 1-2-3 every cell of this
     # system is e^708: each spin of vertex 2 sums four, a finite 4 e^708,
-    # but the two together overflow, so the normalized row is all zeros.
+    # but the two together overflow, so the row's total is inf.
     a, b = math.exp(199.0), math.exp(310.0 / 3)
     overflowing = SpinSystem(2, [b, b], [[a, a], [a, a]])
     g = path_graph(3)
@@ -107,7 +107,7 @@ def test_exact_conditionals_share_their_errors():
         lambda system, v, fixed: conditional_marginal(system, g, v, fixed, [1, 2, 3]),
         lambda system, v, fixed: MarginalCache(system, g, 1).whole_graph_marginal(v, fixed),
     ):
-        with pytest.raises(InternalError, match="normalization drifted by 1.0"):
+        with pytest.raises(TooLargeError, match="weights sum to inf"):
             lookup(overflowing, 2, {})
         with pytest.raises(InfeasibleBoundaryError, match="admits no positive-weight extension"):
             lookup(hardcore(1.0), 3, {1: 2, 2: 2})
@@ -244,3 +244,43 @@ def test_estimate_mixing_rate_names_an_empty_probe_list():
 def test_radius_must_be_a_positive_integer(ell):
     with pytest.raises(ModelParameterError, match="radius"):
         min_marginals(hardcore(1.0), path_graph(3), {}, 2, ell)
+
+
+# Every field is e^199, inside MAX_LOG_WEIGHT, but four vertices weigh e^796,
+# past a double: every weight on P4 is inf.  q = 2 finishes a miss in the
+# float tail and q = FLOAT_TAIL_Q in the numpy tail.
+OVERFLOWING = {
+    q: SpinSystem(q, [math.exp(199)] * q, np.ones((q, q))) for q in (2, FLOAT_TAIL_Q)
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("q", sorted(OVERFLOWING))
+def test_overflowing_weights_raise_from_every_miss(q):
+    system = OVERFLOWING[q]
+    p4 = path_graph(4)
+    with pytest.raises(TooLargeError, match="overflow a double"):
+        conditional_marginal(system, p4, 1, {}, [1, 2, 3, 4])
+    with pytest.raises(TooLargeError, match="overflow a double"):
+        conditional_marginal(system, p4, 2, {4: 1}, [1, 2, 3, 4])
+    with pytest.raises(TooLargeError, match="overflow a double"):
+        min_marginals(system, p4, {}, 2, 2)
+    with pytest.raises(TooLargeError, match="overflow a double"):
+        mixing_rate_estimate(system, p4, 2, 2)
+    # Three vertices weigh at most e^597 each: no row overflows there.
+    assert min_marginals(system, p4, {}, 1, 2)[0] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_weights_raise_from_every_window():
+    system = OVERFLOWING[2]
+    p4 = path_graph(4)
+    # Vertex 1's ball at radius 2 has three vertices, so its p1 bound lets
+    # about half its calls skip the lookup; vertex 2's holds all four, so
+    # its bound is 0 and every call there looks up and raises.
+    cache = MarginalCache(system, p4, 2)
+    assert cache.p1_bound(1) > 0.0 and cache.p1_bound(2) == 0.0
+    for seed in range(10):
+        for h in (None, 0):
+            with pytest.raises(TooLargeError, match="overflow a double"):
+                WindowSampler(system, p4, 2).sample_window([1, 2, 3, 4], seed, h=h)

@@ -6,7 +6,10 @@ p_v^1 that holds under every context; only a variate at or above it looks
 up v's partition.  ``reference_run`` below is the engine as it was before:
 every call looks its partition up and then draws.  The shortcut must give
 the reference's spins, counts, trace and draws exactly, and a run that
-fails must fail in the same way.
+fails must fail in the same way: a budget trip with the same message,
+fields and counts.  Each class bound is also held to the one a ball frame
+built through ``FiniteGraph`` gives, as frames were built before they
+compiled their label adjacency directly.
 """
 
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from test_cache_keys import CASES, PROPERTY, THREE_SPIN, _contexts, _vertex
 
 from ssms import (
+    FiniteGraph,
     Lattice,
     LineGraph,
     RandomSource,
@@ -28,10 +32,10 @@ from ssms import (
     hardcore,
     ising,
 )
-from ssms.bruteforce import ENUM_CAP
+from ssms.bruteforce import ENUM_CAP, Factors, Support
 from ssms.errors import BudgetExhaustedError, InfeasibleContextError, SsmsError, TooLargeError
-from ssms.marginals import NEG_TOL
-from ssms.sampler import MarginalCache
+from ssms.marginals import NEG_TOL, _ball_min_marginals
+from ssms.sampler import MarginalCache, _run
 
 
 def reference_run(cache, lam, v, rng, stats, budget, h=None):
@@ -49,6 +53,8 @@ def reference_run(cache, lam, v, rng, stats, budget, h=None):
                 raise BudgetExhaustedError(
                     f"call budget {budget} exhausted for vertex {fmt(top)}: "
                     f"entering vertex {fmt(v)} at depth {depth}",
+                    budget=budget,
+                    top=top,
                     vertex=v,
                     depth=depth,
                 )
@@ -158,6 +164,61 @@ def test_shortcut_equals_the_engine_without_it(graph_id, system_id, h, trace):
             assert want[0] is TooLargeError
 
 
+# Divergent runs that trip the budget: an uncapped coloring walk on Z^2,
+# and a capped one on the 3x3 grid that trips entering the oracle's depth.
+# (system, graph, radius, window, depth cap, budget)
+TRIPS = {
+    "coloring(6)-z2-ell1": (coloring(6), Z2, 1, Z2.box((0, 0), (3, 3)), None, BUDGET),
+    "coloring(4)-grid3x3-ell1-h4": (coloring(4), GRID, 1, GRID.vertices(), 4, 40),
+}
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("case", TRIPS)
+def test_budget_trips_equal_the_reference(case, trace):
+    # The engine keeps the entered call's depth and the top waiting call's
+    # iterator in locals; a trip must still report the reference's message,
+    # fields and counts, and the call that trips is counted without raising
+    # the maximum depth.
+    system, graph, ell, window, h, budget = TRIPS[case]
+    cache = MarginalCache(system, graph, ell)
+    engine = MarginalCache(system, graph, ell)
+
+    def trip(run, rng):
+        stats = RecursionStats(trace=[] if trace else None)
+        with pytest.raises(BudgetExhaustedError) as err:
+            run(rng, stats)
+        e = err.value
+        return str(e), e.budget, e.top, e.vertex, e.depth, stats, rng.counter
+
+    def reference(rng, stats):
+        lam = {}
+        for v in window:
+            lam[v] = reference_run(cache, lam, v, rng, stats, budget, h)
+
+    for seed in range(4):
+        want = trip(reference, RandomSource(seed))
+        got = trip(
+            lambda rng, stats: _run(engine, {}, window, rng, stats, budget, h), RandomSource(seed)
+        )
+        assert got == want
+        *_, depth, stats, _ = got
+        assert stats.total_calls > budget
+        if trace:
+            assert stats.max_depth == max(d for _, d, _ in stats.trace)
+        if h is not None:
+            assert depth == h + 1
+
+
+def test_an_empty_window_leaves_the_stats_at_zero():
+    rng = RandomSource(1)
+    stats = RecursionStats()
+    assert _run(MarginalCache(hardcore(0.3), Z2, 2), {}, [], rng, stats, BUDGET) == {}
+    assert stats == RecursionStats() and rng.counter == 0
+    spins, stats = WindowSampler(hardcore(0.3), Z2, 2).sample_window([], 1, trace=True)
+    assert len(spins) == 0 and stats == RecursionStats(trace=[])
+
+
 def test_the_gate_takes_the_shortcut_and_the_lookup():
     # On the gate's own first Z^2 window, the shortcut assigns most calls
     # and the lookup still serves the rest.
@@ -237,3 +298,56 @@ def test_a_spin_one_cannot_sit_by_keeps_the_lookup():
     for seed in range(40):
         with pytest.raises(InfeasibleContextError):
             sampler.sample_window([(0, 0)], seed, {(1, 0): 2})
+
+
+FRAME_GRAPHS = {
+    "z1": (Lattice(1), [(0,)]),
+    "z2": (Lattice(2), [(0, 0)]),
+    "z3": (Lattice(3), [(0, 0, 0)]),
+    "tree:3": (RegularTree(3), [(), (0,), (2, 1), (1, 0, 1)]),
+    "line:z2": (LineGraph(Lattice(2)), [((0, 0), (0, 1)), ((0, 0), (1, 0))]),
+    "grid4x5": (grid_graph(4, 5), grid_graph(4, 5).vertices()),
+    "c5": (cycle_graph(5), cycle_graph(5).vertices()),
+}
+
+
+def reference_p1_bound(system, graph, v, widest):
+    """The class bound as it was computed on a ``FiniteGraph`` frame: the
+    radius-1 min marginal of spin 1 with no context, on a support compiled
+    from the graph."""
+    if not (system.b[0] > 0.0 and (system.A[0] > 0.0).all()) or system.q**widest > ENUM_CAP:
+        return 0.0
+    near = graph.neighbors(v)
+    support = Support(system, graph, (v, *near), Factors(system, shared=True))
+    return max(_ball_min_marginals(support, v, near, (v,), {})[1] - NEG_TOL, 0.0)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("name", FRAME_GRAPHS)
+def test_frames_compile_as_on_a_finite_graph(name, ell):
+    # A ball frame compiles its label adjacency directly, with no
+    # FiniteGraph.  It must give the Support and class bound that a frame
+    # built through FiniteGraph on the same labels and edges gives.
+    graph, vertices = FRAME_GRAPHS[name]
+    for system in (hardcore(0.3), ising(1.5), THREE_SPIN):
+        cache = MarginalCache(system, graph, ell)
+        for v in vertices:
+            cache.ball_parts(v)
+            frame = cache._frames[graph.ball_class(v)]
+            label = {w: i for i, w in enumerate(frame.ball, 1)}
+            edges = {
+                (min(i, label[u]), max(i, label[u]))
+                for w, i in label.items()
+                for u in graph.neighbors(w)
+                if u in label
+            }
+            labelled = FiniteGraph(len(frame.ball), sorted(edges))
+            want = Support(system, labelled, labelled.vertices())
+            got = frame.support
+            assert (got.adjacent, got.later, got.monotone) == (
+                want.adjacent,
+                want.later,
+                want.monotone,
+            )
+            widest = len(frame.interior) if want.monotone else len(frame.ball)
+            assert frame.p1_bound == reference_p1_bound(system, labelled, frame.v, widest)

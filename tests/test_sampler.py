@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ssms import (
     partition_function,
     path_graph,
 )
+from ssms.bruteforce import Factors
 from ssms.errors import (
     BudgetExhaustedError,
     ConfigError,
@@ -329,6 +331,25 @@ def test_divergent_lattice_walk_keeps_a_bounded_ball_memo():
     ):
         sampler.sample_window([(0, 0)], 7)
     assert 0 < len(sampler._cache._balls) <= _BALLS_CAP < 3 * 10**4
+
+
+def test_a_cold_window_builds_one_factor_table_and_no_finite_graph():
+    # A fresh sampler's frame reserves its widest miss, so every narrower
+    # miss copies its rows from that one table, and the frame compiles its
+    # label adjacency without building a validating FiniteGraph.
+    with (
+        mock.patch.object(Factors, "_table", autospec=True, side_effect=Factors._table) as table,
+        mock.patch.object(
+            FiniteGraph, "__init__", autospec=True, side_effect=FiniteGraph.__init__
+        ) as finite,
+    ):
+        z2 = Lattice(2)
+        sampler = WindowSampler(hardcore(0.3), z2, 2)
+        sampler.sample_window(z2.box((0, 0), (8, 8)), 1)
+    assert table.call_count == 1
+    assert finite.call_count == 0
+    # The misses did need narrower tables: free counts 1 (the p1 bound) to 5.
+    assert len(sampler._cache._factors._axes) > 1
 
 
 def test_divergent_tree_run_trips_in_bounded_memory():
