@@ -18,20 +18,17 @@ directly (``Support.from_adjacency``).  ``weight_tensor`` is
 
 The factors themselves depend only on the system and the free count k:
 the field product, row s of A on axis j, and A across axes j1 < j2.
-``Factors`` builds them once per k and any number of supports share one
-(the marginal cache shares one across its ball frames).  A shared
-``Factors`` expands every factor of up to GATHER_CAP cells to all q^k
-cells as one row of a table, filled in place, and a product gathers its
-rows by id in one flat ``take`` and multiplies them in one call.  It
-builds one such table, for the widest free count asked for, and copies
-every narrower k's rows from that table's first q^k columns, computing
-only the field afresh.  Past
-the cut-over, and on a one-shot support, where a table would serve a
-single product, each factor is an array shaped to broadcast, multiplied
-into a copy of the field in turn.  Either way an enumeration walks its
-edges once, keeping one code per walked vertex (its axis, or its pinned
-spin), skips the interaction rows that are all ones, and multiplies the
-rest cell by cell in walk order; since x * 1.0 == x, the weights are
+``Factors`` holds them for every k and any number of supports share one
+(the marginal cache shares one across its ball frames).  Up to GATHER_CAP
+cells it expands every factor to all q^k cells as one row of a table, and
+a product gathers its rows by id in one flat ``take`` and multiplies them
+in one call.  It builds one such table, for the widest free count asked
+for, and every narrower k reads it as a view (``Factors``).  Past the
+cut-over each factor is an array shaped to broadcast, multiplied into a
+copy of the field in turn.  Either way an enumeration walks its edges
+once, keeping one code per walked vertex (its axis, or its pinned spin),
+skips the interaction rows that are all ones, and multiplies the rest
+cell by cell in walk order; since x * 1.0 == x, the weights are
 bit-identical to multiplying every factor in turn.  The pinned spins'
 fields and their interactions with each other are one scalar, applied
 after the product.
@@ -44,122 +41,110 @@ both rows at once.
 
 ``Support.monotone`` records whether the Gibbs measure on the support is
 monotone, which lets the worst-case marginals read only the two extremal
-boundaries (see ``marginals``).
+boundaries (see ``marginals``).  ``Support.fits`` says whether a miss of
+a given free count is sure not to raise ``TooLargeError``.
 """
+
+import math
+import sys
 
 import numpy as np
 
 from .errors import TooLargeError
 
 ENUM_CAP = 2**22
-# Shared factors of at most this many cells are gathered from a table.
+# A Factors gathers the products of at most this many cells from its table.
 # Measured on 2 CPUs for q = 2, 3 and 4, an enumeration took 0.4-1.0x the
 # time of a broadcast one from 27 to 1,024 cells (within 2 us below that);
 # past it a table, one row of q^k doubles per factor (0.5 MB at q = 2 and
 # k = 10), grows faster than the time it saves.
 GATHER_CAP = 2**10
+# The natural log of the largest double.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class Factors:
-    """The factors of ``system``'s weights over k free axes, built once per k.
+    """The factors of ``system``'s weights over k free axes, for any k.
 
     ``axes(k)`` is ``(table, field, rows, pairs)``: ``field`` is the field
     product, ``rows[s - 1][j]`` row s of A on axis j, and ``pairs[j1, j2]``
     A across axes j1 < j2.  ``rows[s - 1]`` is None when that row is all
     ones: A is symmetric, so the column is too, and a fixed vertex with
-    spin s weighs nothing on its neighbours.  With ``shared`` set, up to
-    GATHER_CAP cells each factor is the id of its row in the read-only
-    ``table`` of shape (factors, q^k), whose row 0 is all ones and row 1
-    the field.  Otherwise ``table`` is None and each factor a read-only
+    spin s weighs nothing on its neighbours.  Up to GATHER_CAP cells each
+    factor is the id of its row in the read-only ``table`` of shape
+    (factors, q^k).  Past it ``table`` is None and each factor a read-only
     array shaped to broadcast over ``(q,) * k``.
 
-    A shared ``Factors`` builds one full table, for the widest K free axes
-    asked for (``reserve``, or the first ``axes(K)`` past the widest so
-    far), and serves every narrower k from its first q^k columns.  In C
-    order those are the cells whose first K - k digits are 0, so axis j of
-    k is axis K - k + j of K: row s of A on axis j is the full table's row
-    (s, K - k + j), and A across (j1, j2) its pair (K - k + j1, K - k + j2).
-    Those rows are copied, not recomputed, so they hold the same doubles.
-    Only the field row is computed afresh over k axes, as the full build
-    does it: the K-axis field would carry K - k extra factors of b_1.
+    A ``Factors`` holds one table, for the widest K free axes asked for
+    (``reserve``, or the first ``axes(K)`` past the widest so far): row 0
+    all ones, row j the field product over the first j axes, taken left to
+    right as the broadcast path takes it, then the rows of A on each axis
+    and A across each pair of axes.  Any k <= K reads it as a view, the
+    cells whose last K - k digits are 0, which are the k-axis cells in C
+    order: the field is row k and every other id is the same, so ``rows``
+    and ``pairs`` are the widest table's.  A wider table renumbers the
+    rows, so a product reads its ids from ``axes(k)`` after the last
+    ``reserve``.
     """
 
-    __slots__ = ("system", "shared", "_live", "_axes", "_digits")
+    __slots__ = ("system", "_live", "_axes", "_widest")
 
-    def __init__(self, system, shared=False):
+    def __init__(self, system):
         self.system = system
-        self.shared = shared
         # The spins whose row of A is not all ones.
         self._live = [s for s, row in enumerate(system.A.tolist()) if row != [1.0] * system.q]
         self._axes = {}
-        # The digits of the full table's cells (``_table``); None before it
-        # is built.
-        self._digits = None
+        # ``axes(K)`` of the table (``_table``); None before it is built.
+        self._widest = None
 
     def axes(self, k):
         hit = self._axes.get(k)
         if hit is None:
-            if self.shared and self.system.q**k <= GATHER_CAP:
+            q = self.system.q
+            if q**k <= GATHER_CAP:
                 self.reserve(k)
-                hit = self._axes.get(k) or self._narrowed(k)
+                table, widest, rows, pairs = self._widest
+                hit = (table[:, :: q ** (widest - k)], k, rows, pairs)
             else:
                 hit = self._arrays(k)
             self._axes[k] = hit
         return hit
 
     def reserve(self, k):
-        """Build the full gather table now for k free axes, or for as many
-        as GATHER_CAP allows, unless one at least as wide exists: a ball
-        frame reserves its widest miss when it is built, so its narrower
-        misses copy their rows instead of building tables of their own."""
+        """Build the table now for k free axes, or for as many as
+        GATHER_CAP allows, unless one at least as wide exists: a ball frame
+        reserves its widest miss when it is built, so its narrower misses
+        read views of one table."""
         q = self.system.q
         while q**k > GATHER_CAP:
             k -= 1
-        if self.shared and (self._digits is None or k > len(self._digits)):
-            digits = _digits(q, k)
-            self._axes[k] = self._table(digits)
-            self._digits = digits
+        if self._widest is None or k > self._widest[1]:
+            self._widest = self._table(k)
+            # Views of the narrower table would keep it alive.
+            self._axes = {j: hit for j, hit in self._axes.items() if hit[0] is None}
 
-    def _table(self, digits):
-        """The gather table over the cells whose digits are ``digits``: all
-        q^k cells of k axes, in C order."""
+    def _table(self, k):
+        """``(table, k, rows, pairs)``: the table over all q^k cells of k
+        axes, in C order."""
         q = self.system.q
-        b = self.system.b
         A = self.system.A
         live = self._live
-        k, cells = digits.shape
+        cells = q**k
+        digits = np.arange(cells) // (q ** np.arange(k - 1, -1, -1))[:, None] % q
         pairs = [(j1, j2) for j1 in range(k) for j2 in range(j1 + 1, k)]
         j1 = [j for j, _ in pairs]
         j2 = [j for _, j in pairs]
-        first = 2 + len(live) * k
+        first = 1 + k + len(live) * k
         table = np.empty((first + len(pairs), cells))
         table[0] = 1.0
-        np.multiply.reduce(b[digits], axis=0, out=table[1])
-        table[2:first] = A[live][:, digits].reshape(-1, cells)
+        np.multiply.accumulate(self.system.b[digits], axis=0, out=table[1 : k + 1])
+        table[k + 1 : first] = A[live].take(digits, axis=1).reshape(-1, cells)
         table[first:] = A[digits[j1], digits[j2]].reshape(-1, cells)
         table.flags.writeable = False
         rows = [None] * q
         for i, s in enumerate(live):
-            rows[s] = list(range(2 + i * k, 2 + (i + 1) * k))
-        return table, 1, rows, {pair: first + n for n, pair in enumerate(pairs)}
-
-    def _narrowed(self, k):
-        """The gather table of k axes served from the full table's first
-        q^k cells, whose last k digits are those of k axes."""
-        digits = self._digits
-        shift = len(digits) - k
-        full, _, rows, pairs = self._axes[len(digits)]
-        cells = self.system.q**k
-        table = full[:, :cells].copy()
-        np.multiply.reduce(self.system.b[digits[shift:, :cells]], axis=0, out=table[1])
-        table.flags.writeable = False
-        rows = [None if ids is None else ids[shift:] for ids in rows]
-        pairs = {
-            (j1, j2): pairs[j1 + shift, j2 + shift]
-            for j1 in range(k)
-            for j2 in range(j1 + 1, k)
-        }
-        return table, 1, rows, pairs
+            rows[s] = list(range(k + 1 + i * k, k + 1 + (i + 1) * k))
+        return table, k, rows, {pair: first + n for n, pair in enumerate(pairs)}
 
     def _arrays(self, k):
         q = self.system.q
@@ -176,7 +161,12 @@ class Factors:
         rows = [None] * q
         for s in self._live:
             rows[s] = [on_axis(A[s], j) for j in range(k)]
-        return None, field, rows, _Pairs(A, k)
+        pairs = {}
+        for j1 in range(k):
+            for j2 in range(j1 + 1, k):
+                shape = (1,) * j1 + (q,) + (1,) * (j2 - j1 - 1) + (q,) + (1,) * (k - 1 - j2)
+                pairs[j1, j2] = A.reshape(shape)
+        return None, field, rows, pairs
 
     def products(self, k, factors, tails=((),)):
         """Cell-wise products over k free axes as an array of shape
@@ -207,36 +197,13 @@ class Factors:
         return out.reshape(len(tails), -1)
 
 
-def _digits(q, k):
-    """digits[j] is the spin index on axis j of each of the q^k cells, in C
-    order."""
-    return np.arange(q**k) // (q ** np.arange(k - 1, -1, -1))[:, None] % q
-
-
-class _Pairs(dict):
-    """A across axes j1 < j2 of k, shaped to broadcast, each made on first
-    use: an enumeration reads only the pairs its free edges join."""
-
-    __slots__ = ("A", "k")
-
-    def __init__(self, A, k):
-        self.A = A
-        self.k = k
-
-    def __missing__(self, axes):
-        j1, j2 = axes
-        q = self.A.shape[0]
-        shape = (1,) * j1 + (q,) + (1,) * (j2 - j1 - 1) + (q,) + (1,) * (self.k - 1 - j2)
-        P = self[axes] = self.A.reshape(shape)
-        return P
-
-
 class Support:
     """Compiled enumeration of ``system`` on the vertex set ``vertices`` of
     ``graph``, for any fixed/free split and any order of those vertices.
-    Its factors come from ``factors``, a shared ``Factors`` of the same
-    system, or from one of its own.  ``from_adjacency`` compiles one whose
-    induced neighbour lists are already known, reading no graph."""
+    Its factors come from ``factors``, a ``Factors`` of the same system
+    that other supports may share, or from one of its own.
+    ``from_adjacency`` compiles one whose induced neighbour lists are
+    already known, reading no graph."""
 
     __slots__ = ("system", "adjacent", "later", "monotone", "factors", "_b", "_A")
 
@@ -264,6 +231,21 @@ class Support:
         # arithmetic.
         self._b = system.b.tolist()
         self._A = system.A.tolist()
+
+    def fits(self, k):
+        """Whether no miss on this support that frees at most k vertices
+        can raise ``TooLargeError``: q^k cells are within ENUM_CAP and no
+        weight on the support can overflow a double.  No partial product or
+        sum of a miss exceeds q^n times the product of every field and
+        interaction factor on the support's n vertices and m edges, each
+        taken at its largest entry and at least 1."""
+        q = self.system.q
+        if q**k > ENUM_CAP:
+            return False
+        edges = sum(map(len, self.later.values()))
+        per_vertex = math.log(max(*self._b, 1.0)) + math.log(q)
+        per_edge = math.log(max(*map(max, self._A), 1.0))
+        return len(self.adjacent) * per_vertex + edges * per_edge <= _LOG_MAX
 
 
 def _is_monotone(A, adjacent):

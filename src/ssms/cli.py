@@ -232,9 +232,8 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main():
+    args = build_parser().parse_args()
     try:
         return args.func(args)
     except SsmsError as exc:

@@ -37,8 +37,6 @@ are computed in numpy blocks; any object with a ``next_double`` method can
 stand in for it.
 """
 
-import math
-import sys
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
@@ -46,7 +44,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .bruteforce import ENUM_CAP, Factors, Support
+from .bruteforce import Factors, Support
 from .errors import (
     BudgetExhaustedError,
     ConfigError,
@@ -67,9 +65,6 @@ DEFAULT_BUDGET = 10**7
 # walk that visits ever new vertices holds bounded memory.  A warm 20x20
 # lattice sampler at radius 2 holds about a thousand.
 _BALLS_CAP = 2**14
-
-# The natural log of the largest double.
-_LOG_MAX = math.log(sys.float_info.max)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -298,8 +293,8 @@ class MarginalCache:
     and its sphere picked out of that by the frame's ``itemgetter`` of the
     sphere's positions.
 
-    A miss is enumerated on the class's ball frame: the ball's induced
-    subgraph with the i-th sorted ball vertex labelled i.  Once per class
+    A miss is enumerated on the class's ball frame: the ball's sorted
+    vertices, the i-th labelled i, with their induced edges.  Once per class
     the frame reads each ball vertex's neighbours off the graph as labels
     and compiles that adjacency straight into its enumeration ``Support``
     (``Support.from_adjacency``): edges the graph already gave are not
@@ -308,11 +303,12 @@ class MarginalCache:
     reaches it in label order, restricted to the ball, and it runs as one
     pass (``marginals._ball_rows``).  All frames share one ``Factors``, and
     each frame reserves its widest miss in it when it is built
-    (``Factors.reserve``), so one factor table serves every free count a
-    frame needs, not one per free count or per class (on a tree every
-    vertex is a class).  Relabelling keeps the ball order and the sorted
-    neighbor lists, so the enumeration multiplies the same factors in the
-    same order as on the graph itself and the marginals are bit-identical.
+    (``Factors.reserve``), so one factor table, read as a view by every
+    narrower free count, serves every miss up to the cut-over, not one
+    table per free count or per class (on a tree every vertex is a class).
+    Relabelling keeps the ball order and the sorted neighbor lists, so the
+    enumeration multiplies the same factors in the same order as on the
+    graph itself and the marginals are bit-identical.
     Cached values are deterministic functions of their keys, so lookups
     never change sampling behavior, only speed.
     """
@@ -325,7 +321,7 @@ class MarginalCache:
         self._frames = {}
         self._parts = {}
         self._radix = system.q + 1
-        self._factors = Factors(system, shared=True)
+        self._factors = Factors(system)
         # The whole graph's compiled support and vertex order, for the
         # bounded sampler's oracle; compiled on its first miss.
         self._oracle = None
@@ -466,25 +462,15 @@ def _p1_bound(support, v, widest):
     enumerations.
 
     The bound is 0 unless spin 1 has a positive field and a positive
-    interaction with every spin (``WindowSampler.sample_window`` says why),
-    every miss on the ball fits ENUM_CAP, and no weight on the ball can
-    overflow a double, so that the lookup a shortcut skips could raise
-    neither ``InfeasibleContextError`` nor ``TooLargeError``.  No partial
-    product or sum of a miss exceeds q^n times the product of every field
-    and interaction factor on the ball's n vertices and m edges, each taken
-    at its largest entry and at least 1.
+    interaction with every spin (``WindowSampler.sample_window`` says why)
+    and the widest miss on the ball fits (``Support.fits``), so that the
+    lookup a shortcut skips could raise neither ``InfeasibleContextError``
+    nor ``TooLargeError``.
     """
     system = support.system
-    if not (system.b[0] > 0.0 and (system.A[0] > 0.0).all()):
-        return 0.0
-    if system.q**widest > ENUM_CAP:
+    if not (system.b[0] > 0.0 and (system.A[0] > 0.0).all()) or not support.fits(widest):
         return 0.0
     adjacent = support.adjacent
-    edges = sum(map(len, support.later.values()))
-    per_vertex = math.log(max(*support._b, 1.0)) + math.log(system.q)
-    per_edge = math.log(max(*map(max, support._A), 1.0))
-    if len(adjacent) * per_vertex + edges * per_edge > _LOG_MAX:
-        return 0.0
     near = adjacent[v]
     members = {v, *near}
     near_ball = Support.from_adjacency(

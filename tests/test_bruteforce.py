@@ -87,17 +87,22 @@ def _subset(data, size):
     return [data.draw(st.booleans()) for _ in range(size)]
 
 
-def check_against_reference(data, shared=False):
-    """Draw a graph, a support compiled on part of it (on a shared
-    ``Factors``, or one-shot) and eight contexts and orders, and hold
-    ``weight_tensor`` to the reference; return the compiled support."""
+def check_against_reference(data, given_factors=False):
+    """Draw a graph, a support compiled on part of it (on a ``Factors``
+    passed in, or one-shot) and eight contexts and orders, and hold
+    ``weight_tensor`` to the reference; return the compiled support.  Some
+    draws reserve the widest free count in the ``Factors`` passed in first,
+    so every enumeration reads a view of that one table."""
     system = data.draw(st.sampled_from(SYSTEMS))
     # Labels past 8 make a neighbour list read from a set come out of order.
     n = data.draw(st.integers(1, 11))
     pairs = [(u, w) for u in range(1, n + 1) for w in range(u + 1, n + 1)]
     graph = FiniteGraph(n, [e for e, k in zip(pairs, _subset(data, len(pairs))) if k])
     vertices = [v for v, k in zip(range(1, n + 1), _subset(data, n)) if k][:8]
-    compiled = Support(system, graph, vertices, Factors(system, shared=True) if shared else None)
+    factors = Factors(system) if given_factors else None
+    if given_factors and data.draw(st.booleans()):
+        factors.reserve(len(vertices))
+    compiled = Support(system, graph, vertices, factors)
     for _ in range(8):
         support = data.draw(st.permutations(vertices))
         # Fixed spins may also name vertices outside the support, which
@@ -113,13 +118,15 @@ def check_against_reference(data, shared=False):
 
 
 def check_memoized_factors(compiled):
-    """Every memoized factor is read-only and, spread over all cells, still
-    the plain product or the row or pair of A that it names."""
+    """Up to GATHER_CAP cells every memoized factor set is a view of the
+    one widest table, and past it a set of arrays; every factor is read-only
+    and, spread over all cells, still the plain product or the row or pair
+    of A that it names."""
     system = compiled.system
     q = system.q
     factors = compiled.factors
     for k, (table, field, rows, pairs) in factors._axes.items():
-        assert (table is None) == (not factors.shared or q**k > bruteforce.GATHER_CAP)
+        assert (table is None) == (q**k > bruteforce.GATHER_CAP)
 
         def cells(f):
             if table is None:
@@ -131,35 +138,42 @@ def check_memoized_factors(compiled):
         assert _bits(cells(field)) == _bits(plain)
         for s, row in enumerate(rows):
             assert (row is None) == bool(np.all(system.A[s] == 1.0))
-            for j, f in enumerate(row or ()):
+            for j, f in enumerate((row or [])[:k]):
                 want = system.A[s].reshape((1,) * j + (q,) + (1,) * (k - 1 - j))
                 assert _bits(cells(f)) == _bits(np.broadcast_to(want, (q,) * k))
         if table is not None:
+            # A view of the one table: a Factors holds no other.
+            assert table.base is factors._widest[0]
+            assert table.shape[1] == q**k
             assert not table.flags.writeable
-            assert sorted(pairs) == [(j1, j2) for j1 in range(k) for j2 in range(j1 + 1, k)]
-        for (j1, j2), f in pairs.items():
-            want = system.A.reshape(
-                (1,) * j1 + (q,) + (1,) * (j2 - j1 - 1) + (q,) + (1,) * (k - 1 - j2)
-            )
-            assert _bits(cells(f)) == _bits(np.broadcast_to(want, (q,) * k))
+        for j1 in range(k):
+            for j2 in range(j1 + 1, k):
+                want = system.A.reshape(
+                    (1,) * j1 + (q,) + (1,) * (j2 - j1 - 1) + (q,) + (1,) * (k - 1 - j2)
+                )
+                assert _bits(cells(pairs[j1, j2])) == _bits(np.broadcast_to(want, (q,) * k))
 
 
 @PROPERTY
 @given(data=st.data())
 def test_compiled_support_matches_reference(data):
-    # A one-shot support: every product broadcast.
+    # A one-shot support gathers up to GATHER_CAP cells, from one table
+    # built for the first free count it enumerates or for a wider one.
     compiled = check_against_reference(data)
-    assert all(table is None for table, *_ in compiled.factors._axes.values())
+    q = compiled.system.q
+    axes = compiled.factors._axes.items()
+    assert all((table is None) == (q**k > bruteforce.GATHER_CAP) for k, (table, *_) in axes)
 
 
 @pytest.mark.parametrize("gather_cap", [bruteforce.GATHER_CAP, ENUM_CAP], ids=["cut-over", "gathered"])
 @PROPERTY
 @given(data=st.data())
 def test_shared_factors_match_reference(gather_cap, data):
-    # Shared factors gather up to the cut-over and broadcast past it (q = 3
-    # and 8 free vertices make 6,561 cells); then every product gathered.
+    # Factors passed in, reserved at the support's widest free count on some
+    # draws, gather up to the cut-over and broadcast past it (q = 3 and 8
+    # free vertices make 6,561 cells); then every product gathered.
     with mock.patch.object(bruteforce, "GATHER_CAP", gather_cap):
-        check_against_reference(data, shared=True)
+        check_against_reference(data, given_factors=True)
 
 
 def test_enumeration_past_the_cap_raises_before_allocating():
@@ -167,7 +181,7 @@ def test_enumeration_past_the_cap_raises_before_allocating():
     n = 23
     graph = FiniteGraph(n, [(v, v + 1) for v in range(1, n)])
     system = ising(1.5)
-    compiled = Support(system, graph, graph.vertices(), Factors(system, shared=True))
+    compiled = Support(system, graph, graph.vertices(), Factors(system))
     tracemalloc.start()
     try:
         with pytest.raises(TooLargeError, match=r"2\^23 assignments"):
@@ -181,12 +195,11 @@ def test_enumeration_past_the_cap_raises_before_allocating():
 
 @PROPERTY
 @given(data=st.data())
-def test_narrowed_tables_equal_fresh_ones(data):
-    # A shared Factors builds one full table, for the widest free count
-    # asked for so far, and serves every narrower k from its first q^k
-    # columns.  Each product on such a table must equal, bit for bit, the
-    # same product on a fresh table built for k alone, whatever the order
-    # of the requests and whether a width was reserved first.
+def test_table_views_equal_fresh_tables(data):
+    # A Factors builds one table, for the widest free count asked for so
+    # far, and serves every narrower k a view of it.  Each product on a
+    # view must equal, bit for bit, the same product on a fresh table built
+    # for k alone, whatever the order of the requests and the reserves.
     q = data.draw(st.sampled_from([2, 3, 4]))
     entry = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.05, 3.0))
     A = np.zeros((q, q))
@@ -196,26 +209,22 @@ def test_narrowed_tables_equal_fresh_ones(data):
     b = [data.draw(st.floats(0.05, 3.0)) for _ in range(q)]
     system = SpinSystem(q, b, A)
     widths = [k for k in range(11) if q**k <= bruteforce.GATHER_CAP]
-    order = data.draw(st.sampled_from(["ascending", "descending", "mixed"]))
-    if order == "mixed":
-        widths = data.draw(st.permutations(widths))
-    elif order == "descending":
-        widths = widths[::-1]
-    shared = Factors(system, shared=True)
-    reserved = data.draw(st.sampled_from([None, *widths]))
-    if reserved is not None:
-        shared.reserve(reserved)
-    for k in widths:
-        fresh = Factors(system, shared=True)
-        fresh.reserve(k)
-        got, want = shared.axes(k), fresh.axes(k)
+    step = st.tuples(st.sampled_from(["axes", "reserve"]), st.sampled_from(widths))
+    steps = data.draw(st.lists(step, max_size=12))
+    factors = Factors(system)
+    for kind, k in steps:
+        if kind == "reserve":
+            factors.reserve(k)
+            continue
+        fresh = Factors(system)
+        got, want = factors.axes(k), fresh.axes(k)
+        assert fresh._widest[1] == k
         assert [ids is None for ids in got[2]] == [ids is None for ids in want[2]]
-        assert sorted(got[3]) == sorted(want[3])
         # A factor by name: the field, row s of A on axis j, or A across a
-        # pair of axes; each table gives it its own id.
+        # pair of axes; the view's ids may be those of a wider table.
         names = [("field",)]
         names += [("row", s, j) for s, ids in enumerate(want[2]) if ids for j in range(k)]
-        names += [("pair", *pair) for pair in want[3]]
+        names += [("pair", j1, j2) for j1 in range(k) for j2 in range(j1 + 1, k)]
 
         def ids(axes, picked):
             _, field, rows, pairs = axes
@@ -225,11 +234,14 @@ def test_narrowed_tables_equal_fresh_ones(data):
             ]
 
         for _ in range(3):
-            factors = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=6))
+            picked = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=6))
             tails = data.draw(
                 st.lists(st.lists(st.sampled_from(names), max_size=3), min_size=1, max_size=2)
             )
-            W = shared.products(k, ids(got, factors), [ids(got, t) for t in tails])
-            ref = fresh.products(k, ids(want, factors), [ids(want, t) for t in tails])
+            W = factors.products(k, ids(got, picked), [ids(got, t) for t in tails])
+            ref = fresh.products(k, ids(want, picked), [ids(want, t) for t in tails])
             assert _bits(W) == _bits(ref)
-    assert len(shared._digits) == max(widths if reserved is None else [reserved, *widths])
+    # One table, as wide as the widest step, and every memoized k a view.
+    if steps:
+        assert factors._widest[1] == max(k for _, k in steps)
+    assert all(table.base is factors._widest[0] for table, *_ in factors._axes.values())

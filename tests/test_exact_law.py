@@ -23,8 +23,11 @@ samples resolves errors of about 1e-2.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cache_keys import THREE_SPIN, _feasible_assignment
 
-from ssms import conditional_marginal
+from ssms import coloring, conditional_marginal, grid_graph, hardcore, ising
 from ssms.sampler import IntervalPartition, MarginalCache
 from ssms.verify import NONTERMINATING_CELLS, acceptance_matrix
 
@@ -121,3 +124,31 @@ def test_the_gate_sees_a_moved_zone_edge(monkeypatch):
     cell = next(c for c in CELLS if c.label == "hardcore(lambda=1)|grid3|ell=1")
     worst, _ = worst_window_error(cell, 1)
     assert worst > 1e-7
+
+
+# The finite case of tests/test_cache_keys.py, under drawn fixed contexts.
+GRID = grid_graph(4, 4)
+GRID_SYSTEMS = (hardcore(1.0), ising(1.5), coloring(5), THREE_SPIN)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("system", GRID_SYSTEMS, ids=[system.label for system in GRID_SYSTEMS])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_capped_law_holds_under_drawn_contexts(system, ell, data):
+    # A feasible context fixes all but at most 8 vertices of the grid, and
+    # a window of two free vertices is sampled under it.
+    h = data.draw(st.integers(0, 2))
+    vertices = list(GRID.vertices())
+    full = _feasible_assignment(data, system, GRID, vertices)
+    free = data.draw(st.lists(st.sampled_from(vertices), min_size=2, max_size=8, unique=True))
+    law = CappedLaw(MarginalCache(system, GRID, ell), h)
+    prefixes = [{w: s for w, s in full.items() if w not in free}]
+    for v in free[:2]:
+        grown = []
+        for lam in prefixes:
+            exact = conditional_marginal(system, GRID, v, lam, vertices)
+            got = law(v, lam, 1)
+            assert max(abs(a - b) for a, b in zip(got, exact)) <= 1e-12
+            grown += [{**lam, v: i} for i, m in enumerate(exact, 1) if m > 0.0]
+        prefixes = grown

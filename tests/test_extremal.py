@@ -503,7 +503,7 @@ def test_one_gather_equals_the_rows_per_extreme(graph_name, system_name, gather_
     ell = data.draw(st.integers(1, max_ell))
     context = draw_context(data, system, graph, v, ell)
     sphere, interior = graph.sphere_and_interior(v, ell)
-    ball = Support(system, graph, sphere + interior, Factors(system, shared=True))
+    ball = Support(system, graph, sphere + interior, Factors(system))
     sphere_free = [w for w in sphere if w not in context]
     interior_free = [w for w in interior if w not in context]
     fixed = {w: context[w] for w in sorted(sphere + interior) if w in context}
@@ -677,7 +677,7 @@ def test_one_pass_miss_equals_the_reference(graph_name, system_name, gather_cap,
     sphere, interior, context = draw_miss_context(data, system, graph, v, ell)
     in_ball_order = {w: context[w] for w in sorted(sphere + interior) if w in context}
     with mock.patch.object(bruteforce, "GATHER_CAP", gather_cap):
-        ball = Support(system, graph, sphere + interior, Factors(system, shared=True))
+        ball = Support(system, graph, sphere + interior, Factors(system))
         args = (ball, v, sphere, interior)
         want = attempt(reference_min_marginals, *args, context)
         assert attempt(_ball_min_marginals, *args, in_ball_order) == want

@@ -1,6 +1,7 @@
-"""Every module uses each name it imports, and every function, class,
-method and module-level constant of the package is named somewhere outside
-its own definition.
+"""Every module uses each name it imports, every function, class, method
+and module-level constant of the package is named somewhere outside its own
+definition, and every defaulted parameter of the package is passed by some
+call.
 Importing the package does not load scipy.
 
 Stdlib ``ast`` checks, so they need no linter.  ``src/ssms/__init__.py`` is
@@ -8,6 +9,7 @@ left out of both: its imports are the package's re-exports.
 """
 
 import ast
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +131,102 @@ def test_the_check_sees_a_dead_definition():
     )
     found = dead_definitions({"m": tree}, [tree])
     assert found == [("m", 4, "dead"), ("m", 7, "unused"), ("m", 8, "B"), ("m", 12, "LIMIT")]
+
+
+def knobs(tree):
+    """(line, callee, name, index) of each defaulted parameter of each
+    function and method of ``tree``, dunders other than ``__init__``
+    excepted.  ``callee`` is the name a call spells: the function's, or the
+    class's for ``__init__``.  ``index`` is the parameter's position among
+    the arguments a call passes (past ``self`` or ``cls`` on a method), and
+    None for a keyword-only one."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    owner = {
+        node: cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, kinds)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, kinds):
+            continue
+        name = node.name
+        if name[:2] == name[-2:] == "__" and name != "__init__":
+            continue
+        decorators = [d.id for d in node.decorator_list if isinstance(d, ast.Name)]
+        shift = 1 if node in owner and "staticmethod" not in decorators else 0
+        callee = owner[node] if name == "__init__" else name
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        found += [
+            (node.lineno, callee, arg.arg, i - shift)
+            for i, arg in enumerate(positional)
+            if i >= first
+        ]
+        found += [
+            (node.lineno, callee, arg.arg, None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+    return found
+
+
+def unpassed_knobs(defining, calling):
+    """(label, line, callee, name) of each defaulted parameter defined in a
+    tree of the ``{label: tree}`` map ``defining`` that no call in the
+    ``calling`` trees passes: by keyword, by position past its index, or
+    through ``*`` or ``**``.  Calls are matched to definitions by name."""
+    keywords = {}  # None stands for a ``**`` argument
+    widest = {}  # the most positional arguments, inf through a ``*``
+    for tree in calling:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                star = any(isinstance(arg, ast.Starred) for arg in node.args)
+                widest[name] = max(widest.get(name, 0), math.inf if star else len(node.args))
+                keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)
+    found = []
+    for label, tree in defining.items():
+        for line, callee, name, index in knobs(tree):
+            named = keywords.get(callee, set())
+            by_position = index is not None and widest.get(callee, 0) > index
+            if not (name in named or None in named or by_position):
+                found.append((label, line, callee, name))
+    return sorted(found)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    defining = {str(path.relative_to(ROOT)): parse(path) for path in modules(("src/ssms",))}
+    calling = [parse(path) for path in modules(("src/ssms", "tests", "demos", "bench"))]
+    found = [
+        f"{label}:{line}: {callee}({name}=...)"
+        for label, line, callee, name in unpassed_knobs(defining, calling)
+    ]
+    assert found == []
+
+
+def test_the_check_sees_an_unpassed_knob():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0, y=0): pass\n"
+        "    def m(self, z=0): pass\n"
+        "    @staticmethod\n"
+        "    def s(t=0): pass\n"
+        "    def __call__(self, unseen=0): pass\n"
+        "def g(u=0): pass\n"
+        "def h(v=0, w=0): pass\n"
+        "f(0, 1, d=2)\n"
+        "K(5).m(**opts)\n"
+        "K.s(0)\n"
+        "h(*args)\n"
+    )
+    found = unpassed_knobs({"m": tree}, [tree])
+    assert found == [("m", 1, "f", "c"), ("m", 1, "f", "e"), ("m", 3, "K", "y"), ("m", 8, "g", "u")]
 
 
 def test_importing_the_package_leaves_scipy_unloaded():

@@ -318,7 +318,7 @@ def reference_p1_bound(system, graph, v, widest):
     if not (system.b[0] > 0.0 and (system.A[0] > 0.0).all()) or system.q**widest > ENUM_CAP:
         return 0.0
     near = graph.neighbors(v)
-    support = Support(system, graph, (v, *near), Factors(system, shared=True))
+    support = Support(system, graph, (v, *near), Factors(system))
     return max(_ball_min_marginals(support, v, near, (v,), {})[1] - NEG_TOL, 0.0)
 
 
