@@ -59,8 +59,15 @@ ENUM_CAP = 2**22
 # past it a table, one row of q^k doubles per factor (0.5 MB at q = 2 and
 # k = 10), grows faster than the time it saves.
 GATHER_CAP = 2**10
-# The natural log of the largest double.
+# A product reads a view of the table of at most this many cells by copying
+# it whole (``ndarray.take`` wants a contiguous source) and a larger one by
+# row index, which copies only the rows it gathers but costs about 1 us more
+# per call (``_take``).  Measured on 2 CPUs for q = 2 (tables of 5 and 10
+# axes) and q = 3 (6 axes): the two break even between 1,000 and 2,500 cells.
+VIEW_COPY_CAP = 2**11
+# The natural logs of the largest and of the smallest normal double.
 _LOG_MAX = math.log(sys.float_info.max)
+_LOG_TINY = math.log(sys.float_info.min)
 
 
 class Factors:
@@ -182,7 +189,7 @@ class Factors:
                 ids += factors
                 ids += tail
                 ids += [0] * (width - len(factors) - len(tail))
-            cells = table.take(ids, axis=0).reshape(len(tails), width, -1)
+            cells = _take(table, ids).reshape(len(tails), width, -1)
             return np.multiply.reduce(cells, axis=1)
         out = np.empty((len(tails),) + field.shape)
         W = out[:1]
@@ -197,55 +204,136 @@ class Factors:
         return out.reshape(len(tails), -1)
 
 
+def _take(table, ids):
+    """The rows ``ids`` of a factor table, copied.  numpy's take copies a
+    strided view whole before it gathers, so a view of more than
+    VIEW_COPY_CAP cells is indexed by row instead, which copies only the
+    rows gathered."""
+    if table.size > VIEW_COPY_CAP and not table.flags.c_contiguous:
+        return table[ids]
+    return table.take(ids, axis=0)
+
+
 class Support:
     """Compiled enumeration of ``system`` on the vertex set ``vertices`` of
     ``graph``, for any fixed/free split and any order of those vertices.
     Its factors come from ``factors``, a ``Factors`` of the same system
     that other supports may share, or from one of its own.
     ``from_adjacency`` compiles one whose induced neighbour lists are
-    already known, reading no graph."""
+    already known, reading no graph.
 
-    __slots__ = ("system", "adjacent", "later", "monotone", "factors", "_b", "_A")
+    An enumeration reads the support in label space: label i is
+    ``vertices[i - 1]`` (``label`` maps back), ``adjacent_labels[i]`` lists
+    its neighbours' labels in the graph's order and ``later_labels[i]`` those
+    that come after it in vertex order; slot 0 is empty, so a context read
+    off the vertices as ``(None, *spins)`` is indexed by label.
+    ``adjacent`` and ``later`` give the same lists keyed by vertex.
+    """
+
+    __slots__ = (
+        "system",
+        "vertices",
+        "label",
+        "adjacent_labels",
+        "later_labels",
+        "monotone",
+        "underflows",
+        "factors",
+        "_b",
+        "_A",
+    )
 
     def __init__(self, system, graph, vertices, factors=None):
-        members = set(vertices)
+        vertices = tuple(vertices)
+        label = {w: i for i, w in enumerate(vertices, 1)}
         # Neighbor lists come sorted, so the filtered ones stay sorted.
-        adjacent = {u: tuple(w for w in graph._neighbors(u) if w in members) for u in members}
-        self._compile(system, adjacent, factors)
+        neighbors = graph._neighbors
+        adjacent = [tuple([label[w] for w in neighbors(u) if w in label]) for u in vertices]
+        self._compile(system, vertices, label, adjacent, factors)
 
     @classmethod
     def from_adjacency(cls, system, adjacent, factors=None):
-        """The support on the keys of ``adjacent``, where ``adjacent[u]`` is
-        the sorted tuple of u's neighbours among those keys."""
+        """The support on labels 1..n whose vertices are those labels, where
+        ``adjacent[i - 1]`` is the sorted tuple of label i's neighbours."""
+        vertices = tuple(range(1, len(adjacent) + 1))
         compiled = cls.__new__(cls)
-        compiled._compile(system, adjacent, factors)
+        compiled._compile(system, vertices, dict(zip(vertices, vertices)), adjacent, factors)
         return compiled
 
-    def _compile(self, system, adjacent, factors):
+    def _compile(self, system, vertices, label, adjacent, factors):
         self.system = system
-        self.adjacent = adjacent
-        self.later = {u: tuple(w for w in nb if u < w) for u, nb in adjacent.items()}
-        self.monotone = _is_monotone(system.A, adjacent)
+        self.vertices = vertices
+        self.label = label
+        self.adjacent_labels = [(), *adjacent]
+        self.later_labels = [()] + [
+            tuple([j for j in nb if u < vertices[j - 1]]) for u, nb in zip(vertices, adjacent)
+        ]
+        self.monotone = _is_monotone(system.A, self.adjacent_labels)
         self.factors = Factors(system) if factors is None else factors
         # Python floats for the scalar factors: the same doubles, cheaper
         # arithmetic.
         self._b = system.b.tolist()
         self._A = system.A.tolist()
+        # The least positive cell product: every factor at its least positive
+        # entry, and at most 1.
+        low_b = min([x for x in self._b if x > 0.0], default=1.0)
+        low_A = min([x for row in self._A for x in row if x > 0.0], default=1.0)
+        self.underflows = (
+            len(vertices) * math.log(min(low_b, 1.0)) + self._edges() * math.log(min(low_A, 1.0))
+            < _LOG_TINY
+        )
+
+    def _edges(self):
+        return sum(map(len, self.later_labels))
+
+    @property
+    def adjacent(self):
+        """Each vertex's neighbours in the support, keyed by vertex."""
+        return self._by_vertex(self.adjacent_labels)
+
+    @property
+    def later(self):
+        """Each vertex's neighbours after it in vertex order, keyed by vertex."""
+        return self._by_vertex(self.later_labels)
+
+    def _by_vertex(self, lists):
+        vertices = self.vertices
+        return {u: tuple([vertices[j - 1] for j in nb]) for u, nb in zip(vertices, lists[1:])}
+
+    def restrict(self, members):
+        """The support induced on the labels ``members``, with this one's
+        labels, factors and underflow flag.  It is monotone where this one
+        is: an induced subgraph of a bipartite graph is bipartite, and the
+        attractive test reads no graph.  Elsewhere, where this support has
+        an odd cycle, the induced graph is two-coloured again."""
+        members = set(members)
+        compiled = Support.__new__(Support)
+        for name in ("system", "vertices", "label", "underflows", "factors", "_b", "_A"):
+            setattr(compiled, name, getattr(self, name))
+        adjacent = [()] * len(self.adjacent_labels)
+        later = list(adjacent)
+        for u in members:
+            adjacent[u] = tuple([w for w in self.adjacent_labels[u] if w in members])
+            later[u] = tuple([w for w in self.later_labels[u] if w in members])
+        compiled.adjacent_labels = adjacent
+        compiled.later_labels = later
+        compiled.monotone = self.monotone or _is_monotone(self.system.A, adjacent)
+        return compiled
 
     def fits(self, k):
         """Whether no miss on this support that frees at most k vertices
         can raise ``TooLargeError``: q^k cells are within ENUM_CAP and no
-        weight on the support can overflow a double.  No partial product or
-        sum of a miss exceeds q^n times the product of every field and
-        interaction factor on the support's n vertices and m edges, each
-        taken at its largest entry and at least 1."""
+        weight on the support can overflow or underflow a double.  No
+        partial product or sum of a miss exceeds q^n times the product of
+        every field and interaction factor on the support's n vertices and
+        m edges, each taken at its largest entry and at least 1; it cannot
+        underflow unless ``underflows`` says so."""
         q = self.system.q
-        if q**k > ENUM_CAP:
+        if q**k > ENUM_CAP or self.underflows:
             return False
-        edges = sum(map(len, self.later.values()))
         per_vertex = math.log(max(*self._b, 1.0)) + math.log(q)
         per_edge = math.log(max(*map(max, self._A), 1.0))
-        return len(self.adjacent) * per_vertex + edges * per_edge <= _LOG_MAX
+        return len(self.vertices) * per_vertex + self._edges() * per_edge <= _LOG_MAX
 
 
 def _is_monotone(A, adjacent):
@@ -264,17 +352,18 @@ def _is_monotone(A, adjacent):
         return True
     if not (a12 > 0 and max(a11, a22) > 0 and a11 * a22 <= a12 * a12):
         return False
-    # Two-colour every component of the support's induced graph.
-    side = {}
-    for root in adjacent:
-        if root in side:
+    # Two-colour every component of the support's induced graph, whose
+    # label lists ``adjacent`` start with an empty slot 0.
+    side = [None] * len(adjacent)
+    for root in range(1, len(adjacent)):
+        if side[root] is not None:
             continue
         side[root] = 0
         stack = [root]
         while stack:
             u = stack.pop()
             for w in adjacent[u]:
-                if w not in side:
+                if side[w] is None:
                     side[w] = 1 - side[u]
                     stack.append(w)
                 elif side[w] == side[u]:
@@ -293,33 +382,46 @@ def weight_tensor(compiled, support, fixed):
     ``support`` are not read.  Interactions between two fixed vertices enter
     as a scalar factor, so an infeasible pinned pair zeroes the whole tensor.
     """
-    pinned = {v: fixed[v] for v in support if v in fixed}
-    free = [v for v in support if v not in pinned]
-    W = weight_rows(compiled, free, support, pinned)
+    label = compiled.label
+    walk = [label[v] for v in support]
+    digits = [None] * len(compiled.adjacent_labels)
+    free = []
+    for v, u in zip(support, walk):
+        s = fixed.get(v)
+        if s is None:
+            free.append(v)
+        else:
+            digits[u] = s
+    W = weight_rows(compiled, [label[v] for v in free], walk, digits)
     return free, W.reshape((compiled.system.q,) * len(free))
 
 
-def weight_rows(compiled, free, walk, fixed, extremes=None):
-    """One enumeration of the free vertices ``free``, axes in that order,
-    with the spins ``fixed`` pinned, as an array of shape (rows, q^k).
+def weight_rows(compiled, free, walk, digits, extremes=None):
+    """One enumeration of the free labels ``free``, axes in that order,
+    with the spins ``digits`` pinned: the q^k cells of one row, as a flat
+    array, or of two rows with ``extremes``, as an array of shape (2, q^k).
 
-    ``walk`` lists every free and fixed vertex once; each edge is read from
-    its smaller end, in walk order, and ``fixed`` holds exactly the walk's
-    pinned vertices.  Support vertices in neither are left out, with their
-    edges.  The field and every interaction factor that is not all ones are
-    collected as ids in walk order, and the fields of the pinned spins and
-    the interactions between two of them as one scalar, which scales the
-    product.
+    ``digits[i]`` is the spin pinned at label i, or None; ``walk`` lists
+    every free and pinned label once, and ``digits`` pins exactly the
+    walk's pinned labels.  Each edge is read from its end earlier in vertex
+    order (``Support.later_labels``), in walk order; labels in neither are
+    left out, with their edges.  The field and every interaction factor that
+    is not all ones are collected as ids in walk order, and the fields of
+    the pinned spins, in walk order, and the interactions between two of
+    them as one scalar.  Up to GATHER_CAP cells each row is one block of
+    the one flat gather from the factor table, its scalar in the last slot,
+    and one ``np.multiply.reduce`` takes every row; past it the rows are
+    ``Factors.products``, scaled afterwards, which gives the same bits.
 
-    With ``extremes``, a list of vertices outside the walk (the free sphere
+    With ``extremes``, a list of labels outside the walk (the free sphere
     of a monotone ball), the result has two rows, one per extremal boundary:
-    every vertex of ``extremes`` spin 1, or every one spin 2, except that a
-    spin s with A_ss = 0 yields to the other spin next to a fixed vertex of
+    every label of ``extremes`` spin 1, or every one spin 2, except that a
+    spin s with A_ss = 0 yields to the other spin next to a pinned label of
     spin s.  Each extreme appends its own factors to the walk's: A's row on
-    each free neighbour of a pinned vertex, and, to its own scalar, the
-    field of each pinned vertex and its interaction with each fixed or
-    pinned neighbour, one factor per edge.  Both products are taken at once
-    (``Factors.products``).  Without ``extremes`` there is one row.
+    each free neighbour of an extreme, and, to its own scalar, the field of
+    each extreme and its interaction with each pinned or extreme neighbour,
+    one factor per edge.  Both products are taken at once.  Without
+    ``extremes`` there is one row.
     """
     q = compiled.system.q
     k = len(free)
@@ -329,73 +431,105 @@ def weight_rows(compiled, free, walk, fixed, extremes=None):
         )
     b = compiled._b
     A = compiled._A
+    # One code per label: its axis j >= 0 if free, -s = ~(s - 1) < 0 if
+    # pinned to spin s, so ~code indexes that spin's row of A, and None off
+    # the walk.
+    codes = [None if s is None else -s for s in digits]
+    for j, w in enumerate(free):
+        codes[w] = j
     scalar = 1.0
-    # One code per walked vertex: its axis j >= 0 if free, ~(s - 1) < 0 if
-    # pinned to spin s, so ~code indexes that spin's row of A.
-    at = {w: j for j, w in enumerate(free)}
-    for u, s in fixed.items():
-        scalar *= b[s - 1]
-        at[u] = ~(s - 1)
-    _, field, rows, pairs = compiled.factors.axes(k)
+    for u in walk:
+        c = codes[u]
+        if c < 0:
+            scalar *= b[~c]
+    table, field, rows, pairs = compiled.factors.axes(k)
     factors = [field]
     append = factors.append
-    later = compiled.later
+    later = compiled.later_labels
     for u in walk:
-        cu = at[u]
-        for w in later[u]:
-            cw = at.get(w)
-            if cw is None:
-                continue  # outside the walk
-            if cu < 0:
+        cu = codes[u]
+        if cu < 0:
+            Au = A[~cu]
+            row = rows[~cu]
+            for w in later[u]:
+                cw = codes[w]
+                if cw is None:
+                    continue  # outside the walk
                 if cw < 0:
-                    scalar *= A[~cu][~cw]
-                elif rows[~cu] is not None:
-                    append(rows[~cu][cw])
-            elif cw < 0:
-                if rows[~cw] is not None:
-                    append(rows[~cw][cu])
-            else:
-                # A is symmetric, so the pair factor on axes (j1, j2) is A
-                # itself whichever endpoint comes first.
-                append(pairs[cu, cw] if cu < cw else pairs[cw, cu])
+                    scalar *= Au[~cw]
+                elif row is not None:
+                    append(row[cw])
+        else:
+            for w in later[u]:
+                cw = codes[w]
+                if cw is None:
+                    continue
+                if cw < 0:
+                    if rows[~cw] is not None:
+                        append(rows[~cw][cu])
+                else:
+                    # A is symmetric, so the pair factor on axes (j1, j2) is
+                    # A itself whichever endpoint comes first.
+                    append(pairs[cu, cw] if cu < cw else pairs[cw, cu])
     if extremes is None:
-        W = compiled.factors.products(k, factors)
-        if scalar != 1.0:
-            W *= scalar
-        return W
-    # flip_x: where spin x yields (A_xx = 0), next to a fixed spin x.
-    adjacent = compiled.adjacent
+        if table is None:
+            W = compiled.factors.products(k, factors)[0]
+            if scalar != 1.0:
+                W *= scalar
+            return W
+        # The scalar takes the last slot of the one gathered block.
+        factors.append(0)
+        cells = _take(table, factors)
+        cells[-1] = scalar
+        return np.multiply.reduce(cells, axis=0)
+    # flip_x: where spin x yields (A_xx = 0), next to a pinned spin x.
+    adjacent = compiled.adjacent_labels
     flip1 = flip2 = ()
     if A[0][0] == 0.0:
-        flip1 = {w for u, s in fixed.items() if s == 1 for w in adjacent[u]}
+        flip1 = {w for u in walk if digits[u] == 1 for w in adjacent[u]}
     if A[1][1] == 0.0:
-        flip2 = {w for u, s in fixed.items() if s == 2 for w in adjacent[u]}
+        flip2 = {w for u in walk if digits[u] == 2 for w in adjacent[u]}
     tail1 = []
     tail2 = []
     scalar1 = scalar2 = scalar
     for w in extremes:
-        x1 = 2 if w in flip1 else 1
-        x2 = 1 if w in flip2 else 2
-        scalar1 *= b[x1 - 1]
-        scalar2 *= b[x2 - 1]
-        row1 = rows[x1 - 1]
-        row2 = rows[x2 - 1]
+        # The index of each extreme's spin at w into b, A and rows.
+        s1 = 1 if w in flip1 else 0
+        s2 = 0 if w in flip2 else 1
+        scalar1 *= b[s1]
+        scalar2 *= b[s2]
+        A1 = A[s1]
+        A2 = A[s2]
+        row1 = rows[s1]
+        row2 = rows[s2]
         for u in adjacent[w]:
-            c = at.get(u)
+            c = codes[u]
             if c is None:
-                if u > w:
+                if u in later[w]:
                     # Both ends pinned by the extreme: one factor per edge.
-                    scalar1 *= A[x1 - 1][1 if u in flip1 else 0]
-                    scalar2 *= A[x2 - 1][0 if u in flip2 else 1]
+                    scalar1 *= A1[1 if u in flip1 else 0]
+                    scalar2 *= A2[0 if u in flip2 else 1]
             elif c >= 0:
                 if row1 is not None:
                     tail1.append(row1[c])
                 if row2 is not None:
                     tail2.append(row2[c])
             else:
-                scalar1 *= A[x1 - 1][~c]
-                scalar2 *= A[x2 - 1][~c]
-    W = compiled.factors.products(k, factors, (tail1, tail2))
-    # x * 1.0 == x, so an extreme with no scalar loses no bit here.
-    W *= [[scalar1], [scalar2]]
-    return W
+                scalar1 *= A1[~c]
+                scalar2 *= A2[~c]
+    if table is None:
+        W = compiled.factors.products(k, factors, (tail1, tail2))
+        # x * 1.0 == x, so an extreme with no scalar loses no bit here.
+        W *= [[scalar1], [scalar2]]
+        return W
+    # Both rows in one flat gather, the shorter padded with the all-ones row
+    # (x * 1.0 == x), and each row's scalar in the last slot of its block.
+    block1 = factors + tail1
+    block2 = factors + tail2
+    width = max(len(block1), len(block2))
+    block1 += [0] * (width + 1 - len(block1))
+    block2 += [0] * (width + 1 - len(block2))
+    cells = _take(table, block1 + block2).reshape(2, width + 1, -1)
+    cells[0, width] = scalar1
+    cells[1, width] = scalar2
+    return np.multiply.reduce(cells, axis=1)

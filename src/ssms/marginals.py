@@ -35,20 +35,28 @@ sphere and the whole support as interior, ``conditional_marginal`` and the
 depth-capped oracle.  Each reports an infeasible context as
 ``InfeasibleBoundaryError`` (``_no_extension``).
 
-A miss is one pass (``_ball_rows``).  It takes the context already
-restricted to the ball and in ball order: the cache reads it that way off
-the frame's labels, and ``_ball_query`` orders a public query's context
-once.  It splits the ball into free sphere, free interior and fixed spins
-and hands them to one enumeration (``bruteforce.weight_rows``), which walks
-the edges once and, on the extremal path, builds both extremes' factors in
-the same loop and gathers both products at once.  The walk visits
-``[v] + free interior + fixed`` on the extremal path and ``free sphere +
-free interior + fixed`` otherwise.  ``min_marginals``,
+A miss is one pass (``_ball_rows``) in the label space of the ball's
+compiled ``Support``.  The cache hands it the context read once off the
+frame's labels as digits (the spin or None at each label); every other
+caller compiles its support in a fixed order (``_ball_query`` the sorted
+ball, ``conditional_marginal`` the caller's support order, the oracle the
+graph's vertex order) and hands over a dict in that order, relabelled once
+per call.  It splits the ball into free sphere, free interior and pinned
+labels and hands them to one enumeration (``bruteforce.weight_rows``),
+which walks the edges once and, on the extremal path, builds both
+extremes' factors in the same loop and gathers both products at once.
+The walk visits ``[v] + free interior + pinned`` on the extremal path and
+``free sphere + free interior + pinned`` otherwise, the pinned labels in
+the order the context gives them.  ``min_marginals``,
 ``mixing_rate_estimate``, ``conditional_marginal``, the cache's min and
 sphere lookups, the depth-capped oracle and the sampler's p_v^1 bound all
-run this pass.
+run this pass.  On a support whose weights can underflow a double
+(``Support.underflows``), a boundary row whose total is below the smallest
+normal double raises ``TooLargeError`` rather than reading as infeasible.
 """
 
+import sys
+from itertools import compress
 from math import isfinite
 
 import numpy as np
@@ -73,6 +81,8 @@ NEG_TOL = 1e-9
 # to right, and past 4 rows its per-call overhead is cheaper than a loop.
 FLOAT_TAIL_Q = 8
 FLOAT_TAIL_ROWS = 4
+# The smallest normal double.
+_TINY = sys.float_info.min
 
 
 def conditional_marginal(system, graph, v, fixed, support):
@@ -134,7 +144,7 @@ def _no_extension():
 def _ball_query(system, graph, fixed, v, ell):
     """Validate a public radius-ell query at v and return the arguments of
     its miss (``_ball_rows``): ``(ball, v, sphere, interior, fixed)``, with
-    ``ball`` the ``Support`` compiled on v's sphere and interior and
+    ``ball`` the ``Support`` compiled on v's sorted ball, as a frame is, and
     ``fixed`` the context restricted to the ball, in ball order."""
     spins = checked_context(system, graph, fixed)
     check_count(ell, 1, "radius")
@@ -142,8 +152,9 @@ def _ball_query(system, graph, fixed, v, ell):
     if v in spins:
         raise ModelParameterError(f"target vertex {graph.format_vertex(v)} is already fixed")
     sphere, interior = graph.sphere_and_interior(v, ell)
-    fixed = {w: spins[w] for w in sorted(sphere + interior) if w in spins}
-    return Support(system, graph, sphere + interior), v, sphere, interior, fixed
+    ball = sorted(sphere + interior)
+    fixed = {w: spins[w] for w in ball if w in spins}
+    return Support(system, graph, ball), v, sphere, interior, fixed
 
 
 def _ball_rows(ball, v, sphere, interior, fixed):
@@ -151,29 +162,58 @@ def _ball_rows(ball, v, sphere, interior, fixed):
     number of free sphere vertices: one miss on the ball.
 
     ``ball`` is the compiled ``Support`` on sphere and interior and
-    ``fixed`` the context restricted to the ball, in ball order, leaving v
-    free.  A monotone ball with a free sphere vertex scans its two extremal
-    boundaries: it enumerates v and the free interior once, walking
-    ``[v] + free interior + fixed``, and each extreme adds its boundary
-    factors (``weight_rows``).  Any other ball scans every free sphere
-    assignment, lexicographically (canonical vertex order, spins
-    ascending), in one enumeration walking ``free sphere + free interior +
-    fixed``.  A row of zero total weight is an infeasible boundary.
+    ``fixed`` the context restricted to the ball, leaving v free, in one
+    of two forms.  A ball frame passes digits, the spin or None at each
+    label (``Support``), with v, sphere and interior as labels; its pinned
+    labels are walked in label order.  Any other caller passes a dict keyed
+    by vertex, with v, sphere and interior as vertices; it is relabelled
+    here once, and its pinned vertices are walked in the dict's order,
+    which each caller makes its support's.  A monotone
+    ball with a free sphere vertex scans its two extremal boundaries: it
+    enumerates v and the free interior once, walking ``[v] + free interior
+    + pinned``, and each extreme adds its boundary factors
+    (``weight_rows``).  Any other ball scans every free sphere assignment,
+    lexicographically (canonical vertex order, spins ascending), in one
+    enumeration walking ``free sphere + free interior + pinned``.  A row of
+    zero total weight is an infeasible boundary, except on a ball whose
+    weights can underflow (``Support.underflows``): there a row whose total
+    is below the smallest normal double raises ``TooLargeError``.
     """
+    if isinstance(fixed, dict):
+        label = ball.label
+        v = label[v]
+        sphere = [label[w] for w in sphere]
+        interior = [label[w] for w in interior]
+        pinned = [label[w] for w in fixed]
+        digits = (None, *map(fixed.get, ball.vertices))
+    else:
+        digits = fixed
+        # Spins are at least 1, so the pinned labels are the true digits.
+        pinned = list(compress(range(len(digits)), digits))
     q = ball.system.q
-    sphere_free = [w for w in sphere if w not in fixed]
+    sphere_free = [w for w in sphere if digits[w] is None]
     s = len(sphere_free)
     if s and ball.monotone:
         # v first among the free vertices, so its axis leads.
-        free = [v] + [w for w in interior if w != v and w not in fixed]
-        W = weight_rows(ball, free, free + list(fixed), fixed, sphere_free)
-        return W.reshape(2, q, -1).sum(axis=2), s
-    free = sphere_free + [w for w in interior if w not in fixed]
-    W = weight_rows(ball, free, free + list(fixed), fixed).reshape((q,) * len(free))
-    jv = free.index(v)
-    drop = tuple(j for j in range(s, len(free)) if j != jv)
-    M = W.sum(axis=drop) if drop else W
-    return M.reshape(q**s, q), s
+        free = [v] + [w for w in interior if w != v and digits[w] is None]
+        W = weight_rows(ball, free, free + pinned, digits, sphere_free)
+        M = np.add.reduce(W.reshape(2, q, -1), axis=2)
+    else:
+        free = sphere_free + [w for w in interior if digits[w] is None]
+        W = weight_rows(ball, free, free + pinned, digits).reshape((q,) * len(free))
+        jv = free.index(v)
+        drop = tuple(j for j in range(s, len(free)) if j != jv)
+        M = (np.add.reduce(W, axis=drop) if drop else W).reshape(q**s, q)
+    if ball.underflows:
+        totals = np.add.reduce(M, axis=1)
+        low = totals < _TINY
+        if low.any():
+            raise TooLargeError(
+                f"a boundary row's weights sum to {totals[low][0]}, below the "
+                "smallest normal double: the system's weights may underflow a "
+                "double on this support"
+            )
+    return M, s
 
 
 def _feasible_rows(M):

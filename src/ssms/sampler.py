@@ -250,12 +250,6 @@ _BallFrame = namedtuple(
 )
 
 
-def _on_frame(ball, lam):
-    """The context on the sorted ``ball``, keyed by frame labels 1..n: in
-    ball order and restricted to the ball, as a miss takes it."""
-    return {i: lam[w] for i, w in enumerate(ball, 1) if w in lam}
-
-
 class MarginalCache:
     """Pure memoization of ball marginals for one (system, graph, radius).
 
@@ -298,10 +292,13 @@ class MarginalCache:
     the frame reads each ball vertex's neighbours off the graph as labels
     and compiles that adjacency straight into its enumeration ``Support``
     (``Support.from_adjacency``): edges the graph already gave are not
-    validated again, and the p1-bound miss runs on the same labels.  So a
-    miss neither walks the graph nor compiles a support; the context
-    reaches it in label order, restricted to the ball, and it runs as one
-    pass (``marginals._ball_rows``).  All frames share one ``Factors``, and
+    validated again, and the p1-bound miss runs on the same labels, lists
+    and monotone flag, restricted to v and its neighbours
+    (``Support.restrict``).  So a miss neither walks the graph nor compiles
+    a support.  Hits keep the integer key; a miss reads the context once
+    more, as the digit tuple ``(None, *map(lam.get, ball))`` indexed by
+    label, and runs as one pass over the frame's label lists
+    (``marginals._ball_rows``).  All frames share one ``Factors``, and
     each frame reserves its widest miss in it when it is built
     (``Factors.reserve``), so one factor table, read as a view by every
     narrower free count, serves every miss up to the cut-over, not one
@@ -359,9 +356,7 @@ class MarginalCache:
         # The graph's neighbor lists are sorted and the labels keep the
         # ball's order, so each label's list comes out sorted.
         neighbors = self.graph._neighbors
-        adjacent = {
-            i: tuple([label[u] for u in neighbors(w) if u in label]) for w, i in label.items()
-        }
+        adjacent = [tuple([label[u] for u in neighbors(w) if u in label]) for w in ball]
         support = Support.from_adjacency(self.system, adjacent, self._factors)
         # The empty context frees the most vertices: the interior on a
         # monotone ball (the extremal path), the whole ball otherwise.
@@ -404,9 +399,10 @@ class MarginalCache:
         part = self._parts.get(key)
         if part is None:
             frame = self._frames[cls]
-            p = _ball_min_marginals(
-                frame.support, frame.v, frame.sphere, frame.interior, _on_frame(ball, lam)
-            )
+            # The context read once as digits by frame label (label i is
+            # ball[i - 1]; slot 0 is empty).
+            digits = (None, *map(get, ball))
+            p = _ball_min_marginals(frame.support, frame.v, frame.sphere, frame.interior, digits)
             part = self._parts[key] = IntervalPartition(p)
         return part
 
@@ -470,15 +466,11 @@ def _p1_bound(support, v, widest):
     system = support.system
     if not (system.b[0] > 0.0 and (system.A[0] > 0.0).all()) or not support.fits(widest):
         return 0.0
-    adjacent = support.adjacent
-    near = adjacent[v]
-    members = {v, *near}
-    near_ball = Support.from_adjacency(
-        system,
-        {u: tuple([w for w in adjacent[u] if w in members]) for u in members},
-        support.factors,
-    )
-    p = _ball_min_marginals(near_ball, v, near, (v,), {})
+    near = support.adjacent_labels[v]
+    # The frame's own label lists and flags, restricted to v and its
+    # neighbours, under the empty context as digits.
+    empty = [None] * len(support.adjacent_labels)
+    p = _ball_min_marginals(support.restrict((v, *near)), v, near, (v,), empty)
     return max(p[1] - NEG_TOL, 0.0)
 
 

@@ -46,3 +46,24 @@ def test_the_tracer_sees_the_engine_and_both_lookups():
     metrics = tracer.layer_metrics(spans.kept, loop["exact"]["calls"])
     for name in ("engine.calls_per_s", "cache.min_lookups", "cache.cond_lookups"):
         assert metrics[name] > 0, name
+
+
+def test_the_cold_batch_makes_its_pinned_misses():
+    # The seed-1 lattice-cold batch, one fresh sampler per 8x8 window as the
+    # workload makes them, holds 10 frames (Z^2 has one ball class) and 294
+    # table entries, so a faster cold window comes from cheaper misses, not
+    # from fewer of them.
+    from ssms import Lattice, RandomSource, WindowSampler, hardcore
+
+    _, seeds = bench.window_seeds(bench.DEFAULT_SEED, 0)
+    z2 = Lattice(2)
+    box = z2.box((0, 0), (8, 8))
+    frames = entries = 0
+    for _ in range(10):
+        sampler = WindowSampler(
+            hardcore(bench.LATTICE_LAMBDA), z2, bench.LATTICE_ELL, budget=bench.BUDGET
+        )
+        sampler.sample_window(box, RandomSource(seeds.next_uint64()))
+        frames += len(sampler._cache._frames)
+        entries += len(sampler._cache._parts)
+    assert (frames, entries) == (10, 294)
