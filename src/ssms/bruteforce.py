@@ -30,8 +30,8 @@ once, keeping one code per walked vertex (its axis, or its pinned spin),
 skips the interaction rows that are all ones, and multiplies the rest
 cell by cell in walk order; since x * 1.0 == x, the weights are
 bit-identical to multiplying every factor in turn.  The pinned spins'
-fields and their interactions with each other are one scalar, applied
-after the product.
+fields and their interactions with each other are one scalar, each row's
+last factor: on the gathered path, the last slot of the row's block.
 
 A miss of the marginal cache is one call: given the free sphere of a
 monotone ball as ``extremes``, ``weight_rows`` also pins it to each of
@@ -42,7 +42,11 @@ both rows at once.
 ``Support.monotone`` records whether the Gibbs measure on the support is
 monotone, which lets the worst-case marginals read only the two extremal
 boundaries (see ``marginals``).  ``Support.fits`` says whether a miss of
-a given free count is sure not to raise ``TooLargeError``.
+a given free count is sure not to raise ``TooLargeError``, and
+``Support.underflows`` whether a positive weight on the support can fall
+below the smallest normal double; there the support's 0/1 pattern
+(``Support.pattern``), whose products cannot underflow, tells which
+boundaries are feasible.
 """
 
 import math
@@ -59,12 +63,6 @@ ENUM_CAP = 2**22
 # past it a table, one row of q^k doubles per factor (0.5 MB at q = 2 and
 # k = 10), grows faster than the time it saves.
 GATHER_CAP = 2**10
-# A product reads a view of the table of at most this many cells by copying
-# it whole (``ndarray.take`` wants a contiguous source) and a larger one by
-# row index, which copies only the rows it gathers but costs about 1 us more
-# per call (``_take``).  Measured on 2 CPUs for q = 2 (tables of 5 and 10
-# axes) and q = 3 (6 axes): the two break even between 1,000 and 2,500 cells.
-VIEW_COPY_CAP = 2**11
 # The natural logs of the largest and of the smallest normal double.
 _LOG_MAX = math.log(sys.float_info.max)
 _LOG_TINY = math.log(sys.float_info.min)
@@ -175,21 +173,32 @@ class Factors:
                 pairs[j1, j2] = A.reshape(shape)
         return None, field, rows, pairs
 
-    def products(self, k, factors, tails=((),)):
-        """Cell-wise products over k free axes as an array of shape
-        (len(tails), q^k): row i multiplies ``factors`` and then
-        ``tails[i]``, one factor after another in order."""
+    def products(self, k, factors, tails=((),), scalars=None):
+        """Cell-wise products over k free axes, one row per tail, for one
+        or two tails, as an array of shape (len(tails), q^k): row i
+        multiplies ``factors``, then ``tails[i]``, one factor after another
+        in order, and then ``scalars[i]`` if given."""
         table, field, _, _ = self.axes(k)
         if table is not None:
-            # One flat gather for every row; a shorter list is padded with
-            # the all-ones row: x * 1.0 == x.
-            width = len(factors) + max(map(len, tails))
-            ids = []
-            for tail in tails:
-                ids += factors
-                ids += tail
-                ids += [0] * (width - len(factors) - len(tail))
-            cells = _take(table, ids).reshape(len(tails), width, -1)
+            # One flat gather for every row, each block closed by a slot for
+            # its scalar, written just before the one product; of two rows
+            # the shorter is padded with the all-ones row (x * 1.0 == x).
+            block = factors + list(tails[0])
+            if len(tails) == 1:
+                block.append(0)
+                cells = table.take(block, axis=0)
+                if scalars is not None:
+                    cells[-1] = scalars[0]
+                return np.multiply.reduce(cells, axis=0, keepdims=True)
+            _, tail = tails
+            other = factors + list(tail)
+            width = max(len(block), len(other)) + 1
+            block += [0] * (width - len(block))
+            other += [0] * (width - len(other))
+            cells = table.take(block + other, axis=0).reshape(2, width, -1)
+            if scalars is not None:
+                cells[0, -1] = scalars[0]
+                cells[1, -1] = scalars[1]
             return np.multiply.reduce(cells, axis=1)
         out = np.empty((len(tails),) + field.shape)
         W = out[:1]
@@ -201,17 +210,10 @@ class Factors:
             Wx = out[i : i + 1]
             for f in tail:
                 Wx *= f
-        return out.reshape(len(tails), -1)
-
-
-def _take(table, ids):
-    """The rows ``ids`` of a factor table, copied.  numpy's take copies a
-    strided view whole before it gathers, so a view of more than
-    VIEW_COPY_CAP cells is indexed by row instead, which copies only the
-    rows gathered."""
-    if table.size > VIEW_COPY_CAP and not table.flags.c_contiguous:
-        return table[ids]
-    return table.take(ids, axis=0)
+        out = out.reshape(len(tails), -1)
+        if scalars is not None:
+            out *= np.array(scalars)[:, None]
+        return out
 
 
 class Support:
@@ -241,6 +243,7 @@ class Support:
         "factors",
         "_b",
         "_A",
+        "_pattern",
     )
 
     def __init__(self, system, graph, vertices, factors=None):
@@ -282,6 +285,7 @@ class Support:
             len(vertices) * math.log(min(low_b, 1.0)) + self._edges() * math.log(min(low_A, 1.0))
             < _LOG_TINY
         )
+        self._pattern = None
 
     def _edges(self):
         return sum(map(len, self.later_labels))
@@ -318,7 +322,22 @@ class Support:
         compiled.adjacent_labels = adjacent
         compiled.later_labels = later
         compiled.monotone = self.monotone or _is_monotone(self.system.A, adjacent)
+        compiled._pattern = None
         return compiled
+
+    def pattern(self):
+        """This support's labels and adjacency with every positive field and
+        interaction entry set to 1, on factors of its own: a cell's product
+        there is exactly 1 where its weight is positive and 0 where it is
+        zero, in any walk order, and no product or sum of such cells can
+        underflow.  It keeps this support's monotone flag, so a miss on it
+        scans the same boundaries.  Made on first use."""
+        if self._pattern is None:
+            system = self.system
+            ones = type(system)(system.q, system.b > 0.0, system.A > 0.0, system.label)
+            self._pattern = Support.from_adjacency(ones, self.adjacent_labels[1:])
+            self._pattern.monotone = self.monotone
+        return self._pattern
 
     def fits(self, k):
         """Whether no miss on this support that frees at most k vertices
@@ -398,20 +417,20 @@ def weight_tensor(compiled, support, fixed):
 
 def weight_rows(compiled, free, walk, digits, extremes=None):
     """One enumeration of the free labels ``free``, axes in that order,
-    with the spins ``digits`` pinned: the q^k cells of one row, as a flat
-    array, or of two rows with ``extremes``, as an array of shape (2, q^k).
+    with the spins ``digits`` pinned: an array of shape (1, q^k), the cells
+    of one row, or of shape (2, q^k), two rows, with ``extremes``.
 
     ``digits[i]`` is the spin pinned at label i, or None; ``walk`` lists
     every free and pinned label once, and ``digits`` pins exactly the
     walk's pinned labels.  Each edge is read from its end earlier in vertex
     order (``Support.later_labels``), in walk order; labels in neither are
     left out, with their edges.  The field and every interaction factor that
-    is not all ones are collected as ids in walk order, and the fields of
-    the pinned spins, in walk order, and the interactions between two of
-    them as one scalar.  Up to GATHER_CAP cells each row is one block of
-    the one flat gather from the factor table, its scalar in the last slot,
-    and one ``np.multiply.reduce`` takes every row; past it the rows are
-    ``Factors.products``, scaled afterwards, which gives the same bits.
+    is not all ones are collected in walk order, and the fields of the
+    pinned spins, in walk order, and the interactions between two of them
+    as one scalar.  ``Factors.products`` takes every row: up to GATHER_CAP
+    cells as one block each of one flat gather from the factor table, the
+    scalar in its last slot, and one ``np.multiply.reduce``; past it by
+    broadcasting, scaled afterwards, which gives the same bits.
 
     With ``extremes``, a list of labels outside the walk (the free sphere
     of a monotone ball), the result has two rows, one per extremal boundary:
@@ -431,57 +450,49 @@ def weight_rows(compiled, free, walk, digits, extremes=None):
         )
     b = compiled._b
     A = compiled._A
-    # One code per label: its axis j >= 0 if free, -s = ~(s - 1) < 0 if
-    # pinned to spin s, so ~code indexes that spin's row of A, and None off
-    # the walk.
-    codes = [None if s is None else -s for s in digits]
+    # One code per label: the spin s >= 1 of a pinned label (its digit),
+    # ~j < 0 for the free label on axis j, and None off the walk.
+    codes = list(digits)
     for j, w in enumerate(free):
-        codes[w] = j
+        codes[w] = ~j
     scalar = 1.0
     for u in walk:
-        c = codes[u]
-        if c < 0:
-            scalar *= b[~c]
-    table, field, rows, pairs = compiled.factors.axes(k)
+        s = digits[u]
+        if s is not None:
+            scalar *= b[s - 1]
+    _, field, rows, pairs = compiled.factors.axes(k)
     factors = [field]
     append = factors.append
     later = compiled.later_labels
     for u in walk:
         cu = codes[u]
-        if cu < 0:
-            Au = A[~cu]
-            row = rows[~cu]
+        if cu > 0:
+            Au = A[cu - 1]
+            row = rows[cu - 1]
             for w in later[u]:
                 cw = codes[w]
                 if cw is None:
                     continue  # outside the walk
-                if cw < 0:
-                    scalar *= Au[~cw]
+                if cw > 0:
+                    scalar *= Au[cw - 1]
                 elif row is not None:
-                    append(row[cw])
+                    append(row[~cw])
         else:
+            ju = ~cu
             for w in later[u]:
                 cw = codes[w]
                 if cw is None:
                     continue
-                if cw < 0:
-                    if rows[~cw] is not None:
-                        append(rows[~cw][cu])
+                if cw > 0:
+                    if rows[cw - 1] is not None:
+                        append(rows[cw - 1][ju])
                 else:
                     # A is symmetric, so the pair factor on axes (j1, j2) is
-                    # A itself whichever endpoint comes first.
-                    append(pairs[cu, cw] if cu < cw else pairs[cw, cu])
+                    # A itself whichever endpoint comes first; w's axis ~cw
+                    # is the later one exactly where cw < cu.
+                    append(pairs[ju, ~cw] if cw < cu else pairs[~cw, ju])
     if extremes is None:
-        if table is None:
-            W = compiled.factors.products(k, factors)[0]
-            if scalar != 1.0:
-                W *= scalar
-            return W
-        # The scalar takes the last slot of the one gathered block.
-        factors.append(0)
-        cells = _take(table, factors)
-        cells[-1] = scalar
-        return np.multiply.reduce(cells, axis=0)
+        return compiled.factors.products(k, factors, ((),), (scalar,))
     # flip_x: where spin x yields (A_xx = 0), next to a pinned spin x.
     adjacent = compiled.adjacent_labels
     flip1 = flip2 = ()
@@ -509,27 +520,12 @@ def weight_rows(compiled, free, walk, digits, extremes=None):
                     # Both ends pinned by the extreme: one factor per edge.
                     scalar1 *= A1[1 if u in flip1 else 0]
                     scalar2 *= A2[0 if u in flip2 else 1]
-            elif c >= 0:
+            elif c < 0:
                 if row1 is not None:
-                    tail1.append(row1[c])
+                    tail1.append(row1[~c])
                 if row2 is not None:
-                    tail2.append(row2[c])
+                    tail2.append(row2[~c])
             else:
-                scalar1 *= A1[~c]
-                scalar2 *= A2[~c]
-    if table is None:
-        W = compiled.factors.products(k, factors, (tail1, tail2))
-        # x * 1.0 == x, so an extreme with no scalar loses no bit here.
-        W *= [[scalar1], [scalar2]]
-        return W
-    # Both rows in one flat gather, the shorter padded with the all-ones row
-    # (x * 1.0 == x), and each row's scalar in the last slot of its block.
-    block1 = factors + tail1
-    block2 = factors + tail2
-    width = max(len(block1), len(block2))
-    block1 += [0] * (width + 1 - len(block1))
-    block2 += [0] * (width + 1 - len(block2))
-    cells = _take(table, block1 + block2).reshape(2, width + 1, -1)
-    cells[0, width] = scalar1
-    cells[1, width] = scalar2
-    return np.multiply.reduce(cells, axis=1)
+                scalar1 *= A1[c - 1]
+                scalar2 *= A2[c - 1]
+    return compiled.factors.products(k, factors, (tail1, tail2), (scalar1, scalar2))

@@ -51,8 +51,9 @@ the order the context gives them.  ``min_marginals``,
 ``mixing_rate_estimate``, ``conditional_marginal``, the cache's min and
 sphere lookups, the depth-capped oracle and the sampler's p_v^1 bound all
 run this pass.  On a support whose weights can underflow a double
-(``Support.underflows``), a boundary row whose total is below the smallest
-normal double raises ``TooLargeError`` rather than reading as infeasible.
+(``Support.underflows``), a feasible boundary row whose total is below the
+smallest normal double raises ``TooLargeError`` rather than reading as
+infeasible; the support's 0/1 pattern tells the feasible rows.
 """
 
 import sys
@@ -175,9 +176,11 @@ def _ball_rows(ball, v, sphere, interior, fixed):
     (``weight_rows``).  Any other ball scans every free sphere assignment,
     lexicographically (canonical vertex order, spins ascending), in one
     enumeration walking ``free sphere + free interior + pinned``.  A row of
-    zero total weight is an infeasible boundary, except on a ball whose
-    weights can underflow (``Support.underflows``): there a row whose total
-    is below the smallest normal double raises ``TooLargeError``.
+    zero total weight is an infeasible boundary.  On a ball whose weights
+    can underflow (``Support.underflows``) a row whose total is below the
+    smallest normal double may be a feasible one that underflowed: the same
+    enumeration on the ball's 0/1 pattern (``Support.pattern``) tells which
+    rows are feasible, and a feasible one raises ``TooLargeError``.
     """
     if isinstance(fixed, dict):
         label = ball.label
@@ -208,11 +211,17 @@ def _ball_rows(ball, v, sphere, interior, fixed):
         totals = np.add.reduce(M, axis=1)
         low = totals < _TINY
         if low.any():
-            raise TooLargeError(
-                f"a boundary row's weights sum to {totals[low][0]}, below the "
-                "smallest normal double: the system's weights may underflow a "
-                "double on this support"
-            )
+            # A row is feasible where some cell has no zero factor, which
+            # the same miss on the 0/1 pattern tells exactly: only those
+            # rows raise.
+            P, _ = _ball_rows(ball.pattern(), v, sphere, interior, digits)
+            low &= np.add.reduce(P, axis=1) > 0.0
+            if low.any():
+                raise TooLargeError(
+                    f"a feasible boundary row's weights sum to {totals[low][0]}, below "
+                    "the smallest normal double: the system's weights may underflow "
+                    "a double on this support"
+                )
     return M, s
 
 

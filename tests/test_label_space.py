@@ -14,8 +14,10 @@ reference's bits, errors included.
 
 Weights that can underflow a double on a support fail loudly there:
 ``Support.underflows`` bounds the least positive cell product, and on such
-a support a row total below the smallest normal double raises
-``TooLargeError`` rather than reading as an infeasible boundary.
+a support a feasible row whose total is below the smallest normal double
+raises ``TooLargeError`` rather than reading as an infeasible boundary.  A
+row of zero weight that no cell could make positive, read off the support's
+0/1 pattern, is still an infeasible boundary there, as before.
 """
 
 import math
@@ -46,8 +48,8 @@ from ssms import (
 )
 from ssms import bruteforce
 from ssms.bruteforce import ENUM_CAP, Factors, Support, weight_rows
-from ssms.errors import TooLargeError
-from ssms.marginals import _ball_min_marginals, _ball_rows
+from ssms.errors import InfeasibleBoundaryError, TooLargeError
+from ssms.marginals import _ball_min_marginals, _ball_query, _ball_rows
 from ssms.sampler import MarginalCache
 
 # The replaced walk, as it was.
@@ -349,3 +351,73 @@ def test_underflowing_weights_raise_from_every_window():
         for h in (None, 0):
             with pytest.raises(TooLargeError, match="underflow"):
                 WindowSampler(UNDERFLOWING, p4, 2).sample_window([1, 2, 3, 4], seed, h=h)
+
+
+# Flagged supports whose feasible rows weigh far more than the smallest
+# normal double: five vertices at e^-150 pass the bound, but no product
+# falls below e^-300.  On the odd cycle neither ball is monotone and the two
+# sphere vertices are adjacent, so a boundary row of hard-core (both
+# occupied) or of the colouring (equal colours) is zero: infeasible, not
+# underflowed.
+HARDCORE_TINY = hardcore(math.exp(-150))
+COLORING_TINY = SpinSystem(3, [1.0, 1.0, math.exp(-150)], 1.0 - np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "system, fixed, want",
+    [
+        (HARDCORE_TINY, {}, ["0x0.0p+0", "0x1.0000000000000p+0", "0x1.82e16284f5ec5p-217"]),
+        (HARDCORE_TINY, {2: 1}, ["0x0.0p+0", "0x1.0000000000000p+0", "0x1.82e16284f5ec5p-217"]),
+        (
+            COLORING_TINY,
+            {},
+            [
+                "0x1.0000000000000p+0",
+                "0x1.82e16284f5ec5p-217",
+                "0x1.82e16284f5ec5p-217",
+                "0x1.82e16284f5ec5p-216",
+            ],
+        ),
+    ],
+    ids=["hardcore", "hardcore-context", "coloring"],
+)
+def test_infeasible_rows_on_flagged_supports_stay_infeasible(system, fixed, want):
+    c5 = cycle_graph(5)
+    query = _ball_query(system, c5, fixed, 1, 2)
+    assert query[0].underflows and not query[0].monotone
+    got = min_marginals(system, c5, fixed, 1, 2)
+    # The bits the walk gave before the underflow check, and the replaced
+    # chain's.
+    assert [float.hex(float(x)) for x in got] == want
+    assert got.tobytes() == np.array(reference_min_marginals(*query)).tobytes()
+
+
+def test_infeasible_contexts_on_flagged_supports_stay_infeasible():
+    p5 = path_graph(5)
+    assert Support(HARDCORE_TINY, p5, [1, 2, 3, 4, 5]).underflows
+    with pytest.raises(InfeasibleBoundaryError):
+        conditional_marginal(HARDCORE_TINY, p5, 3, {1: 2, 2: 2}, [1, 2, 3, 4, 5])
+
+
+def test_windows_on_flagged_supports_draw_as_before():
+    # The spins and counts the sampler drew before the underflow check.  The
+    # class bound is 0 on a flagged ball, so every call looks up.
+    c5 = cycle_graph(5)
+    window = [1, 2, 3, 4, 5]
+    for seed in range(3):
+        for h in (None, 0, 1):
+            spins, stats = WindowSampler(HARDCORE_TINY, c5, 2).sample_window(window, seed, h=h)
+            assert [spins.spin(v) for v in window] == [1] * 5
+            assert (stats.total_calls, stats.max_depth, stats.indecision_events) == (5, 1, 0)
+    drawn = {
+        (0, 0): ([3, 1, 2, 1, 2], 5),
+        (0, 1): ([2, 1, 3, 2, 1], 5),
+        (0, 2): ([2, 1, 2, 3, 1], 5),
+        (1, 0): ([3, 1, 2, 1, 2], 9),
+        (1, 1): ([2, 1, 2, 3, 1], 7),
+        (1, 2): ([2, 3, 1, 2, 1], 10),
+    }
+    for (h, seed), (want, calls) in drawn.items():
+        spins, stats = WindowSampler(COLORING_TINY, c5, 2).sample_window(window, seed, h=h)
+        assert [spins.spin(v) for v in window] == want
+        assert stats.total_calls == calls
