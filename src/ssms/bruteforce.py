@@ -11,9 +11,10 @@ fixed/free pattern and edge-walk order, on the whole compiled support or on
 any part of it: it enumerates the subgraph induced by the vertices it is
 given and reads no edge leaving them.  A caller that enumerates one support
 many times (a ball frame of the sampler's marginal cache) compiles it once;
-every other caller compiles a one-shot support.  A caller that already
-holds the induced neighbour lists, as a ball frame does, compiles them
-directly (``Support.from_adjacency``).  ``weight_tensor`` is
+every other caller compiles a one-shot support.  A radius-ell ball reads its
+induced neighbour lists off the graph as labels once and compiles them
+directly (``Support.from_adjacency``, called by
+``marginals._compile_ball``).  ``weight_tensor`` is
 ``weight_rows`` walking a support in its own order, shaped as a tensor.
 
 The factors themselves depend only on the system and the free count k:
@@ -173,11 +174,11 @@ class Factors:
                 pairs[j1, j2] = A.reshape(shape)
         return None, field, rows, pairs
 
-    def products(self, k, factors, tails=((),), scalars=None):
+    def products(self, k, factors, tails, scalars):
         """Cell-wise products over k free axes, one row per tail, for one
         or two tails, as an array of shape (len(tails), q^k): row i
         multiplies ``factors``, then ``tails[i]``, one factor after another
-        in order, and then ``scalars[i]`` if given."""
+        in order, and then ``scalars[i]``."""
         table, field, _, _ = self.axes(k)
         if table is not None:
             # One flat gather for every row, each block closed by a slot for
@@ -187,8 +188,7 @@ class Factors:
             if len(tails) == 1:
                 block.append(0)
                 cells = table.take(block, axis=0)
-                if scalars is not None:
-                    cells[-1] = scalars[0]
+                cells[-1] = scalars[0]
                 return np.multiply.reduce(cells, axis=0, keepdims=True)
             _, tail = tails
             other = factors + list(tail)
@@ -196,9 +196,8 @@ class Factors:
             block += [0] * (width - len(block))
             other += [0] * (width - len(other))
             cells = table.take(block + other, axis=0).reshape(2, width, -1)
-            if scalars is not None:
-                cells[0, -1] = scalars[0]
-                cells[1, -1] = scalars[1]
+            cells[0, -1] = scalars[0]
+            cells[1, -1] = scalars[1]
             return np.multiply.reduce(cells, axis=1)
         out = np.empty((len(tails),) + field.shape)
         W = out[:1]
@@ -211,8 +210,7 @@ class Factors:
             for f in tail:
                 Wx *= f
         out = out.reshape(len(tails), -1)
-        if scalars is not None:
-            out *= np.array(scalars)[:, None]
+        out *= np.array(scalars)[:, None]
         return out
 
 
@@ -222,14 +220,16 @@ class Support:
     Its factors come from ``factors``, a ``Factors`` of the same system
     that other supports may share, or from one of its own.
     ``from_adjacency`` compiles one whose induced neighbour lists are
-    already known, reading no graph.
+    already known, reading no graph: every radius-ell ball is compiled so
+    (``marginals._compile_ball``).  The constructor reads the graph, for a
+    support labelled in a caller's own order (``conditional_marginal``,
+    ``weight_tensor``'s callers).
 
     An enumeration reads the support in label space: label i is
     ``vertices[i - 1]`` (``label`` maps back), ``adjacent_labels[i]`` lists
     its neighbours' labels in the graph's order and ``later_labels[i]`` those
     that come after it in vertex order; slot 0 is empty, so a context read
     off the vertices as ``(None, *spins)`` is indexed by label.
-    ``adjacent`` and ``later`` give the same lists keyed by vertex.
     """
 
     __slots__ = (
@@ -289,20 +289,6 @@ class Support:
 
     def _edges(self):
         return sum(map(len, self.later_labels))
-
-    @property
-    def adjacent(self):
-        """Each vertex's neighbours in the support, keyed by vertex."""
-        return self._by_vertex(self.adjacent_labels)
-
-    @property
-    def later(self):
-        """Each vertex's neighbours after it in vertex order, keyed by vertex."""
-        return self._by_vertex(self.later_labels)
-
-    def _by_vertex(self, lists):
-        vertices = self.vertices
-        return {u: tuple([vertices[j - 1] for j in nb]) for u, nb in zip(vertices, lists[1:])}
 
     def restrict(self, members):
         """The support induced on the labels ``members``, with this one's

@@ -31,23 +31,24 @@ free interior rather than sphere and interior together.
 With no free sphere vertex the one boundary is the context itself, so the
 min marginals are v's exact conditional with p_v^0 = 0, the package's one
 exact conditional: the sampler's sphere conditional, and, with an empty
-sphere and the whole support as interior, ``conditional_marginal`` and the
-depth-capped oracle.  Each reports an infeasible context as
-``InfeasibleBoundaryError`` (``_no_extension``).
+sphere and the whole support as interior, ``conditional_marginal``, which
+the depth-capped oracle runs on the whole graph.  Each reports an
+infeasible context as ``InfeasibleBoundaryError`` (``_no_extension``).
 
-A miss is one pass (``_ball_rows``) in the label space of the ball's
-compiled ``Support``.  The cache hands it the context read once off the
-frame's labels as digits (the spin or None at each label); every other
-caller compiles its support in a fixed order (``_ball_query`` the sorted
-ball, ``conditional_marginal`` the caller's support order, the oracle the
-graph's vertex order) and hands over a dict in that order, relabelled once
-per call.  It splits the ball into free sphere, free interior and pinned
-labels and hands them to one enumeration (``bruteforce.weight_rows``),
-which walks the edges once and, on the extremal path, builds both
-extremes' factors in the same loop and gathers both products at once.
-The walk visits ``[v] + free interior + pinned`` on the extremal path and
-``free sphere + free interior + pinned`` otherwise, the pinned labels in
-the order the context gives them.  ``min_marginals``,
+A miss is one pass (``_ball_rows``) in the label space of a compiled
+``Support``, given the context as digits: the spin or None at each label.
+One function labels and compiles a radius-ell ball (``_compile_ball``):
+its sorted vertices are labels 1..n, for the cache's frames and for
+``min_marginals`` and ``mixing_rate_estimate`` alike.
+``conditional_marginal`` labels its support in the caller's order, so the
+oracle's is the graph's vertex order.  Each caller reads its context once,
+as digits over its labels.  The miss splits the ball into free sphere,
+free interior and pinned labels and hands them to one enumeration
+(``bruteforce.weight_rows``), which walks the edges once and, on the
+extremal path, builds both extremes' factors in the same loop and gathers
+both products at once.  The walk visits ``[v] + free interior + pinned``
+on the extremal path and ``free sphere + free interior + pinned``
+otherwise, the pinned labels in label order.  ``min_marginals``,
 ``mixing_rate_estimate``, ``conditional_marginal``, the cache's min and
 sphere lookups, the depth-capped oracle and the sampler's p_v^1 bound all
 run this pass.  On a support whose weights can underflow a double
@@ -92,6 +93,8 @@ def conditional_marginal(system, graph, v, fixed, support):
     ``support`` must contain v, every fixed vertex, and enough free vertices
     that no free vertex has a neighbor outside the support: conditioning on
     the full boundary of the free region screens off the rest of the graph.
+    The support is labelled in the order given, and its pinned spins are
+    multiplied in that order (``_ball_rows``).
 
     Returns a length-q vector; entry i-1 is the probability of spin i.
     """
@@ -115,11 +118,14 @@ def conditional_marginal(system, graph, v, fixed, support):
                     f"free vertex {graph.format_vertex(u)} has neighbor "
                     f"{graph.format_vertex(w)} outside the support"
                 )
-    # The miss of a ball with an empty sphere and the support as its
-    # interior: the context is its one boundary, and p_v^0 = 0.
-    fixed = {w: spins[w] for w in support if w in spins}
+    # The miss of a ball with an empty sphere and the support, labelled in
+    # the caller's order, as its interior: the context is its one boundary,
+    # and p_v^0 = 0.
+    compiled = Support(system, graph, support)
+    labels = range(1, len(support) + 1)
+    digits = (None, *map(spins.get, support))
     try:
-        p = _ball_min_marginals(Support(system, graph, support), v, (), support, fixed)
+        p = _ball_min_marginals(compiled, compiled.label[v], (), labels, digits)
     except InfeasibleContextError:
         raise _no_extension() from None
     return np.array(p[1:])
@@ -142,34 +148,50 @@ def _no_extension():
     return InfeasibleBoundaryError("fixed context admits no positive-weight extension")
 
 
+def _compile_ball(system, graph, v, ell, factors):
+    """v's radius-ell ball, labelled and compiled: ``(ball, support, v,
+    sphere, interior)``.  ``ball`` is the sorted ball, label i being
+    ``ball[i - 1]``; ``support`` is its ``Support`` on those labels, with
+    the factors ``factors`` (None: factors of its own); v, sphere and
+    interior are labels, sphere and interior in the order
+    ``sphere_and_interior`` gives them.  The adjacency is read off the
+    graph once, as labels, and compiled with no further graph reads
+    (``Support.from_adjacency``)."""
+    sphere, interior = graph.sphere_and_interior(v, ell)
+    ball = tuple(sorted(interior + sphere))
+    label = {w: i for i, w in enumerate(ball, 1)}
+    # The graph's neighbor lists are sorted and the labels keep the ball's
+    # order, so each label's list comes out sorted.
+    neighbors = graph._neighbors
+    adjacent = [tuple([label[u] for u in neighbors(w) if u in label]) for w in ball]
+    support = Support.from_adjacency(system, adjacent, factors)
+    sphere = tuple(label[w] for w in sphere)
+    interior = tuple(label[w] for w in interior)
+    return ball, support, label[v], sphere, interior
+
+
 def _ball_query(system, graph, fixed, v, ell):
     """Validate a public radius-ell query at v and return the arguments of
-    its miss (``_ball_rows``): ``(ball, v, sphere, interior, fixed)``, with
-    ``ball`` the ``Support`` compiled on v's sorted ball, as a frame is, and
-    ``fixed`` the context restricted to the ball, in ball order."""
+    its miss (``_ball_rows``): ``(support, v, sphere, interior, digits)``,
+    the ball compiled as a frame compiles it (``_compile_ball``) and the
+    context read off the sorted ball as digits."""
     spins = checked_context(system, graph, fixed)
     check_count(ell, 1, "radius")
     graph.check_vertex(v)
     if v in spins:
         raise ModelParameterError(f"target vertex {graph.format_vertex(v)} is already fixed")
-    sphere, interior = graph.sphere_and_interior(v, ell)
-    ball = sorted(sphere + interior)
-    fixed = {w: spins[w] for w in ball if w in spins}
-    return Support(system, graph, ball), v, sphere, interior, fixed
+    ball, support, v, sphere, interior = _compile_ball(system, graph, v, ell, None)
+    return support, v, sphere, interior, (None, *map(spins.get, ball))
 
 
-def _ball_rows(ball, v, sphere, interior, fixed):
+def _ball_rows(ball, v, sphere, interior, digits):
     """Unnormalized marginals of v, one row per boundary scanned, and the
     number of free sphere vertices: one miss on the ball.
 
-    ``ball`` is the compiled ``Support`` on sphere and interior and
-    ``fixed`` the context restricted to the ball, leaving v free, in one
-    of two forms.  A ball frame passes digits, the spin or None at each
-    label (``Support``), with v, sphere and interior as labels; its pinned
-    labels are walked in label order.  Any other caller passes a dict keyed
-    by vertex, with v, sphere and interior as vertices; it is relabelled
-    here once, and its pinned vertices are walked in the dict's order,
-    which each caller makes its support's.  A monotone
+    ``ball`` is the compiled ``Support`` on sphere and interior, v, sphere
+    and interior are its labels, and ``digits`` the context restricted to
+    the ball, the spin or None at each label (slot 0 unused), leaving v
+    free; the pinned labels are walked in label order.  A monotone
     ball with a free sphere vertex scans its two extremal boundaries: it
     enumerates v and the free interior once, walking ``[v] + free interior
     + pinned``, and each extreme adds its boundary factors
@@ -182,17 +204,8 @@ def _ball_rows(ball, v, sphere, interior, fixed):
     enumeration on the ball's 0/1 pattern (``Support.pattern``) tells which
     rows are feasible, and a feasible one raises ``TooLargeError``.
     """
-    if isinstance(fixed, dict):
-        label = ball.label
-        v = label[v]
-        sphere = [label[w] for w in sphere]
-        interior = [label[w] for w in interior]
-        pinned = [label[w] for w in fixed]
-        digits = (None, *map(fixed.get, ball.vertices))
-    else:
-        digits = fixed
-        # Spins are at least 1, so the pinned labels are the true digits.
-        pinned = list(compress(range(len(digits)), digits))
+    # Spins are at least 1, so the pinned labels are the true digits.
+    pinned = list(compress(range(len(digits)), digits))
     q = ball.system.q
     sphere_free = [w for w in sphere if digits[w] is None]
     s = len(sphere_free)
@@ -258,7 +271,7 @@ def min_marginals(system, graph, fixed, v, ell):
     return np.array(_ball_min_marginals(*_ball_query(system, graph, fixed, v, ell)))
 
 
-def _ball_min_marginals(ball, v, sphere, interior, fixed):
+def _ball_min_marginals(ball, v, sphere, interior, digits):
     """``min_marginals`` as a list of Python floats from one miss on the
     ball (``_ball_rows``, which takes the same arguments).
 
@@ -274,7 +287,7 @@ def _ball_min_marginals(ball, v, sphere, interior, fixed):
     finite (``_overflow``): past a double's range every later check would
     compare with NaN and pass.
     """
-    M, s = _ball_rows(ball, v, sphere, interior, fixed)
+    M, s = _ball_rows(ball, v, sphere, interior, digits)
     if ball.system.q < FLOAT_TAIL_Q and len(M) <= FLOAT_TAIL_ROWS:
         p = None
         for row in M.tolist():

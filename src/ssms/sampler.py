@@ -44,7 +44,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .bruteforce import Factors, Support
+from .bruteforce import Factors
 from .errors import (
     BudgetExhaustedError,
     ConfigError,
@@ -57,7 +57,13 @@ from .errors import (
     check_count,
     is_integer,
 )
-from .marginals import NEG_TOL, _ball_min_marginals, _no_extension
+from .marginals import (
+    NEG_TOL,
+    _ball_min_marginals,
+    _compile_ball,
+    _no_extension,
+    conditional_marginal,
+)
 from .spinsys import PartialConfiguration, check_positive_weight, checked_context
 
 DEFAULT_BUDGET = 10**7
@@ -267,11 +273,8 @@ class MarginalCache:
     sphere conditional is that entry itself.  Entries are shared and never
     change, so a min partition splits its zone under a given conditional
     entry once and keeps the edges (``IntervalPartition.locate_zone``).
-    The bounded sampler's whole-graph oracle stores its exact marginal, the
-    miss ``conditional_marginal`` runs on the whole graph, in the same table
-    as a partition with no zone; the whole graph's support is compiled on
-    its first miss and enumerated with no re-validation, on factors of its
-    own.
+    The bounded sampler's whole-graph oracle is ``conditional_marginal`` on
+    the whole graph, stored in the same table as a partition with no zone.
 
     The key of a lookup at v is ``(cls, code)``: ``cls`` is the graph's
     ``ball_class(v)`` and ``code`` reads the context restricted to v's
@@ -282,18 +285,17 @@ class MarginalCache:
     direction, so edges of different orientations never do.
 
     A class's first vertex, its representative, has its ball found by
-    breadth-first search; every later vertex of the class gets the
-    representative's sorted ball translated onto it (``graph.translate``)
-    and its sphere picked out of that by the frame's ``itemgetter`` of the
-    sphere's positions.
+    breadth-first search when its frame is built; every later vertex of the
+    class gets the representative's sorted ball translated onto it
+    (``graph.translate``).  Every vertex of the class, the representative
+    too, picks its sphere out of its ball by the frame's ``itemgetter`` of
+    the sphere's positions.
 
     A miss is enumerated on the class's ball frame: the ball's sorted
-    vertices, the i-th labelled i, with their induced edges.  Once per class
-    the frame reads each ball vertex's neighbours off the graph as labels
-    and compiles that adjacency straight into its enumeration ``Support``
-    (``Support.from_adjacency``): edges the graph already gave are not
-    validated again, and the p1-bound miss runs on the same labels, lists
-    and monotone flag, restricted to v and its neighbours
+    vertices, the i-th labelled i, with their induced edges, labelled and
+    compiled once per class as every public ball query compiles its ball
+    (``marginals._compile_ball``).  The p1-bound miss runs on the same
+    labels, lists and monotone flag, restricted to v and its neighbours
     (``Support.restrict``).  So a miss neither walks the graph nor compiles
     a support.  Hits keep the integer key; a miss reads the context once
     more, as the digit tuple ``(None, *map(lam.get, ball))`` indexed by
@@ -319,50 +321,42 @@ class MarginalCache:
         self._parts = {}
         self._radix = system.q + 1
         self._factors = Factors(system)
-        # The whole graph's compiled support and vertex order, for the
-        # bounded sampler's oracle; compiled on its first miss.
-        self._oracle = None
 
     def ball_parts(self, v):
         """(sphere, sorted ball, ball class, class p1 bound) of v: v's entry
         in the ball memo, made on first use.
 
-        Only a class's first vertex runs a breadth-first search; every later
-        one translates the representative's ball and picks its sphere out
-        of it (``_BallFrame.sphere_of``).  The memo is pure, so it is cleared
-        whenever it reaches ``_BALLS_CAP`` entries.
+        Only a class's first vertex runs a breadth-first search, to build
+        its frame; every later one translates the representative's ball.
+        Each picks its sphere out of its ball (``_BallFrame.sphere_of``).
+        The memo is pure, so it is cleared whenever it reaches
+        ``_BALLS_CAP`` entries.
         """
         parts = self._balls.get(v)
         if parts is None:
             cls = self.graph.ball_class(v)
             frame = self._frames.get(cls)
             if frame is None:
-                sphere, interior = self.graph.sphere_and_interior(v, self.ell)
-                frame = self._frames[cls] = self._frame(v, sphere, interior)
+                frame = self._frames[cls] = self._frame(v)
                 ball = frame.ball
             else:
                 ball = self.graph.translate(frame.ball, frame.origin, v)
-                sphere = frame.sphere_of(ball)
-            parts = (sphere, ball, cls, frame.p1_bound)
+            parts = (frame.sphere_of(ball), ball, cls, frame.p1_bound)
             balls = self._balls
             if len(balls) >= _BALLS_CAP:
                 balls.clear()
             balls[v] = parts
         return parts
 
-    def _frame(self, v, sphere, interior):
-        ball = tuple(sorted(interior + sphere))
-        label = {w: i for i, w in enumerate(ball, 1)}
-        # The graph's neighbor lists are sorted and the labels keep the
-        # ball's order, so each label's list comes out sorted.
-        neighbors = self.graph._neighbors
-        adjacent = [tuple([label[u] for u in neighbors(w) if u in label]) for w in ball]
-        support = Support.from_adjacency(self.system, adjacent, self._factors)
+    def _frame(self, origin):
+        ball, support, v, sphere, interior = _compile_ball(
+            self.system, self.graph, origin, self.ell, self._factors
+        )
         # The empty context frees the most vertices: the interior on a
         # monotone ball (the extremal path), the whole ball otherwise.
         widest = len(interior) if support.monotone else len(ball)
         self._factors.reserve(widest)
-        positions = [label[w] - 1 for w in sphere]
+        positions = [i - 1 for i in sphere]
         if len(positions) > 1:
             sphere_of = itemgetter(*positions)
         else:
@@ -370,10 +364,8 @@ class MarginalCache:
             def sphere_of(ball):
                 return tuple([ball[i] for i in positions])
 
-        sphere = tuple(label[w] for w in sphere)
-        interior = tuple(label[w] for w in interior)
-        bound = _p1_bound(support, label[v], widest)
-        return _BallFrame(v, ball, label[v], sphere, interior, support, bound, sphere_of)
+        bound = _p1_bound(support, v, widest)
+        return _BallFrame(origin, ball, v, sphere, interior, support, bound, sphere_of)
 
     def p1_bound(self, v):
         """Lower bound on p_v^1 under every context, shared by v's ball
@@ -425,23 +417,13 @@ class MarginalCache:
 
     def whole_graph_marginal(self, v, lam):
         """Exact marginal of v on a finite graph (oracle for bounded runs),
-        as an IntervalPartition with no zone."""
+        ``conditional_marginal`` on the whole graph, as an IntervalPartition
+        with no zone."""
         key = ("oracle", v, tuple(sorted(lam.items())))
         part = self._parts.get(key)
         if part is None:
-            if self._oracle is None:
-                vertices = list(self.graph.vertices())
-                self._oracle = (Support(self.system, self.graph, vertices), vertices)
-            compiled, vertices = self._oracle
-            # One-shot factors per miss, as conditional_marginal builds them:
-            # no whole-graph field tensor outlives its miss.
-            compiled.factors = Factors(self.system)
-            fixed = {w: lam[w] for w in vertices if w in lam}
-            try:
-                p = _ball_min_marginals(compiled, v, (), vertices, fixed)
-            except InfeasibleContextError:
-                raise _no_extension() from None
-            part = self._parts[key] = IntervalPartition(p)
+            p = conditional_marginal(self.system, self.graph, v, lam, self.graph.vertices())
+            part = self._parts[key] = IntervalPartition((0.0, *p))
         return part
 
 
@@ -490,9 +472,10 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
 
     ``h`` caps the depth of the bounded variant (None for the unbounded
     sampler): a call entered at depth h + 1 reads the exact whole-graph
-    oracle, whose partition has no zone, instead of v's min marginals, so
-    it never recurses.  Whether the oracle's enumeration fits the cap
-    depends on the context, so that call takes no ``p1_bound`` shortcut.
+    oracle, ``conditional_marginal`` on the whole graph, whose partition
+    has no zone, instead of v's min marginals, so it never recurses.
+    Whether the oracle's enumeration fits the cap depends on the context,
+    so that call takes no ``p1_bound`` shortcut.
 
     A call reads v's ball-memo entry once: its fourth field is the class
     bound on p_v^1, and an undecided call takes its free sphere from it.  A

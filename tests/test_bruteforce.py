@@ -131,7 +131,7 @@ def check_memoized_factors(compiled):
         def cells(f):
             if table is None:
                 assert not f.flags.writeable
-            return factors.products(k, [f])[0].reshape((q,) * k)
+            return factors.products(k, [f], ((),), (1.0,))[0].reshape((q,) * k)
 
         isolated = FiniteGraph(max(k, 1), [])
         _, plain = reference_weight_tensor(system, isolated, list(range(1, k + 1)), {})
@@ -238,8 +238,9 @@ def test_table_views_equal_fresh_tables(data):
             tails = data.draw(
                 st.lists(st.lists(st.sampled_from(names), max_size=3), min_size=1, max_size=2)
             )
-            W = factors.products(k, ids(got, picked), [ids(got, t) for t in tails])
-            ref = fresh.products(k, ids(want, picked), [ids(want, t) for t in tails])
+            ones = [1.0] * len(tails)
+            W = factors.products(k, ids(got, picked), [ids(got, t) for t in tails], ones)
+            ref = fresh.products(k, ids(want, picked), [ids(want, t) for t in tails], ones)
             assert _bits(W) == _bits(ref)
     # One table, as wide as the widest step, and every memoized k a view.
     if steps:

@@ -56,6 +56,23 @@ from ssms.marginals import (
     mixing_rate_estimate,
 )
 
+
+def by_vertex(compiled, lists):
+    """A compiled support's label lists (``adjacent_labels`` or
+    ``later_labels``) keyed by vertex, as the replaced walks read them."""
+    vertices = compiled.vertices
+    return {u: tuple([vertices[j - 1] for j in nb]) for u, nb in zip(vertices, lists[1:])}
+
+
+def in_labels(ball, v, sphere, interior, context):
+    """The arguments of a miss (``_ball_rows``) on the compiled ``ball``
+    for the vertex-space query ``(v, sphere, interior, context)``: v,
+    sphere and interior as labels and the context as digits."""
+    label = ball.label
+    digits = (None, *map(context.get, ball.vertices))
+    return ball, label[v], [label[w] for w in sphere], [label[w] for w in interior], digits
+
+
 # The replaced chain, as it was: reference_min_marginals -> _boundary_rows ->
 # _extremal_rows / _extremal_boundaries -> weight_factors -> products.
 
@@ -81,7 +98,7 @@ def products(factors_of, k, factors, tails=((),)):
 
 
 def weight_factors(compiled, support, fixed):
-    later = compiled.later
+    later = by_vertex(compiled, compiled.later_labels)
     q = compiled.system.q
     b = compiled._b
     A = compiled._A
@@ -136,7 +153,7 @@ def scaled_weights(compiled, support, fixed):
 
 def _extremal_boundaries(ball, sphere_free, fixed):
     A = ball._A
-    adjacent = ball.adjacent
+    adjacent = by_vertex(ball, ball.adjacent_labels)
     out = []
     for x in (1, 2):
         tau = dict.fromkeys(sphere_free, x)
@@ -158,7 +175,7 @@ def _extremal_rows(ball, v, interior_free, fixed, sphere_free):
     _, _, rows, _ = ball.factors.axes(len(free))
     b = ball._b
     A = ball._A
-    adjacent = ball.adjacent
+    adjacent = by_vertex(ball, ball.adjacent_labels)
     tails = []
     scalars = []
     for tau in _extremal_boundaries(ball, sphere_free, fixed):
@@ -465,6 +482,7 @@ def per_extreme_rows(ball, v, interior_free, fixed, sphere_free):
     free, W, inner_scalar = scaled_weights(ball, inner, fixed)
     k = len(free)
     pos = {w: j for j, w in enumerate(free)}
+    adjacent = by_vertex(ball, ball.adjacent_labels)
     out = []
     for tau in _extremal_boundaries(ball, sphere_free, fixed):
         scalar = inner_scalar
@@ -473,7 +491,7 @@ def per_extreme_rows(ball, v, interior_free, fixed, sphere_free):
             x = tau[w]
             scalar *= system.b[x - 1]
             row = system.A[x - 1]
-            for u in ball.adjacent[w]:
+            for u in adjacent[w]:
                 j = pos.get(u)
                 if j is not None:
                     if not np.all(row == 1.0):
@@ -553,15 +571,14 @@ def test_float_tail_equals_the_numpy_tail(data):
     system = SpinSystem(q, b, [[upper[min(i, j), max(i, j)] for j in range(q)] for i in range(q)])
     graph, ell, v = data.draw(st.sampled_from(TAIL_BALLS))
     sphere, interior = graph.sphere_and_interior(v, ell)
-    ball = Support(system, graph, sphere + interior)
+    ball = Support(system, graph, sorted(sphere + interior))
     free_sphere = data.draw(st.sets(st.sampled_from(sphere), max_size=2))
     context = {
         w: data.draw(st.integers(1, q))
         for w in sphere + interior
         if w != v and w not in free_sphere and (w in sphere or data.draw(st.booleans()))
     }
-    in_ball_order = {w: context[w] for w in sorted(sphere + interior) if w in context}
-    got = _ball_min_marginals(ball, v, sphere, interior, in_ball_order)
+    got = _ball_min_marginals(*in_labels(ball, v, sphere, interior, context))
     assert all(type(x) is float for x in got)
     assert np.array(got).tobytes() == numpy_tail(ball, v, sphere, interior, context).tobytes()
     assert np.array_equal(min_marginals(system, graph, context, v, ell), got)
@@ -666,24 +683,24 @@ def attempt(fn, *args):
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_one_pass_miss_equals_the_reference(graph_name, system_name, gather_cap, data):
-    # The miss as the cache makes it (shared factors, the context restricted
-    # to the ball in ball order) and as the public functions make it (one-shot
-    # factors, any context), against the replaced chain, bit for bit; an
-    # error must be the reference's, type and message.
+    # The miss as the cache makes it (shared factors, the context read off
+    # the sorted ball as digits) and as the public functions make it
+    # (one-shot factors, any context), against the replaced chain, bit for
+    # bit; an error must be the reference's, type and message.
     graph, ells, vertices = MISS_GRAPHS[graph_name]
     system = MISS_SYSTEMS[system_name]
     v = data.draw(st.sampled_from(vertices))
     ell = data.draw(st.sampled_from(ells))
     sphere, interior, context = draw_miss_context(data, system, graph, v, ell)
-    in_ball_order = {w: context[w] for w in sorted(sphere + interior) if w in context}
     with mock.patch.object(bruteforce, "GATHER_CAP", gather_cap):
-        ball = Support(system, graph, sphere + interior, Factors(system))
-        args = (ball, v, sphere, interior)
-        want = attempt(reference_min_marginals, *args, context)
-        assert attempt(_ball_min_marginals, *args, in_ball_order) == want
-        want_rows = attempt(_boundary_rows, *args, context)
-        assert attempt(_ball_rows, *args, in_ball_order) == want_rows
-    one_shot = Support(system, graph, sphere + interior)
+        ball = Support(system, graph, sorted(sphere + interior), Factors(system))
+        args = (ball, v, sphere, interior, context)
+        labelled = in_labels(*args)
+        want = attempt(reference_min_marginals, *args)
+        assert attempt(_ball_min_marginals, *labelled) == want
+        want_rows = attempt(_boundary_rows, *args)
+        assert attempt(_ball_rows, *labelled) == want_rows
+    one_shot = Support(system, graph, sorted(sphere + interior))
     want = attempt(reference_min_marginals, one_shot, v, sphere, interior, context)
     assert attempt(min_marginals, system, graph, context, v, ell) == want
     # mixing_rate_estimate reads the feasible rows of the same miss.
@@ -691,5 +708,5 @@ def test_one_pass_miss_equals_the_reference(graph_name, system_name, gather_cap,
     if isinstance(want_rows[0], type):
         assert attempt(mixing_rate_estimate, system, graph, v, ell, context) == want_rows
     else:
-        rows = _feasible_rows(_ball_rows(one_shot, v, sphere, interior, in_ball_order)[0])
+        rows = _feasible_rows(_ball_rows(*in_labels(one_shot, v, sphere, interior, context))[0])
         assert rows.tobytes() == want_rows[0]

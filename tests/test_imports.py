@@ -1,7 +1,8 @@
 """Every module uses each name it imports, every function, class, method
 and module-level constant of the package is named somewhere outside its own
-definition, and every defaulted parameter of the package is passed by some
-call.
+definition, every method of a class the package does not export is read by
+the package, its demos or its benchmark, and every defaulted parameter of
+the package is passed by some call.
 Importing the package does not load scipy.
 
 Stdlib ``ast`` checks, so they need no linter.  ``src/ssms/__init__.py`` is
@@ -131,6 +132,79 @@ def test_the_check_sees_a_dead_definition():
     )
     found = dead_definitions({"m": tree}, [tree])
     assert found == [("m", 4, "dead"), ("m", 7, "unused"), ("m", 8, "B"), ("m", 12, "LIMIT")]
+
+
+def unread_members(defining, reading, exported):
+    """(label, line, name) of each method or property, dunders excepted,
+    of a class defined in a tree of the ``{label: tree}`` map ``defining``
+    and not named in ``exported``, that none of the ``reading`` trees
+    reads as an attribute or spells as a whole string; ``name`` is
+    ``Class.method``."""
+    named = set()
+    for tree in reading:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return sorted(
+        (label, node.lineno, f"{cls.name}.{node.name}")
+        for label, tree in defining.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name not in exported
+        for node in cls.body
+        if isinstance(node, kinds)
+        and not (node.name[:2] == node.name[-2:] == "__")
+        and node.name not in named
+    )
+
+
+def test_every_unexported_method_is_read_outside_the_tests():
+    # A method or property of a class the package does not export serves
+    # only the package: a use in a test alone keeps dead code alive.
+    init = parse(ROOT / "src/ssms/__init__.py")
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    defining = {str(path.relative_to(ROOT)): parse(path) for path in modules(("src/ssms",))}
+    reading = [parse(path) for path in modules(("src/ssms", "demos", "bench"))]
+    found = unread_members(defining, reading, exported)
+    assert [f"{label}:{line}: {name}" for label, line, name in found] == []
+
+
+def test_the_check_sees_an_unread_member():
+    tree = ast.parse(
+        "class Public:\n"
+        "    def never_read(self): pass\n"
+        "class Hidden:\n"
+        "    def __init__(self): pass\n"
+        "    def read(self): pass\n"
+        "    @property\n"
+        "    def view(self): pass\n"
+        "    def looked_up(self): pass\n"
+        "    def stored(self): pass\n"
+        "    def tested(self): pass\n"
+        "h = Hidden()\n"
+        "h.read()\n"
+        "getattr(h, 'looked_up')\n"
+        "h.stored = None\n"
+    )
+    # A read in a tree the scan is not given, as a test's is not, counts
+    # for nothing.
+    test = ast.parse("Hidden().tested()\n")
+    assert unread_members({"m": tree}, [tree, test], {"Public"}) == [
+        ("m", 7, "Hidden.view"),
+        ("m", 9, "Hidden.stored"),
+    ]
+    assert unread_members({"m": tree}, [tree], {"Public"}) == [
+        ("m", 7, "Hidden.view"),
+        ("m", 9, "Hidden.stored"),
+        ("m", 10, "Hidden.tested"),
+    ]
 
 
 def knobs(tree):

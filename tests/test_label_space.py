@@ -6,11 +6,12 @@ its compiled ``Support``, and walks the support's label lists
 the one gathered product.  ``reference_weight_rows`` and
 ``reference_ball_rows`` below are the walk it replaced, copied as it was:
 the context as a dict keyed by vertex, one code per walked vertex in an
-``at`` dict, and the scalar multiplied in after the product.  Ball frames
-(digits in label order), one-shot supports (dicts in ball order), drawn
+``at`` dict, and the scalar multiplied in after the product.  Ball frames,
+one-shot supports (both walking their pinned labels in label order), drawn
 walk orders and a conditional on a shuffled support, where the order in
 which pinned spins are scanned shows in the last bits, must all give the
-reference's bits, errors included.
+bits of the reference walking the same pinned spins in the same order,
+errors included.
 
 Weights that can underflow a double on a support fail loudly there:
 ``Support.underflows`` bounds the least positive cell product, and on such
@@ -29,7 +30,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cache_keys import THREE_SPIN
-from test_extremal import SYSTEMS, attempt, draw_miss_context, reference_min_marginals
+from test_extremal import (
+    SYSTEMS,
+    attempt,
+    by_vertex,
+    draw_miss_context,
+    in_labels,
+    reference_min_marginals,
+)
 
 from ssms import (
     Lattice,
@@ -74,7 +82,7 @@ def reference_weight_rows(compiled, free, walk, fixed, extremes=None):
     _, field, rows, pairs = compiled.factors.axes(k)
     factors = [field]
     append = factors.append
-    later = compiled.later
+    later = by_vertex(compiled, compiled.later_labels)
     for u in walk:
         cu = at[u]
         for w in later[u]:
@@ -94,12 +102,12 @@ def reference_weight_rows(compiled, free, walk, fixed, extremes=None):
                 # itself whichever endpoint comes first.
                 append(pairs[cu, cw] if cu < cw else pairs[cw, cu])
     if extremes is None:
-        W = compiled.factors.products(k, factors)
+        W = compiled.factors.products(k, factors, ((),), (1.0,))
         if scalar != 1.0:
             W *= scalar
         return W
     # flip_x: where spin x yields (A_xx = 0), next to a fixed spin x.
-    adjacent = compiled.adjacent
+    adjacent = by_vertex(compiled, compiled.adjacent_labels)
     flip1 = flip2 = ()
     if A[0][0] == 0.0:
         flip1 = {w for u, s in fixed.items() if s == 1 for w in adjacent[u]}
@@ -130,7 +138,7 @@ def reference_weight_rows(compiled, free, walk, fixed, extremes=None):
             else:
                 scalar1 *= A[x1 - 1][~c]
                 scalar2 *= A[x2 - 1][~c]
-    W = compiled.factors.products(k, factors, (tail1, tail2))
+    W = compiled.factors.products(k, factors, (tail1, tail2), (1.0, 1.0))
     # x * 1.0 == x, so an extreme with no scalar loses no bit here.
     W *= [[scalar1], [scalar2]]
     return W
@@ -243,15 +251,17 @@ def test_drawn_walks_equal_the_dict_walk(system_name, gather_cap, data):
 @SPACE
 @given(data=st.data())
 def test_public_misses_equal_the_dict_walk(system_name, data):
-    # min_marginals compiles the sorted ball and hands over the context in
-    # ball order; the reference walks the same dict on the same support.
+    # min_marginals compiles the sorted ball and reads the context off it as
+    # digits; the reference walks the context in ball order as a dict on the
+    # same support.
     system = SPACE_SYSTEMS[system_name]
     graph, v, ell = _draw_case(data)
     sphere, interior, context = draw_miss_context(data, system, graph, v, ell)
     ball = Support(system, graph, sorted(sphere + interior))
     in_ball_order = {w: context[w] for w in ball.vertices if w in context}
     args = (ball, v, sphere, interior, in_ball_order)
-    assert attempt(_ball_rows, *args) == attempt(reference_ball_rows, *args)
+    got = attempt(_ball_rows, *in_labels(*args))
+    assert got == attempt(reference_ball_rows, *args)
     assert attempt(min_marginals, system, graph, context, v, ell) == attempt(
         reference_min_marginals, *args
     )
@@ -282,7 +292,7 @@ def test_shuffled_conditionals_equal_the_dict_walk(system_name, data):
     in_order = {w: fixed[w] for w in support if w in fixed}
     ball = Support(system, graph, support)
     args = (ball, v, (), support, in_order)
-    got = attempt(_ball_rows, *args)
+    got = attempt(_ball_rows, *in_labels(*args))
     assert got == attempt(reference_ball_rows, *args)
     M, _ = reference_ball_rows(*args)
     row = M[0].tolist()
@@ -383,13 +393,15 @@ COLORING_TINY = SpinSystem(3, [1.0, 1.0, math.exp(-150)], 1.0 - np.eye(3))
 )
 def test_infeasible_rows_on_flagged_supports_stay_infeasible(system, fixed, want):
     c5 = cycle_graph(5)
-    query = _ball_query(system, c5, fixed, 1, 2)
-    assert query[0].underflows and not query[0].monotone
+    ball, v, sphere, interior, digits = _ball_query(system, c5, fixed, 1, 2)
+    assert ball.underflows and not ball.monotone
     got = min_marginals(system, c5, fixed, 1, 2)
     # The bits the walk gave before the underflow check, and the replaced
-    # chain's.
+    # chain's on the same labels, the context keyed by label.
     assert [float.hex(float(x)) for x in got] == want
-    assert got.tobytes() == np.array(reference_min_marginals(*query)).tobytes()
+    on_labels = {i: s for i, s in enumerate(digits) if s is not None}
+    want = reference_min_marginals(ball, v, sphere, interior, on_labels)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_infeasible_contexts_on_flagged_supports_stay_infeasible():

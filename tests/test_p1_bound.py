@@ -9,7 +9,8 @@ the reference's spins, counts, trace and draws exactly, and a run that
 fails must fail in the same way: a budget trip with the same message,
 fields and counts.  Each class bound is also held to the one a ball frame
 built through ``FiniteGraph`` gives, as frames were built before they
-compiled their label adjacency directly.
+compiled their label adjacency directly, and each frame's compiled ball to
+the one a public query compiles.
 """
 
 import pytest
@@ -34,7 +35,7 @@ from ssms import (
 )
 from ssms.bruteforce import ENUM_CAP, Factors, Support
 from ssms.errors import BudgetExhaustedError, InfeasibleContextError, SsmsError, TooLargeError
-from ssms.marginals import NEG_TOL, _ball_min_marginals
+from ssms.marginals import NEG_TOL, _ball_min_marginals, _ball_query
 from ssms.sampler import MarginalCache, _run
 
 
@@ -319,15 +320,32 @@ def reference_p1_bound(system, graph, v, widest):
         return 0.0
     near = graph.neighbors(v)
     support = Support(system, graph, (v, *near), Factors(system))
-    return max(_ball_min_marginals(support, v, near, (v,), {})[1] - NEG_TOL, 0.0)
+    label = support.label
+    empty = (None,) * (len(near) + 2)
+    p = _ball_min_marginals(support, label[v], [label[w] for w in near], (label[v],), empty)
+    return max(p[1] - NEG_TOL, 0.0)
+
+
+def compiled(support):
+    """What a compiled support's misses read: its labels, label lists and
+    flags."""
+    return (
+        support.vertices,
+        support.adjacent_labels,
+        support.later_labels,
+        support.monotone,
+        support.underflows,
+    )
 
 
 @pytest.mark.parametrize("ell", [1, 2])
 @pytest.mark.parametrize("name", FRAME_GRAPHS)
 def test_frames_compile_as_on_a_finite_graph(name, ell):
-    # A ball frame compiles its label adjacency directly, with no
-    # FiniteGraph.  It must give the Support and class bound that a frame
-    # built through FiniteGraph on the same labels and edges gives.
+    # Ball frames and public queries compile their balls in one function
+    # (``marginals._compile_ball``), with no FiniteGraph.  A frame must give
+    # the Support and class bound that a frame built through FiniteGraph on
+    # the same labels and edges gives, and a public query at any vertex of
+    # its class must compile the frame's support, labels and digits.
     graph, vertices = FRAME_GRAPHS[name]
     for system in (hardcore(0.3), ising(1.5), THREE_SPIN):
         cache = MarginalCache(system, graph, ell)
@@ -343,11 +361,10 @@ def test_frames_compile_as_on_a_finite_graph(name, ell):
             }
             labelled = FiniteGraph(len(frame.ball), sorted(edges))
             want = Support(system, labelled, labelled.vertices())
-            got = frame.support
-            assert (got.adjacent, got.later, got.monotone) == (
-                want.adjacent,
-                want.later,
-                want.monotone,
-            )
+            assert compiled(frame.support) == compiled(want)
+            ball, *query = _ball_query(system, graph, {}, v, ell)
+            assert compiled(ball) == compiled(frame.support)
+            empty = (None,) * (len(frame.ball) + 1)
+            assert query == [frame.v, frame.sphere, frame.interior, empty]
             widest = len(frame.interior) if want.monotone else len(frame.ball)
             assert frame.p1_bound == reference_p1_bound(system, labelled, frame.v, widest)
