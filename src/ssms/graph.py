@@ -95,42 +95,45 @@ class LocalGraph(ABC):
             self.check_vertex(v)
 
     def _layers(self, v, ell):
-        """Breadth-first layers [L_0, ..., L_ell], each sorted; L_0 = [v]."""
+        """Breadth-first layers [L_0, ..., L_ell], each sorted; L_0 = [v].
+        Also the neighbor lists the search read: a dict from each vertex of
+        L_0..L_{ell-1}, the vertices at distance < ell, to its list."""
         self.check_vertex(v)
         check_count(ell, 0, "radius")
         seen = {v}
         layers = [[v]]
         frontier = [v]
+        read = {}
         for _ in range(ell):
             nxt = []
             for u in frontier:
-                for w in self._neighbors(u):
+                read[u] = around = self._neighbors(u)
+                for w in around:
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)
             nxt.sort()
             layers.append(nxt)
             frontier = nxt
-        return layers
+        return layers, read
 
     def sphere(self, v, ell):
         """Vertices at graph distance exactly ``ell`` from ``v``, sorted."""
-        return tuple(self._layers(v, ell)[ell])
+        return tuple(self._layers(v, ell)[0][ell])
 
     def ball_interior(self, v, ell):
         """Vertices at distance < ``ell`` from ``v``, sorted canonically."""
-        layers = self._layers(v, check_count(ell, 1, "radius") - 1)
+        layers, _ = self._layers(v, check_count(ell, 1, "radius") - 1)
         return tuple(sorted(u for layer in layers for u in layer))
 
     def sphere_and_interior(self, v, ell):
         """``(sphere(v, ell), ball_interior(v, ell))`` from one breadth-first search."""
-        layers = self._layers(v, check_count(ell, 1, "radius"))
-        interior = sorted(u for layer in layers[:-1] for u in layer)
-        return tuple(layers[-1]), tuple(interior)
+        layers, read = self._layers(v, check_count(ell, 1, "radius"))
+        return tuple(layers[-1]), tuple(sorted(read))
 
     def ball(self, v, ell):
         """Closed ball of radius ``ell``: interior plus sphere, sorted."""
-        layers = self._layers(v, ell)
+        layers, _ = self._layers(v, ell)
         return tuple(sorted(u for layer in layers for u in layer))
 
     def ball_class(self, v):

@@ -154,16 +154,21 @@ def _compile_ball(system, graph, v, ell, factors):
     ``ball[i - 1]``; ``support`` is its ``Support`` on those labels, with
     the factors ``factors`` (None: factors of its own); v, sphere and
     interior are labels, sphere and interior in the order
-    ``sphere_and_interior`` gives them.  The adjacency is read off the
-    graph once, as labels, and compiled with no further graph reads
-    (``Support.from_adjacency``)."""
-    sphere, interior = graph.sphere_and_interior(v, ell)
-    ball = tuple(sorted(interior + sphere))
+    ``sphere_and_interior`` gives them.  Each ball vertex's neighbor list
+    is read off the graph once: the breadth-first search reads the
+    interior's, and only the sphere's are read here.  The label adjacency
+    is compiled with no further graph reads (``Support.from_adjacency``)."""
+    layers, read = graph._layers(v, ell)
+    sphere = layers[-1]
+    interior = sorted(read)
+    neighbors = graph._neighbors
+    for w in sphere:
+        read[w] = neighbors(w)
+    ball = tuple(sorted(read))
     label = {w: i for i, w in enumerate(ball, 1)}
     # The graph's neighbor lists are sorted and the labels keep the ball's
     # order, so each label's list comes out sorted.
-    neighbors = graph._neighbors
-    adjacent = [tuple([label[u] for u in neighbors(w) if u in label]) for w in ball]
+    adjacent = [tuple([label[u] for u in read[w] if u in label]) for w in ball]
     support = Support.from_adjacency(system, adjacent, factors)
     sphere = tuple(label[w] for w in sphere)
     interior = tuple(label[w] for w in interior)

@@ -32,15 +32,19 @@ to the call waiting on it.  A guard aborts any top-level call whose
 recursion exceeds the call budget, since the recursion is not guaranteed to
 terminate when the zone of indecision is too wide.
 
-The variates come from ``RandomSource``, a splitmix64 stream whose words
-are computed in numpy blocks; any object with a ``next_double`` method can
+The variates come from ``RandomSource``, a splitmix64 stream whose words,
+and the doubles made from them, are computed in numpy blocks.  Its
+``next_double`` is the C-level step of an iterator over those doubles, so
+the engine binds it once and a draw runs no Python frame; ``counter``
+counts the doubles drawn.  Any object with a ``next_double`` method can
 stand in for it.
 """
 
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
+from operator import itemgetter, length_hint
 
 import numpy as np
 
@@ -81,7 +85,43 @@ _BLOCK_MAX = 4096
 _GAMMA_STEPS = np.arange(1, _BLOCK_MAX + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
+_S11, _S27, _S30, _S31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
+
+
+class _Blocks:
+    """A stream's block state: the words made so far, the last block's
+    ``uint64`` words, the iterator over that block's doubles, and the words
+    taken by ``next_uint64``.  It holds no reference to its ``RandomSource``,
+    so no reference cycle runs through the block generator."""
+
+    __slots__ = ("made", "words", "doubles", "taken")
+
+    def __init__(self):
+        self.made = 0
+        self.words = None
+        self.doubles = iter(())
+        self.taken = 0
+
+
+def _blocks(seed, state):
+    """Iterators over the stream's doubles, one per block: 32 words first,
+    each later block twice the last, up to 4,096.  ``state`` is set to each
+    block before its first double is read."""
+    while True:
+        made = state.made
+        size = min(made + _BLOCK_MIN, _BLOCK_MAX)
+        z = _GAMMA_STEPS[:size] + np.uint64((seed + made * _GAMMA) & _MASK64)
+        z ^= z >> _S30
+        z *= _MIX1
+        z ^= z >> _S27
+        z *= _MIX2
+        z ^= z >> _S31
+        state.made = made + size
+        state.words = z
+        # A 53-bit integer times 2^-53 is exact in float64, so these are the
+        # scalar (w >> 11) * 2.0**-53 bit for bit.
+        state.doubles = iter(np.multiply(z >> _S11, 2.0**-53).tolist())
+        yield state.doubles
 
 
 class RandomSource:
@@ -91,57 +131,41 @@ class RandomSource:
     xor-multiply mix of ``seed + n * gamma`` modulo 2^64, gamma the golden
     increment.  That is what advancing the state by gamma and mixing each
     state gives, so the words are computed in numpy blocks: 32 first, each
-    later block twice the last, up to 4,096.  ``next_uint64`` and
-    ``next_double`` both take the next word of the one buffer; a double is
-    the top 53 bits of its word divided by 2^53, the usual uniform grid.
-    The counter records how many doubles have been consumed.
+    later block twice the last, up to 4,096.  A double is the top 53 bits
+    of its word divided by 2^53, the usual uniform grid; each block's
+    doubles are computed with its words.
+
+    ``next_double`` is an attribute, not a method: the C-level ``__next__``
+    of one iterator chained over the blocks' doubles, so a draw runs no
+    Python frame.  ``next_uint64`` advances the same iterator and returns
+    the word at that position, so the two share one stream.  ``counter``
+    is the number of doubles drawn: words made, less those left in the
+    current block, less those ``next_uint64`` took.
 
     The seed must be an integer; its low 64 bits seed the stream, so -1
     seeds the same stream as 2^64 - 1.
     """
 
-    __slots__ = ("seed", "counter", "_words", "_pos", "_drawn")
+    __slots__ = ("seed", "next_double", "_state")
 
     def __init__(self, seed):
         if not is_integer(seed):
             raise ModelParameterError(f"seed must be an integer, got {seed!r}")
         self.seed = seed & _MASK64
-        self.counter = 0
-        self._words = []
-        self._pos = 0
-        self._drawn = 0
+        self._state = _Blocks()
+        self.next_double = chain.from_iterable(_blocks(self.seed, self._state)).__next__
 
-    def _refill(self):
-        drawn = self._drawn
-        # 32, 64, 128, ... words: each block doubles the last, up to 4,096.
-        size = min(drawn + _BLOCK_MIN, _BLOCK_MAX)
-        z = _GAMMA_STEPS[:size] + np.uint64((self.seed + drawn * _GAMMA) & _MASK64)
-        z ^= z >> _S30
-        z *= _MIX1
-        z ^= z >> _S27
-        z *= _MIX2
-        z ^= z >> _S31
-        self._words = z.tolist()
-        self._drawn = drawn + size
-        self._pos = 0
+    @property
+    def counter(self):
+        state = self._state
+        return state.made - length_hint(state.doubles) - state.taken
 
     def next_uint64(self):
-        i = self._pos
-        if i == len(self._words):
-            self._refill()
-            i = 0
-        self._pos = i + 1
-        return self._words[i]
-
-    def next_double(self):
-        # next_uint64 inlined: one draw per engine call.
-        i = self._pos
-        if i == len(self._words):
-            self._refill()
-            i = 0
-        self._pos = i + 1
-        self.counter += 1
-        return (self._words[i] >> 11) * 2.0**-53
+        self.next_double()
+        state = self._state
+        state.taken += 1
+        words = state.words
+        return words.item(len(words) - length_hint(state.doubles) - 1)
 
 
 class IntervalPartition:

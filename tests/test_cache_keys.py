@@ -227,12 +227,13 @@ FINITE = {name: case for name, case in CASES.items() if case[0].is_finite()}
 @pytest.mark.parametrize("graph,ell,systems", FINITE.values(), ids=FINITE.keys())
 @PROPERTY
 @given(data=st.data())
-def test_oracle_equals_conditional_marginal(graph, ell, systems, data):
-    """The bounded sampler's oracle enumerates the whole graph on a support
-    the cache compiles once; every context must give ``conditional_marginal``
-    on the whole graph bit for bit.  Besides v, a few vertices are left
-    free, and each context is followed by its variants that differ from it
-    at one vertex, all looked up in one cache."""
+def test_oracle_keys_each_context_variant_apart(graph, ell, systems, data):
+    """The bounded sampler's oracle is ``conditional_marginal`` on the whole
+    graph, cached under a key of the whole context.  Besides v, a few
+    vertices are left free, and each context is followed by its variants
+    that differ from it at one vertex, all looked up in one cache: each
+    must get its own entry, bit for bit the conditional of that variant,
+    not an entry filled for another."""
     system = data.draw(st.sampled_from(systems))
     vertices = graph.vertices()
     v = data.draw(st.sampled_from(vertices))

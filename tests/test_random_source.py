@@ -6,8 +6,13 @@ one state advanced by the golden gamma and mixed per word.  Both
 ``next_uint64`` and ``next_double`` read the next word of the one stream,
 so any interleaving of the two must give the scalar generator's words and
 doubles, across every block edge, and ``counter`` must count the doubles.
+``next_double`` is the ``__next__`` of an iterator over the blocks, so the
+engine's way of drawing (the attribute bound once, before the first draw)
+is checked too, and so is that a dropped stream is freed without the
+cycle collector.
 """
 
+import gc
 import random
 
 import pytest
@@ -109,3 +114,51 @@ def test_seed_keeps_its_low_64_bits():
     assert RandomSource(2**70 + 5).seed == 5
     a, b = RandomSource(-1), RandomSource(2**64 - 1)
     assert [a.next_uint64() for _ in range(40)] == [b.next_uint64() for _ in range(40)]
+
+
+def test_a_draw_bound_before_the_first_draw_follows_the_scalar_generator():
+    # As the engine draws: ``next_double`` bound once, before the first
+    # draw, with words taken between the draws across the first four block
+    # edges (after 32, 96, 224 and 480 words).  Words are taken at every
+    # fifth position and at 31, 32, 96, 223 and 480, so blocks 2, 3 and 5
+    # begin with a word and block 4 with a draw.
+    rng = RandomSource(42)
+    draw = rng.next_double
+    want = ScalarSplitmix64(42)
+    words = {*range(0, 485, 5), 31, 32, 96, 223, 480}
+    assert rng.counter == 0
+    for position in range(485):
+        if position in words:
+            assert rng.next_uint64() == want.next_uint64(), position
+        else:
+            assert draw() == want.next_double(), position
+        assert rng.counter == want.counter, position
+    assert EDGES[:4] == [32, 96, 224, 480]
+
+
+def _streams():
+    return sum(isinstance(o, RandomSource) for o in gc.get_objects())
+
+
+def test_a_dropped_stream_is_freed_without_the_cycle_collector():
+    # The block generator keeps its state apart from its RandomSource, so no
+    # reference cycle keeps a stream alive once it is dropped.  The count of
+    # live streams is the sharper check: a cycle through a suspended
+    # generator's frame is broken when the collector closes the generator,
+    # so ``gc.collect()`` can report 0 although it freed such a stream.
+    gc.collect()
+    gc.disable()
+    try:
+        before = _streams()
+        for seed in range(1_000):
+            rng = RandomSource(seed)
+            for _ in range(40):
+                rng.next_double()
+            rng.next_uint64()
+            del rng
+        left = _streams()
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert left == before
+    assert found == 0

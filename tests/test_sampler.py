@@ -352,6 +352,22 @@ def test_a_cold_window_builds_one_factor_table_and_no_finite_graph():
     assert len(sampler._cache._factors._axes) > 1
 
 
+def test_a_cold_window_reads_each_ball_neighbor_list_once():
+    # The window's one frame is a Z^2 ball of radius 2: 13 vertices.  The
+    # breadth-first search reads the 5 interior vertices' neighbor lists and
+    # hands them to the compile step, which reads only the 8 sphere
+    # vertices' lists.
+    with mock.patch.object(
+        Lattice, "_neighbors", autospec=True, side_effect=Lattice._neighbors
+    ) as reads:
+        z2 = Lattice(2)
+        sampler = WindowSampler(hardcore(0.3), z2, 2)
+        sampler.sample_window(z2.box((0, 0), (8, 8)), 1)
+    (frame,) = sampler._cache._frames.values()
+    assert len(frame.ball) == 13
+    assert sorted(call.args[1] for call in reads.call_args_list) == list(frame.ball)
+
+
 def test_divergent_tree_run_trips_in_bounded_memory():
     # Every tree vertex is its own ball class, so this walk builds a ball
     # frame per call, each enumerating up to 4^10 cells.  The frames share
