@@ -10,23 +10,24 @@ From the repository root, for example
 
 For each workload it runs
 
-    python3 bench/run.py --workload W --seed S --seconds 30 --trace 0
+    python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
-on a ``git archive`` copy of the parent ref and on the working tree, in N
-pairs, one pair after another.  Which side runs first alternates from pair
-to pair, so a drift of the host's speed falls on both sides alike.  The
-copy of the parent is made under a temporary directory and removed at the
-end.
+(T is the ``run_seconds`` of ``BENCHMARK.json``) on a ``git archive`` copy
+of the parent ref and on the working tree, in N pairs, one pair after
+another.  Which side runs first alternates from pair to pair, so a drift
+of the host's speed falls on both sides alike.  The copy of the parent is
+made under a temporary directory and removed at the end.
 
 It writes ``BENCH_<label>.json`` at the repository root: the commits,
 nproc, the Python and numpy versions, the seeds, and for each workload,
 seed and end-to-end metric of ``BENCHMARK.json`` both sides' per-run
-values, median and quartiles, and the pairs the working tree won (by the
-metric's ``better`` direction).  The file is rewritten after every pair,
-so an interrupted session keeps the pairs it finished.  A later call with
-the same label and parent adds its workload and seed rows to the file and
-replaces only the rows it runs again.  A run that fails its exactness
-checks stops the driver, and its pair is not recorded.
+values, median, quartiles and spread (``bench/baseline.py``'s
+``summarise``), and the pairs the working tree won (by the metric's
+``better`` direction).  The file is rewritten after every pair from the
+second on, so an interrupted session keeps the pairs it finished.  A later
+call with the same label and parent adds its workload and seed rows to the
+file and replaces only the rows it runs again.  A run that fails its
+exactness checks stops the driver, and its pair is not recorded.
 """
 
 import argparse
@@ -35,7 +36,6 @@ import json
 import os
 import platform
 import shutil
-import statistics
 import subprocess
 import sys
 import tarfile
@@ -43,6 +43,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+from baseline import summarise  # noqa: E402
 
 
 def git(*args):
@@ -76,11 +79,6 @@ def run_once(tree, workload, seed, seconds):
     return result
 
 
-def summary(values):
-    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    return {"median": median, "q1": q1, "q3": q3, "runs": values}
-
-
 def wins(parent, change, better):
     if better == "higher":
         return sum(c > p for p, c in zip(parent, change))
@@ -97,8 +95,8 @@ def row(spec, pairs):
         metrics[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
-            "parent": summary(parent),
-            "change": summary(change),
+            "parent": summarise(parent),
+            "change": summarise(change),
             "wins": wins(parent, change, metric["better"]),
             "pairs": len(pairs),
         }
@@ -117,10 +115,11 @@ def main(argv=None):
     p.add_argument("--parent", required=True, help="git ref of the parent commit")
     p.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
     p.add_argument("--workload", action="append", required=True)
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=int, default=10, help="at least 2")
     p.add_argument("--seed", type=int, action="append", help="repeatable; default 1")
-    p.add_argument("--seconds", type=float, default=30.0)
     args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2, for quartiles")
 
     import numpy
 
@@ -130,7 +129,7 @@ def main(argv=None):
     if unknown:
         p.error(f"unknown workload(s) {unknown}; BENCHMARK.json lists {sorted(names)}")
     seeds = args.seed or [1]
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    dirty = bool(git("status", "--porcelain", "-unormal"))
     meta = {
         "label": args.label,
         "parent": git("rev-parse", args.parent),
@@ -138,7 +137,7 @@ def main(argv=None):
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "seconds": args.seconds,
+        "seconds": spec["run_seconds"],
         "command": "python3 bench/run.py --workload W --seed S --seconds T --trace 0",
     }
     out = ROOT / f"BENCH_{args.label}.json"
@@ -159,7 +158,7 @@ def main(argv=None):
                     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                     pair = {"first": order[0]}
                     for side in order:
-                        pair[side] = run_once(trees[side], workload, seed, args.seconds)
+                        pair[side] = run_once(trees[side], workload, seed, meta["seconds"])
                     bad = [side for side in order if not pair[side].get("correct")]
                     if bad:
                         print(f"error: {workload} seed {seed} pair {i + 1}: the"
@@ -167,10 +166,11 @@ def main(argv=None):
                               file=sys.stderr)
                         return 1
                     pairs.append(pair)
-                    rows.setdefault(workload, {})[str(seed)] = row(spec, pairs)
-                    used = sorted({int(s) for by_seed in rows.values() for s in by_seed})
-                    content = {**meta, "seeds": used, "workloads": rows}
-                    out.write_text(json.dumps(content, indent=1) + "\n")
+                    if len(pairs) > 1:
+                        rows.setdefault(workload, {})[str(seed)] = row(spec, pairs)
+                        used = sorted({int(s) for by_seed in rows.values() for s in by_seed})
+                        content = {**meta, "seeds": used, "workloads": rows}
+                        out.write_text(json.dumps(content, indent=1) + "\n")
                     rates = "  ".join(
                         f"{side} {pair[side]['metrics']['windows_per_s']['value']:.1f}"
                         for side in ("parent", "change")
