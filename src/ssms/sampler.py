@@ -11,7 +11,7 @@ spins sampled along the way are discarded: a call's only lasting effect is
 the spin of its own vertex.
 
 A call draws y first.  Below a lower bound on p_v^1 that holds under
-every context (one per ball class, kept in v's ball-memo entry or read off
+every context (one per ball class, kept in v's memo entry or read off
 its class's frame), y lies in I_1 whatever the context, so the spin is 1
 with no lookup.  Only a larger y looks up v's partition, which is built on
 a miss; the spins, counts and draws are the same as when every call looks
@@ -24,6 +24,13 @@ it skips would raise.
 per window vertex, in order, each drawn spin conditioning the next.  It
 checks the whole window in one pass (``LocalGraph.check_vertices``), and the
 engine (``_run``) runs the whole window in one loop.
+
+The engine works on integer vertex ids, which the marginal cache hands out
+as it meets vertices.  Its context is one list of spins indexed by id, 0
+for unassigned, and a lookup's key is v's ball class with the spins of v's
+sorted ball, read from that list by one ``itemgetter`` call.  Vertices go
+in and come out by name: the window, the fixed context, the returned
+spins, the trace and a budget trip's report.
 
 The recursion is run on an explicit work stack, so deep excursions do not
 hit the interpreter's call-depth limit.  Only undecided calls wait on the
@@ -43,7 +50,7 @@ stand in for it.
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter, length_hint
 
 import numpy as np
@@ -72,9 +79,14 @@ from .spinsys import PartialConfiguration, check_positive_weight, checked_contex
 
 DEFAULT_BUDGET = 10**7
 # The ball memo is cleared when it holds this many entries, so a divergent
-# walk that visits ever new vertices holds bounded memory.  A warm 20x20
-# lattice sampler at radius 2 holds about a thousand.
+# walk that visits ever new vertices holds bounded memory, and the intern
+# table, between windows, once it holds this many vertices.  A warm 20x20
+# lattice sampler at radius 2 holds about a thousand of each.
 _BALLS_CAP = 2**14
+# The table of partitions is cleared when it holds this many, so a sampler
+# that meets ever new contexts holds bounded memory.  A warm 20x20 lattice
+# sampler at radius 2 holds about 3,300 after 8,000 windows.
+_PARTS_CAP = 2**15
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -280,16 +292,61 @@ _BallFrame = namedtuple(
 )
 
 
+class _Ids(dict):
+    """Dense integer ids of vertices, in the order they were first looked up.
+
+    ``vertices[i]`` is the vertex of id i and ``spins[i]`` its spin in the
+    engine's context, 0 while unassigned.  Looking up a new vertex gives it
+    the next id and grows both lists by one slot, so a ball's ids are read
+    at C level, as ``tuple(map(ids.__getitem__, ball))``.
+    """
+
+    __slots__ = ("vertices", "spins")
+
+    def __init__(self):
+        super().__init__()
+        self.vertices = []
+        self.spins = []
+
+    def __missing__(self, v):
+        i = self[v] = len(self.vertices)
+        self.vertices.append(v)
+        self.spins.append(0)
+        return i
+
+
+def _picker(positions):
+    """``itemgetter(*positions)``, returning a tuple for any number of
+    positions: itemgetter needs a position and returns a bare item for one."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+
+    def pick(seq):
+        return tuple([seq[i] for i in positions])
+
+    return pick
+
+
 class MarginalCache:
     """Pure memoization of ball marginals for one (system, graph, radius).
 
+    The cache gives each vertex it meets a dense integer id (``_Ids``), and
+    the engine holds its context as one list of spins indexed by id, 0 where
+    unassigned.  Lookups take an id and that list.  A vertex's memo entry
+    (``entry``) holds its sphere as ids, an ``itemgetter`` of the ids of its
+    sorted radius-ell ball, its ball class and the class's bound on p_v^1.
+    The memo is pure, so it is cleared whenever it reaches ``_BALLS_CAP``
+    entries; the intern table is cleared only between windows, once it
+    holds as many vertices (``window_ids``), since a window's spins are held
+    by id.
+
     A call that has drawn its variate compares it with v's class bound on
     p_v^1 first: one float per ball class, kept on the class's frame and in
-    the fourth field of each of the class's ball-memo entries
-    (``ball_parts``), so a vertex with an entry reads it there and any other
-    asks ``p1_bound(v)``, which makes an entry only for a class's first
-    vertex.  Entries stay lazy: a call the bound settles never needs v's
-    ball.  Only a variate at or above the bound looks up v's partition.
+    the fourth field of each of the class's memo entries, so a vertex with
+    an entry reads it there and any other asks ``p1_bound(v)``, which makes
+    an entry only for a class's first vertex.  Entries stay lazy: a call the
+    bound settles never needs v's ball.  Only a variate at or above the
+    bound looks up v's partition.
 
     The cache is one table of ``IntervalPartition``s.  A vertex's worst-case
     partition is its min marginal p_v; once its whole sphere is assigned,
@@ -299,21 +356,26 @@ class MarginalCache:
     entry once and keeps the edges (``IntervalPartition.locate_zone``).
     The bounded sampler's whole-graph oracle is ``conditional_marginal`` on
     the whole graph, stored in the same table as a partition with no zone.
+    The table is pure as well and is cleared when it reaches
+    ``_PARTS_CAP`` entries; a partition made again after a clear is a new
+    object, so a min partition splits its zone under it anew, to the same
+    edges.
 
-    The key of a lookup at v is ``(cls, code)``: ``cls`` is the graph's
-    ``ball_class(v)`` and ``code`` reads the context restricted to v's
-    radius-ell ball as an integer in base q+1 over the sorted ball, with
-    digit 0 for an unassigned vertex.  Vertices of one class have balls that
-    are translates in the same order, so on Z^d and its line graphs
-    translated contexts share one entry; a line-graph edge's class is its
-    direction, so edges of different orientations never do.
+    The key of a lookup at v is ``(cls, spins)``: ``cls`` is the graph's
+    ``ball_class(v)`` and ``spins`` the tuple v's getter reads off the spin
+    list, the context restricted to v's sorted ball, with 0 for an
+    unassigned vertex.  Keys hold spins, not ids, so they outlive the intern
+    table.  Vertices of one class have balls that are translates in the
+    same order, so on Z^d and its line graphs translated contexts share one
+    entry; a line-graph edge's class is its direction, so edges of
+    different orientations never do.
 
     A class's first vertex, its representative, has its ball found by
     breadth-first search when its frame is built; every later vertex of the
     class gets the representative's sorted ball translated onto it
     (``graph.translate``).  Every vertex of the class, the representative
-    too, picks its sphere out of its ball by the frame's ``itemgetter`` of
-    the sphere's positions.
+    too, picks its sphere out of its ball's ids by the frame's
+    ``itemgetter`` of the sphere's positions.
 
     A miss is enumerated on the class's ball frame: the ball's sorted
     vertices, the i-th labelled i, with their induced edges, labelled and
@@ -321,17 +383,16 @@ class MarginalCache:
     (``marginals._compile_ball``).  The p1-bound miss runs on the same
     labels, lists and monotone flag, restricted to v and its neighbours
     (``Support.restrict``).  So a miss neither walks the graph nor compiles
-    a support.  Hits keep the integer key; a miss reads the context once
-    more, as the digit tuple ``(None, *map(lam.get, ball))`` indexed by
-    label, and runs as one pass over the frame's label lists
-    (``marginals._ball_rows``).  All frames share one ``Factors``, and
-    each frame reserves its widest miss in it when it is built
-    (``Factors.reserve``), so one factor table, read as a view by every
-    narrower free count, serves every miss up to the cut-over, not one
-    table per free count or per class (on a tree every vertex is a class).
-    Relabelling keeps the ball order and the sorted neighbor lists, so the
-    enumeration multiplies the same factors in the same order as on the
-    graph itself and the marginals are bit-identical.
+    a support.  A miss reads its digits straight from the key, as
+    ``(None, *spins)`` indexed by label with None for 0, and runs as one
+    pass over the frame's label lists (``marginals._ball_rows``).  All
+    frames share one ``Factors``, and each frame reserves its widest miss
+    in it when it is built (``Factors.reserve``), so one factor table, read
+    as a view by every narrower free count, serves every miss up to the
+    cut-over, not one table per free count or per class (on a tree every
+    vertex is a class).  Relabelling keeps the ball order and the sorted
+    neighbor lists, so the enumeration multiplies the same factors in the
+    same order as on the graph itself and the marginals are bit-identical.
     Cached values are deterministic functions of their keys, so lookups
     never change sampling behavior, only speed.
     """
@@ -340,24 +401,37 @@ class MarginalCache:
         self.system = system
         self.graph = graph
         self.ell = ell
-        self._balls = {}
+        self._ids = _Ids()
+        self._entries = {}
         self._frames = {}
         self._parts = {}
-        self._radix = system.q + 1
+        # A spin as a miss's digit: None for 0, unassigned.
+        self._digit = (None, *range(1, system.q + 1))
         self._factors = Factors(system)
 
-    def ball_parts(self, v):
-        """(sphere, sorted ball, ball class, class p1 bound) of v: v's entry
-        in the ball memo, made on first use.
+    def window_ids(self):
+        """The intern table for a new window, cleared first, with the memo
+        entries that hold its ids, once it holds ``_BALLS_CAP`` vertices.
+        The engine calls it between windows, when no spin is held by id."""
+        if len(self._ids) >= _BALLS_CAP:
+            self._ids = _Ids()
+            self._entries = {}
+        return self._ids
+
+    def entry(self, i):
+        """(sphere ids, getter of the sorted ball's spins, ball class, class
+        p1 bound) of the vertex of id i: its memo entry, made on first use.
 
         Only a class's first vertex runs a breadth-first search, to build
         its frame; every later one translates the representative's ball.
-        Each picks its sphere out of its ball (``_BallFrame.sphere_of``).
-        The memo is pure, so it is cleared whenever it reaches
-        ``_BALLS_CAP`` entries.
+        Each interns its ball and picks its sphere out of the ball's ids
+        (``_BallFrame.sphere_of``).
         """
-        parts = self._balls.get(v)
-        if parts is None:
+        entries = self._entries
+        entry = entries.get(i)
+        if entry is None:
+            ids = self._ids
+            v = ids.vertices[i]
             cls = self.graph.ball_class(v)
             frame = self._frames.get(cls)
             if frame is None:
@@ -365,12 +439,12 @@ class MarginalCache:
                 ball = frame.ball
             else:
                 ball = self.graph.translate(frame.ball, frame.origin, v)
-            parts = (frame.sphere_of(ball), ball, cls, frame.p1_bound)
-            balls = self._balls
-            if len(balls) >= _BALLS_CAP:
-                balls.clear()
-            balls[v] = parts
-        return parts
+            ball_ids = tuple(map(ids.__getitem__, ball))
+            entry = (frame.sphere_of(ball_ids), _picker(ball_ids), cls, frame.p1_bound)
+            if len(entries) >= _BALLS_CAP:
+                entries.clear()
+            entries[i] = entry
+        return entry
 
     def _frame(self, origin):
         ball, support, v, sphere, interior = _compile_ball(
@@ -380,14 +454,7 @@ class MarginalCache:
         # monotone ball (the extremal path), the whole ball otherwise.
         widest = len(interior) if support.monotone else len(ball)
         self._factors.reserve(widest)
-        positions = [i - 1 for i in sphere]
-        if len(positions) > 1:
-            sphere_of = itemgetter(*positions)
-        else:
-            # itemgetter needs a position and returns a bare item for one.
-            def sphere_of(ball):
-                return tuple([ball[i] for i in positions])
-
+        sphere_of = _picker([i - 1 for i in sphere])
         bound = _p1_bound(support, v, widest)
         return _BallFrame(origin, ball, v, sphere, interior, support, bound, sphere_of)
 
@@ -397,57 +464,64 @@ class MarginalCache:
         entry here; any other reads its class's frame."""
         frame = self._frames.get(self.graph.ball_class(v))
         if frame is None:
-            return self.ball_parts(v)[3]
+            return self.entry(self._ids[v])[3]
         return frame.p1_bound
 
-    def min_intervals(self, v, lam):
-        """IntervalPartition of v's min marginals under the context ``lam``."""
-        parts = self._balls.get(v)
-        if parts is None:
-            parts = self.ball_parts(v)
-        _, ball, cls, _ = parts
-        radix = self._radix
-        get = lam.get
-        code = 0
-        for w in ball:
-            code = code * radix + get(w, 0)
-        key = (cls, code)
+    def min_intervals(self, i, spins):
+        """IntervalPartition of the min marginals of the vertex of id i
+        under the context ``spins``, the spin of each id (0: unassigned)."""
+        entry = self._entries.get(i)
+        if entry is None:
+            entry = self.entry(i)
+        key = (entry[2], entry[1](spins))
         part = self._parts.get(key)
         if part is None:
-            frame = self._frames[cls]
-            # The context read once as digits by frame label (label i is
-            # ball[i - 1]; slot 0 is empty).
-            digits = (None, *map(get, ball))
+            frame = self._frames[key[0]]
+            # The ball's spins as digits by frame label (label i is the
+            # ball's i-th vertex; slot 0 is empty).
+            digits = (None, *map(self._digit.__getitem__, key[1]))
             p = _ball_min_marginals(frame.support, frame.v, frame.sphere, frame.interior, digits)
-            part = self._parts[key] = IntervalPartition(p)
+            part = self._store(key, IntervalPartition(p))
         return part
 
-    def sphere_conditional(self, v, lam):
-        """Marginal of v once its whole sphere (and maybe more) is assigned:
-        its min-marginal partition, whose zone is then empty."""
+    def sphere_conditional(self, i, spins):
+        """Marginal of the vertex of id i once its whole sphere (and maybe
+        more) is assigned: its min-marginal partition, whose zone is then
+        empty."""
         # On the frame every ball vertex's neighbors lie in the ball, so only
         # this check keeps a free sphere vertex from going unnoticed.
-        parts = self._balls.get(v)
-        if parts is None:
-            parts = self.ball_parts(v)
-        for w in parts[0]:
-            if w not in lam:
-                fmt = self.graph.format_vertex
-                raise NotSeparatingError(f"sphere vertex {fmt(w)} of {fmt(v)} is unassigned")
+        entry = self._entries.get(i)
+        if entry is None:
+            entry = self.entry(i)
+        sphere = entry[0]
+        if not all(map(spins.__getitem__, sphere)):
+            vertices = self._ids.vertices
+            w = vertices[next(w for w in sphere if not spins[w])]
+            fmt = self.graph.format_vertex
+            raise NotSeparatingError(
+                f"sphere vertex {fmt(w)} of {fmt(vertices[i])} is unassigned"
+            )
         try:
-            return self.min_intervals(v, lam)
+            return self.min_intervals(i, spins)
         except InfeasibleContextError:
             raise _no_extension() from None
 
     def whole_graph_marginal(self, v, lam):
-        """Exact marginal of v on a finite graph (oracle for bounded runs),
-        ``conditional_marginal`` on the whole graph, as an IntervalPartition
-        with no zone."""
+        """Exact marginal of v on a finite graph (oracle for bounded runs)
+        under the context ``lam`` keyed by vertex, ``conditional_marginal``
+        on the whole graph, as an IntervalPartition with no zone."""
         key = ("oracle", v, tuple(sorted(lam.items())))
         part = self._parts.get(key)
         if part is None:
             p = conditional_marginal(self.system, self.graph, v, lam, self.graph.vertices())
-            part = self._parts[key] = IntervalPartition((0.0, *p))
+            part = self._store(key, IntervalPartition((0.0, *p)))
+        return part
+
+    def _store(self, key, part):
+        parts = self._parts
+        if len(parts) >= _PARTS_CAP:
+            parts.clear()
+        parts[key] = part
         return part
 
 
@@ -482,112 +556,135 @@ def _p1_bound(support, v, widest):
 
 def _run(cache, lam, window, rng, stats, budget, h=None):
     """Iterative engine for a whole window: one top-level call per window
-    vertex, in order.  Returns the window's spins as a dict; each is left
-    in ``lam`` as well, to condition the later calls, and nothing else is.
+    vertex, in order, under the fixed context ``lam`` (keyed by vertex).
+    Returns the window's spins as a dict keyed by vertex.
+
+    The engine works on ids (``MarginalCache.window_ids``): it interns the
+    fixed context and the window, writes the fixed spins into the cache's
+    spin list, and keeps every spin it assigns there, so each window spin
+    conditions the later calls.  Its ``finally`` zeroes every slot the
+    window wrote (the fixed context, the window, and the free spheres of the
+    calls still waiting), so a window that raises part-way leaves the list
+    as it found it, all 0.
 
     Only an undecided call waits on the stack, as ``(v, y, part, free
-    sphere, iterator over the free sphere)``.  Every waiting call is the
-    parent of the entry above it, so the call being entered has depth
-    ``len(stack) + 1``; that depth and the top waiting call's iterator are
-    kept in locals, changed only on a push or a pop.  Each child leaves
-    just its own spin in ``lam``, so once the iterator is spent the free
-    sphere is exactly what the call deletes after resolving its zone.  The
-    stack is empty between top-level calls.
+    sphere, iterator over the free sphere)``, v and the sphere as ids.
+    Every waiting call is the parent of the entry above it, so the call
+    being entered has depth ``len(stack) + 1``; that depth and the top
+    waiting call's iterator are kept in locals, changed only on a push or a
+    pop.  Each child leaves just its own spin in the list, so once the
+    iterator is spent the free sphere is exactly what the call zeroes after
+    resolving its zone.  The stack is empty between top-level calls.
 
     ``h`` caps the depth of the bounded variant (None for the unbounded
     sampler): a call entered at depth h + 1 reads the exact whole-graph
     oracle, ``conditional_marginal`` on the whole graph, whose partition
-    has no zone, instead of v's min marginals, so it never recurses.
-    Whether the oracle's enumeration fits the cap depends on the context,
-    so that call takes no ``p1_bound`` shortcut.
+    has no zone, instead of v's min marginals, so it never recurses.  Only
+    that call reads the context back by vertex.  Whether the oracle's
+    enumeration fits the cap depends on the context, so that call takes no
+    ``p1_bound`` shortcut.
 
-    A call reads v's ball-memo entry once: its fourth field is the class
-    bound on p_v^1, and an undecided call takes its free sphere from it.  A
-    vertex with no entry yet gets the bound from ``cache.p1_bound``, and its
+    A call reads v's memo entry once: its fourth field is the class bound on
+    p_v^1, and an undecided call takes its free sphere from it.  A vertex
+    with no entry yet gets the bound from ``cache.p1_bound``, and its
     lookup, if it makes one, makes the entry.
 
-    Counts are kept in locals and added to ``stats`` on exit.  Each window
+    Counts are kept in locals and added to ``stats`` on exit; the trace, a
+    budget trip and the returned spins name vertices, not ids.  Each window
     vertex gets a fresh ``budget`` of calls; a trip names that vertex, then
     the call being entered and its depth, in its message and as fields.  A
     call that trips is counted but does not raise the maximum depth.
     """
+    if not window:
+        return {}
     trace = stats.trace
-    balls = cache._balls
+    ids = cache.window_ids()
+    spins, vertices = ids.spins, ids.vertices
+    entries = cache._entries
     p1_bound = cache.p1_bound
     min_intervals = cache.min_intervals
+    sphere_conditional = cache.sphere_conditional
     draw = rng.next_double
     oracle_depth = 0 if h is None else h + 1
     calls = max_depth = undecided = 0
     stack = []
-    out = {}
-    if not window:
-        return out
-    top = v = window[0]
+    out = []
+    fixed = list(map(ids.__getitem__, lam))
+    tops = list(map(ids.__getitem__, window))
+    top = v = tops[0]
     limit = budget
     # The depth of the call being entered, len(stack) + 1, and the top
     # waiting call's iterator, read only while the stack is not empty.
     depth = 1
     children = None
     try:
+        for i, s in zip(fixed, lam.values()):
+            spins[i] = s
         while True:
             calls += 1
             if calls > limit:
                 fmt = cache.graph.format_bounded
                 raise BudgetExhaustedError(
-                    f"call budget {budget} exhausted for vertex {fmt(top)}: "
-                    f"entering vertex {fmt(v)} at depth {depth}",
+                    f"call budget {budget} exhausted for vertex {fmt(vertices[top])}: "
+                    f"entering vertex {fmt(vertices[v])} at depth {depth}",
                     budget=budget,
-                    top=top,
-                    vertex=v,
+                    top=vertices[top],
+                    vertex=vertices[v],
                     depth=depth,
                 )
             if depth > max_depth:
                 max_depth = depth
             y = draw()
             if depth == oracle_depth:
-                part = cache.whole_graph_marginal(v, lam)
+                context = dict(compress(zip(vertices, spins), spins))
+                part = cache.whole_graph_marginal(vertices[v], context)
                 spin = part.locate(y)
             else:
                 # One read of v's memo entry gives its class bound; a vertex
                 # with no entry yet reads the bound off its class's frame.
-                entry = balls.get(v)
-                if 0.0 <= y < (p1_bound(v) if entry is None else entry[3]):
+                entry = entries.get(v)
+                if 0.0 <= y < (p1_bound(vertices[v]) if entry is None else entry[3]):
                     spin = 1
                 else:
-                    part = min_intervals(v, lam)
+                    part = min_intervals(v, spins)
                     spin = part.locate(y)
             if trace is not None:
-                trace.append((v, depth, spin == 0))
+                trace.append((vertices[v], depth, spin == 0))
             if spin == 0:
                 # Only a lookup leaves a call undecided (the oracle's
                 # partition has no zone), and it made v's entry if missing.
                 undecided += 1
-                free = [w for w in (entry or balls[v])[0] if w not in lam]
+                free = [w for w in (entry or entries[v])[0] if not spins[w]]
                 children = iter(free)
                 stack.append((v, y, part, free, children))
                 depth += 1
             elif stack:
-                lam[v] = spin
+                spins[v] = spin
             # Enter the top call's next free sphere vertex, resolving every
-            # call whose free sphere is now fully assigned on the way.
+            # call whose free sphere is now fully assigned on the way.  A
+            # call leaves the stack only once its free sphere is zeroed.
             while stack and (v := next(children, None)) is None:
-                v, y, part, free, _ = stack.pop()
-                depth -= 1
-                spin = part.locate_zone(y, cache.sphere_conditional(v, lam))
+                v, y, part, free, _ = stack[-1]
+                spin = part.locate_zone(y, sphere_conditional(v, spins))
                 for w in free:
-                    del lam[w]
+                    spins[w] = 0
+                stack.pop()
+                depth -= 1
                 if stack:
-                    lam[v] = spin
+                    spins[v] = spin
                     children = stack[-1][4]
             if not stack:
                 # v was the top-level call: its spin conditions the rest of
                 # the window, whose next vertex starts with a fresh budget.
-                lam[v] = out[v] = spin
-                if len(out) == len(window):
-                    return out
-                top = v = window[len(out)]
+                spins[v] = spin
+                out.append(spin)
+                if len(out) == len(tops):
+                    return dict(zip(window, out))
+                top = v = tops[len(out)]
                 limit = calls + budget
     finally:
+        for i in chain(fixed, tops, *[waiting[3] for waiting in stack]):
+            spins[i] = 0
         stats.total_calls += calls
         stats.indecision_events += undecided
         if max_depth > stats.max_depth:
@@ -596,7 +693,12 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
 
 class WindowSampler:
     """Reusable sampling context: one marginal cache, many seeded windows,
-    each window vertex's run capped at ``budget`` calls (None: DEFAULT_BUDGET)."""
+    each window vertex's run capped at ``budget`` calls (None: DEFAULT_BUDGET).
+
+    One sampler runs one window at a time: the engine holds a window's
+    spins in its cache's spin list, indexed by vertex id, and zeroes them
+    when the window ends, whether it returns or raises.
+    """
 
     def __init__(self, system, graph, ell, budget=None):
         self.system = system

@@ -1,14 +1,22 @@
-"""Marginal-cache keys: integer ball codes against the direct computations.
+"""Marginal-cache keys: spin tuples read by id against the direct computations.
 
-The cache keys a lookup at v by ``(graph.ball_class(v), code)``, where
-``code`` reads the context on v's sorted ball in base q+1.  These checks hold
-the cache to the uncached marginal routines, bit for bit, including when an
-entry was filled at a translate of v, and check the ball-order invariant the
-translation sharing rests on: ``LocalGraph.translate`` maps a class
-representative's sorted ball onto the ball of any vertex of its class, which
-is how the cache builds every ball after a class's first.  Misses are enumerated on a ball frame shared by
-the class, so the same checks hold the frames to the graph itself.
+The cache keys a lookup at v by ``(graph.ball_class(v), spins)``, where
+``spins`` is the context on v's sorted ball, read by one ``itemgetter`` over
+the ball's interned ids from the engine's spin list.  These checks hold that
+key to the base-(q+1) integer code it replaced, and the cache to the
+uncached marginal routines, bit for bit, including when an entry was filled
+at a translate of v, and check the ball-order invariant the translation
+sharing rests on: ``LocalGraph.translate`` maps a class representative's
+sorted ball onto the ball of any vertex of its class, which is how the
+cache builds every ball after a class's first.  Misses are enumerated on a
+ball frame shared by the class, so the same checks hold the frames to the
+graph itself.
+
+The lookups take an id and the spin list; ``lookup`` runs one under a
+context keyed by vertex, as the engine would hold it.
 """
+
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -28,6 +36,8 @@ from ssms import (
     min_marginals,
 )
 from ssms.bruteforce import ENUM_CAP
+from ssms import sampler
+from ssms.marginals import _ball_min_marginals
 from ssms.sampler import MarginalCache
 
 # Non-unit fields on every spin and an all-ones row for spin 1: the compiled
@@ -52,6 +62,31 @@ CASES = {
 }
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def lookup(cache, name, v, lam):
+    """The cache's lookup ``name`` (``min_intervals`` or
+    ``sphere_conditional``) at the vertex v under the context ``lam`` keyed
+    by vertex: lam is interned and written into the cache's spin list for
+    the call, and its slots are zeroed after, as the engine leaves them."""
+    ids = cache._ids
+    spins = ids.spins
+    slots = [ids[w] for w in lam]
+    for i, s in zip(slots, lam.values()):
+        spins[i] = s
+    try:
+        return getattr(cache, name)(ids[v], spins)
+    finally:
+        for i in slots:
+            spins[i] = 0
+
+
+def ball_parts(cache, v):
+    """v's memo entry read back by vertex: (sphere, sorted ball, ball class,
+    class p1 bound)."""
+    vertices = cache._ids.vertices
+    sphere, getter, cls, bound = cache.entry(cache._ids[v])
+    return tuple(map(vertices.__getitem__, sphere)), getter(vertices), cls, bound
 
 
 def _vertex(data, graph):
@@ -157,25 +192,87 @@ def test_cache_equals_direct_marginals(graph, ell, systems, data):
         i = next(i for i, (a, b) in enumerate(zip(u, w)) if a != b)
         j = (i + 1) % len(u)
         other = (u, u[:j] + (u[j] + 1,) + u[j + 1:])
-        cache.min_intervals(other, {x: 1 for x in graph.ball(other, ell) if x != other})
+        lookup(cache, "min_intervals", other, {x: 1 for x in graph.ball(other, ell) if x != other})
     if translated:
         # Fill one cache at translates of v, so the lookups at v must hit.
         for lam in contexts:
             vt = _vertex_of_class(data, graph, v)
             lam_t = dict(zip(graph.translate(lam, v, vt), lam.values()))
-            cache.min_intervals(vt, lam_t)
+            lookup(cache, "min_intervals", vt, lam_t)
             if all(w in lam for w in sphere):
-                cache.sphere_conditional(vt, lam_t)
+                lookup(cache, "sphere_conditional", vt, lam_t)
     size = len(cache._parts)
     for lam in contexts:
         restricted, support = _restricted(graph, v, ell, lam)
-        p = cache.min_intervals(v, lam).p
+        p = lookup(cache, "min_intervals", v, lam).p
         assert np.array_equal(p, min_marginals(system, graph, restricted, v, ell))
         if all(w in lam for w in sphere):
-            mu = cache.sphere_conditional(v, lam).p[1:]
+            mu = lookup(cache, "sphere_conditional", v, lam).p[1:]
             assert np.array_equal(mu, conditional_marginal(system, graph, v, restricted, support))
     if translated:
         assert len(cache._parts) == size
+
+
+def integer_code(lam, ball, q):
+    """The key's code before vertex ids: the context on the sorted ball read
+    as an integer in base q+1, with digit 0 for an unassigned vertex."""
+    code = 0
+    for w in ball:
+        code = code * (q + 1) + lam.get(w, 0)
+    return code
+
+
+class _KeyLog(dict):
+    """A table of partitions that records the key of every lookup."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys = []
+
+    def get(self, key, default=None):
+        self.keys.append(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("graph,ell,systems", CASES.values(), ids=CASES.keys())
+@PROPERTY
+@given(data=st.data())
+def test_id_keys_part_contexts_as_the_integer_codes_do(graph, ell, systems, data):
+    """A drawn feasible context at v, its variants that differ from it at
+    one ball vertex and, on a lattice or its line graph, the same contexts
+    at translates of v, all looked up in one cache: two lookups get equal
+    keys exactly when their contexts get equal integer codes, and each miss
+    reads its context as the digits ``(None, *map(lam.get, ball))``."""
+    system = data.draw(st.sampled_from(systems))
+    v = _vertex(data, graph)
+    contexts = [(v, lam) for lam in _contexts(data, system, graph, v, ell)]
+    if graph.kind in ("lattice", "line"):
+        for _, lam in list(contexts):
+            vt = _vertex_of_class(data, graph, v)
+            contexts.append((vt, dict(zip(graph.translate(lam, v, vt), lam.values()))))
+    cache = MarginalCache(system, graph, ell)
+    # v's frame, and with it the class bound's own miss, first.
+    cache.entry(cache._ids[v])
+    log = cache._parts = _KeyLog()
+    read = []
+
+    def miss(support, v, sphere, interior, digits):
+        read.append(digits)
+        return _ball_min_marginals(support, v, sphere, interior, digits)
+
+    keys, codes = [], []
+    with patch.object(sampler, "_ball_min_marginals", miss):
+        for u, lam in contexts:
+            ball = graph.ball(u, ell)
+            known = len(log)
+            lookup(cache, "min_intervals", u, lam)
+            keys.append(log.keys[-1])
+            codes.append(integer_code(lam, ball, system.q))
+            if len(log) > known:
+                assert read.pop() == (None, *map(lam.get, ball))
+    assert read == []
+    for key, code in zip(keys, codes):
+        assert [k == key for k in keys] == [c == code for c in codes]
 
 
 @pytest.mark.parametrize("graph", [Lattice(1), Lattice(2), Lattice(3), LineGraph(Lattice(2))],
@@ -217,7 +314,7 @@ def test_cached_ball_parts_equal_the_graph_queries(graph, ell, data):
     cache = MarginalCache(hardcore(1.0), graph, ell)
     for _ in range(data.draw(st.integers(1, 6))):
         v = _vertex(data, graph)
-        sphere, ball, cls, _ = cache.ball_parts(v)
+        sphere, ball, cls, _ = ball_parts(cache, v)
         assert (sphere, ball, cls) == (graph.sphere(v, ell), graph.ball(v, ell), graph.ball_class(v))
 
 

@@ -25,7 +25,7 @@ samples resolves errors of about 1e-2.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_cache_keys import THREE_SPIN, _feasible_assignment
+from test_cache_keys import THREE_SPIN, _feasible_assignment, ball_parts, lookup
 
 from ssms import coloring, conditional_marginal, grid_graph, hardcore, ising
 from ssms.sampler import IntervalPartition, MarginalCache
@@ -55,14 +55,14 @@ class CappedLaw:
         cache = self.cache
         if depth == self.oracle_depth:
             return list(cache.whole_graph_marginal(v, lam).p[1:])
-        part = cache.min_intervals(v, lam)
+        part = lookup(cache, "min_intervals", v, lam)
         law = list(part.p[1:])
         if part.p[0] == 0.0:
             return law
-        sphere = cache.ball_parts(v)[0]
+        sphere = ball_parts(cache, v)[0]
         free = [w for w in sphere if w not in lam]
         for tau, weight in self._boundaries(free, lam, depth + 1):
-            cond = cache.sphere_conditional(v, {**lam, **tau})
+            cond = lookup(cache, "sphere_conditional", v, {**lam, **tau})
             start = part.zone_start
             for i, edge in enumerate(part.split_zone(cond.p[1:])):
                 law[i] += weight * (edge - start)

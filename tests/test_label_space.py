@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_cache_keys import THREE_SPIN
+from test_cache_keys import THREE_SPIN, ball_parts
 from test_extremal import (
     SYSTEMS,
     attempt,
@@ -199,7 +199,7 @@ def test_frame_misses_equal_the_dict_walk(system_name, gather_cap, data):
     _, _, context = draw_miss_context(data, system, graph, v, ell)
     with mock.patch.object(bruteforce, "GATHER_CAP", gather_cap):
         cache = MarginalCache(system, graph, ell)
-        cache.ball_parts(v)
+        ball_parts(cache, v)
         frame = cache._frames[graph.ball_class(v)]
         digits = (None, *map(context.get, frame.ball))
         on_frame = {i: context[w] for i, w in enumerate(frame.ball, 1) if w in context}

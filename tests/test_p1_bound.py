@@ -16,7 +16,7 @@ the one a public query compiles.
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_cache_keys import CASES, PROPERTY, THREE_SPIN, _contexts, _vertex
+from test_cache_keys import CASES, PROPERTY, THREE_SPIN, _contexts, _vertex, ball_parts, lookup
 
 from ssms import (
     FiniteGraph,
@@ -64,14 +64,14 @@ def reference_run(cache, lam, v, rng, stats, budget, h=None):
             if len(stack) == h:
                 part = cache.whole_graph_marginal(v, lam)
             else:
-                part = cache.min_intervals(v, lam)
+                part = lookup(cache, "min_intervals", v, lam)
             y = rng.next_double()
             spin = part.locate(y)
             if trace is not None:
                 trace.append((v, depth, spin == 0))
             if spin == 0:
                 undecided += 1
-                free = [w for w in cache.ball_parts(v)[0] if w not in lam]
+                free = [w for w in ball_parts(cache, v)[0] if w not in lam]
                 stack.append((v, y, part, free, iter(free)))
             elif stack:
                 lam[v] = spin
@@ -79,7 +79,7 @@ def reference_run(cache, lam, v, rng, stats, budget, h=None):
                 return spin
             while (v := next(stack[-1][4], None)) is None:
                 u, y, part, free, _ = stack.pop()
-                spin = part.locate_zone(y, cache.sphere_conditional(u, lam))
+                spin = part.locate_zone(y, lookup(cache, "sphere_conditional", u, lam))
                 for w in free:
                     del lam[w]
                 if not stack:
@@ -227,7 +227,7 @@ def test_the_gate_takes_the_shortcut_and_the_lookup():
     cache = sampler._cache
     lookups = []
     min_intervals = cache.min_intervals
-    cache.min_intervals = lambda v, lam: lookups.append(v) or min_intervals(v, lam)
+    cache.min_intervals = lambda i, spins: lookups.append(i) or min_intervals(i, spins)
     _, stats = sampler.sample_window(Z2.box((0, 0), (3, 3)), 0)
     assert 0 < len(lookups) < stats.total_calls / 2
 
@@ -251,7 +251,7 @@ def test_bound_values():
     cache = MarginalCache(hardcore(0.3), Z2, 2)
     for v in Z2.box((0, 0), (4, 4)):
         cache.p1_bound(v)
-    assert len(cache._frames) == 1 and len(cache._balls) == 1
+    assert len(cache._frames) == 1 and len(cache._entries) == 1
 
 
 @pytest.mark.parametrize("graph,ell,systems", CASES.values(), ids=CASES.keys())
@@ -263,7 +263,7 @@ def test_bound_is_below_every_p1(graph, ell, systems, data):
     cache = MarginalCache(system, graph, ell)
     bound = cache.p1_bound(v)
     for lam in _contexts(data, system, graph, v, ell):
-        assert bound <= cache.min_intervals(v, lam).cum[0]
+        assert bound <= lookup(cache, "min_intervals", v, lam).cum[0]
         if graph.is_finite() and system.q ** (len(graph.vertices()) - len(lam)) <= ENUM_CAP:
             assert bound <= cache.whole_graph_marginal(v, lam).cum[0]
 
@@ -350,7 +350,7 @@ def test_frames_compile_as_on_a_finite_graph(name, ell):
     for system in (hardcore(0.3), ising(1.5), THREE_SPIN):
         cache = MarginalCache(system, graph, ell)
         for v in vertices:
-            cache.ball_parts(v)
+            ball_parts(cache, v)
             frame = cache._frames[graph.ball_class(v)]
             label = {w: i for i, w in enumerate(frame.ball, 1)}
             edges = {

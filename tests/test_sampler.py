@@ -11,6 +11,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cache_keys import lookup
 
 from ssms import (
     FiniteGraph,
@@ -18,6 +19,7 @@ from ssms import (
     Lattice,
     LineGraph,
     RandomSource,
+    RecursionStats,
     RegularTree,
     WindowSampler,
     coloring,
@@ -41,6 +43,7 @@ from ssms.errors import (
     NotSeparatingError,
 )
 from ssms.marginals import NEG_TOL
+from ssms import sampler as sampler_module
 from ssms.sampler import _BALLS_CAP, MarginalCache
 
 # First four variates of the stream seeded with 42, frozen as a regression
@@ -321,8 +324,9 @@ def test_budget_trip_carries_its_snapshot_as_fields():
 
 def test_divergent_lattice_walk_keeps_a_bounded_ball_memo():
     # coloring(6) at radius 1 leaves every call undecided, so the walk runs
-    # (0,0), (-1,0), (-2,0), ... and enters a new vertex per call.  The ball
-    # memo is cleared at _BALLS_CAP entries, so it never holds the whole walk.
+    # (0,0), (-1,0), (-2,0), ... and enters a new vertex per call.  The memo
+    # of entries is cleared at _BALLS_CAP entries, so it never holds the whole
+    # walk.
     sampler = WindowSampler(coloring(6), Lattice(2), 1, budget=3 * 10**4)
     with pytest.raises(
         BudgetExhaustedError,
@@ -330,7 +334,94 @@ def test_divergent_lattice_walk_keeps_a_bounded_ball_memo():
         r"entering vertex \(-30000,0\) at depth 30001$",
     ):
         sampler.sample_window([(0, 0)], 7)
-    assert 0 < len(sampler._cache._balls) <= _BALLS_CAP < 3 * 10**4
+    assert 0 < len(sampler._cache._entries) <= _BALLS_CAP < 3 * 10**4
+
+
+# Traced peak per call of the walk below at budget 2*10^4, measured once on
+# the engine that held its context in a dict keyed by vertex (789.8 B).
+# Interning gives every vertex the walk meets an id and a spin slot, so the
+# walk may cost more per call, but not past a quarter more.
+DICT_ENGINE_BYTES_PER_CALL = 790
+
+
+def test_divergent_lattice_walk_interns_in_bounded_memory_per_call():
+    budget = 2 * 10**4
+    sampler = WindowSampler(coloring(6), Lattice(2), 1, budget=budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            BudgetExhaustedError,
+            match=r"^call budget 20000 exhausted for vertex \(0,0\): "
+            r"entering vertex \(-20000,0\) at depth 20001$",
+        ):
+            sampler.sample_window([(0, 0)], 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / budget <= 1.25 * DICT_ENGINE_BYTES_PER_CALL
+
+
+def test_every_window_leaves_the_spin_list_empty():
+    # coloring(2) on the path 1..7 at radius 2.  Vertex 4's first lookup
+    # leaves it undecided, and the fixed ends then force its sphere {2, 6}.
+    # Under {1: 1, 7: 1} both take spin 2 and 4 resolves to 2.  With no
+    # fixed end every call is undecided, so the walk trips the budget.
+    # Under {1: 1, 7: 2} no interior fits the sphere's spins, so 4's sphere
+    # conditional raises while 4 still waits on the stack.  After each
+    # window every slot is 0 again, and a probe window draws as on a fresh
+    # sampler.
+    system, path = coloring(2), path_graph(7)
+    sampler = WindowSampler(system, path, 2, budget=50)
+    spins = sampler._cache._ids.spins
+
+    def probe(sampler):
+        rng = RandomSource(3)
+        got, stats = sampler.sample_window([4], rng, {1: 1, 7: 1})
+        return got.as_dict(), stats, rng.counter
+
+    want = probe(WindowSampler(system, path, 2, budget=50))
+    assert want == ({4: 2}, RecursionStats(3, 2, 1), 3)
+    windows = (
+        ({1: 1, 7: 1}, None),
+        ({}, BudgetExhaustedError),
+        ({1: 1, 7: 2}, InfeasibleBoundaryError),
+    )
+    for fixed, error in windows:
+        if error is None:
+            got, _ = sampler.sample_window([4], 5, fixed)
+            assert got.as_dict() == {4: 2}
+        else:
+            with pytest.raises(error):
+                sampler.sample_window([4], 5, fixed)
+        assert spins and not any(spins)
+        assert probe(sampler) == want
+        assert not any(spins)
+
+
+def test_a_capped_table_of_partitions_draws_as_an_uncapped_one():
+    # Clearing the table drops partitions that later calls make again, as
+    # new objects, so their zone edges are split anew, to the same values.
+    z2 = Lattice(2)
+    box = z2.box((0, 0), (6, 6))
+
+    def run(sampler, after=lambda: None):
+        seeds, out = RandomSource(1), []
+        for _ in range(3):
+            rng = RandomSource(seeds.next_uint64())
+            got, stats = sampler.sample_window(box, rng)
+            out.append((got.as_dict(), stats, rng.counter))
+            after()
+        return out
+
+    uncapped = WindowSampler(hardcore(0.3), z2, 2)
+    want = run(uncapped)
+    assert len(uncapped._cache._parts) > 8
+    sampler = WindowSampler(hardcore(0.3), z2, 2)
+    sizes = []
+    with mock.patch.object(sampler_module, "_PARTS_CAP", 8):
+        got = run(sampler, lambda: sizes.append(len(sampler._cache._parts)))
+    assert got == want
+    assert 0 < max(sizes) <= 8
 
 
 def test_a_cold_window_builds_one_factor_table_and_no_finite_graph():
@@ -442,9 +533,9 @@ def test_line_graph_edge_orientations_do_not_share_cache_entries():
     ctx = {w: 1 for w in shared}
     ctx[((0, 1), (1, 1))] = 2
     cache = MarginalCache(system, g, 2)
-    warm = cache.min_intervals(across, ctx).p
+    warm = lookup(cache, "min_intervals", across, ctx).p
     assert list(warm) == list(min_marginals(system, g, ctx, across, 2))
-    got = cache.min_intervals(up, ctx).p
+    got = lookup(cache, "min_intervals", up, ctx).p
     want = min_marginals(system, g, ctx, up, 2)
     assert list(want) != list(warm)
     assert list(got) == list(want)
@@ -458,7 +549,7 @@ def test_sphere_conditional_names_an_unassigned_sphere_vertex():
     lam = {w: 1 for w in z2.ball(v, 2) if w not in (v, missing)}
     cache = MarginalCache(hardcore(0.3), z2, 2)
     with pytest.raises(NotSeparatingError) as err:
-        cache.sphere_conditional(v, lam)
+        lookup(cache, "sphere_conditional", v, lam)
     assert z2.format_vertex(missing) in str(err.value)
 
 
@@ -471,17 +562,17 @@ def test_sphere_conditional_errors_at_a_translated_vertex(graph):
     origin = (0, 0) if graph.kind == "lattice" else ((0, 0), (1, 0))
     v = (3, -2) if graph.kind == "lattice" else ((3, -2), (4, -2))
     cache = MarginalCache(hardcore(0.3), graph, 2)
-    cache.sphere_conditional(origin, {w: 1 for w in graph.sphere(origin, 2)})
+    lookup(cache, "sphere_conditional", origin, {w: 1 for w in graph.sphere(origin, 2)})
     sphere = graph.sphere(v, 2)
     outer = sphere[0]
     inner = next(w for w in graph.neighbors(outer) if w in graph.ball(v, 1))
     lam = {w: 1 for w in sphere}
     with pytest.raises(NotSeparatingError) as err:
-        cache.sphere_conditional(v, {w: s for w, s in lam.items() if w != outer})
+        lookup(cache, "sphere_conditional", v, {w: s for w, s in lam.items() if w != outer})
     assert graph.format_vertex(outer) in str(err.value)
     # An occupied sphere vertex next to an occupied interior vertex.
     with pytest.raises(InfeasibleBoundaryError):
-        cache.sphere_conditional(v, {**lam, outer: 2, inner: 2})
+        lookup(cache, "sphere_conditional", v, {**lam, outer: 2, inner: 2})
     assert len(cache._frames) == 1
 
 

@@ -23,7 +23,10 @@ nproc, the Python and numpy versions, the seeds, and for each workload,
 seed and end-to-end metric of ``BENCHMARK.json`` both sides' per-run
 values, median, quartiles and spread (``bench/baseline.py``'s
 ``summarise``), and the pairs the working tree won (by the metric's
-``better`` direction).  The file is rewritten after every pair from the
+``better`` direction).  Each run's calibration kernel rate (the median
+that ``bench/run.py`` prints in its ``note calibration kernel`` line, to
+which it scales its times) is kept per run and side, so a BENCH file
+shows how fast the host ran.  The file is rewritten after every pair from the
 second on, so an interrupted session keeps the pairs it finished.  A later
 call with the same label and parent adds its workload and seed rows to the
 file and replaces only the rows it runs again.  A run that fails its
@@ -63,9 +66,13 @@ def archive(ref, dest):
         members.extractall(dest, filter="data")
 
 
+CALIBRATION = "note calibration kernel: median "
+
+
 def run_once(tree, workload, seed, seconds):
     """One untraced run of ``bench/run.py`` in ``tree``: its final JSON
-    object, plus the exact batch's digest."""
+    object, plus the exact batch's digest and the calibration kernel's
+    median rate (None when the run printed neither)."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
@@ -76,6 +83,11 @@ def run_once(tree, workload, seed, seconds):
         None,
     )
     result["digest"] = digest
+    result["calibration_per_s"] = next(
+        (float(line[len(CALIBRATION):].split("/s", 1)[0])
+         for line in lines if line.startswith(CALIBRATION)),
+        None,
+    )
     return result
 
 
@@ -104,6 +116,10 @@ def row(spec, pairs):
     return {
         "metrics": metrics,
         "first": [pair["first"] for pair in pairs],
+        "calibration_per_s": {
+            side: [pair[side]["calibration_per_s"] for pair in pairs]
+            for side in ("parent", "change")
+        },
         "digests": sorted({run["digest"] for run in sides}),
         "failed": sum(run["failed"] for run in sides),
         "attempted": sum(run["attempted"] for run in sides),
