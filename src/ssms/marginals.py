@@ -118,17 +118,20 @@ def conditional_marginal(system, graph, v, fixed, support):
                     f"free vertex {graph.format_vertex(u)} has neighbor "
                     f"{graph.format_vertex(w)} outside the support"
                 )
-    # The miss of a ball with an empty sphere and the support, labelled in
-    # the caller's order, as its interior: the context is its one boundary,
-    # and p_v^0 = 0.
     compiled = Support(system, graph, support)
-    labels = range(1, len(support) + 1)
     digits = (None, *map(spins.get, support))
+    return np.array(_exact_conditional(compiled, compiled.label[v], digits)[1:])
+
+
+def _exact_conditional(support, v, digits):
+    """``conditional_marginal``'s miss on the compiled ``support`` at its
+    label v, under the context ``digits`` by label: ``[0.0, mu_1, ...,
+    mu_q]`` from a ball with an empty sphere and every label as interior,
+    so the context is its one boundary and p_v^0 = 0."""
     try:
-        p = _ball_min_marginals(compiled, compiled.label[v], (), labels, digits)
+        return _ball_min_marginals(support, v, (), range(1, len(digits)), digits)
     except InfeasibleContextError:
         raise _no_extension() from None
-    return np.array(p[1:])
 
 
 def _overflow(total):

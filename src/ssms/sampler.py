@@ -23,7 +23,7 @@ it skips would raise.
 ``WindowSampler.sample_window`` is the one way to draw: one top-level call
 per window vertex, in order, each drawn spin conditioning the next.  It
 checks the whole window in one pass (``LocalGraph.check_vertices``), and the
-engine (``_run``) runs the whole window in one loop.
+engine (``_run``) runs the whole window in one loop over its vertices.
 
 The engine works on integer vertex ids, which the marginal cache hands out
 as it meets vertices.  Its context is one list of spins indexed by id, 0
@@ -35,7 +35,11 @@ spins, the trace and a budget trip's report.
 The recursion is run on an explicit work stack, so deep excursions do not
 hit the interpreter's call-depth limit.  Only undecided calls wait on the
 stack: a call whose variate lands in a spin interval hands its spin straight
-to the call waiting on it.  A guard aborts any top-level call whose
+to the call waiting on it, and a top-level call so decided never touches
+the stack.  All calls, top-level or not, run one block of code.  The engine
+builds each lookup's key from v's memo entry and reads the cache's table
+itself, so a hit, of a min partition or of a sphere conditional, runs no
+cache method; a miss hands the key to the cache.  A guard aborts any top-level call whose
 recursion exceeds the call budget, since the recursion is not guaranteed to
 terminate when the zone of indecision is too wide.
 
@@ -50,12 +54,12 @@ stand in for it.
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, filterfalse
 from operator import itemgetter, length_hint
 
 import numpy as np
 
-from .bruteforce import Factors
+from .bruteforce import Factors, Support
 from .errors import (
     BudgetExhaustedError,
     ConfigError,
@@ -72,8 +76,8 @@ from .marginals import (
     NEG_TOL,
     _ball_min_marginals,
     _compile_ball,
+    _exact_conditional,
     _no_extension,
-    conditional_marginal,
 )
 from .spinsys import PartialConfiguration, check_positive_weight, checked_context
 
@@ -354,12 +358,14 @@ class MarginalCache:
     sphere conditional is that entry itself.  Entries are shared and never
     change, so a min partition splits its zone under a given conditional
     entry once and keeps the edges (``IntervalPartition.locate_zone``).
-    The bounded sampler's whole-graph oracle is ``conditional_marginal`` on
-    the whole graph, stored in the same table as a partition with no zone.
-    The table is pure as well and is cleared when it reaches
-    ``_PARTS_CAP`` entries; a partition made again after a clear is a new
-    object, so a min partition splits its zone under it anew, to the same
-    edges.
+    The engine reads hits off the table (``_parts``) itself and hands a
+    miss's key to ``min_intervals`` or ``sphere_conditional``.  The bounded
+    sampler's whole-graph oracle is ``conditional_marginal``'s miss on a
+    whole-graph ``Support`` compiled once, stored in the same table as a
+    partition with no zone.  The table is pure as well and is cleared when
+    it reaches ``_PARTS_CAP`` entries; a partition made again after a clear
+    is a new object, so a min partition splits its zone under it anew, to
+    the same edges.
 
     The key of a lookup at v is ``(cls, spins)``: ``cls`` is the graph's
     ``ball_class(v)`` and ``spins`` the tuple v's getter reads off the spin
@@ -408,6 +414,8 @@ class MarginalCache:
         # A spin as a miss's digit: None for 0, unassigned.
         self._digit = (None, *range(1, system.q + 1))
         self._factors = Factors(system)
+        # The depth-capped oracle's whole-graph support (``whole_graph_marginal``).
+        self._oracle = None
 
     def window_ids(self):
         """The intern table for a new window, cleared first, with the memo
@@ -467,13 +475,14 @@ class MarginalCache:
             return self.entry(self._ids[v])[3]
         return frame.p1_bound
 
-    def min_intervals(self, i, spins):
+    def min_intervals(self, i, spins, key=None):
         """IntervalPartition of the min marginals of the vertex of id i
-        under the context ``spins``, the spin of each id (0: unassigned)."""
-        entry = self._entries.get(i)
-        if entry is None:
+        under the context ``spins``, the spin of each id (0: unassigned).
+        The engine reads hits off the table itself and passes the key it
+        built, ``(ball class, ball spins)``, on a miss."""
+        if key is None:
             entry = self.entry(i)
-        key = (entry[2], entry[1](spins))
+            key = (entry[2], entry[1](spins))
         part = self._parts.get(key)
         if part is None:
             frame = self._frames[key[0]]
@@ -484,16 +493,13 @@ class MarginalCache:
             part = self._store(key, IntervalPartition(p))
         return part
 
-    def sphere_conditional(self, i, spins):
+    def sphere_conditional(self, i, spins, key=None):
         """Marginal of the vertex of id i once its whole sphere (and maybe
         more) is assigned: its min-marginal partition, whose zone is then
-        empty."""
+        empty.  ``key`` is as for ``min_intervals``."""
         # On the frame every ball vertex's neighbors lie in the ball, so only
         # this check keeps a free sphere vertex from going unnoticed.
-        entry = self._entries.get(i)
-        if entry is None:
-            entry = self.entry(i)
-        sphere = entry[0]
+        sphere = self.entry(i)[0]
         if not all(map(spins.__getitem__, sphere)):
             vertices = self._ids.vertices
             w = vertices[next(w for w in sphere if not spins[w])]
@@ -502,19 +508,25 @@ class MarginalCache:
                 f"sphere vertex {fmt(w)} of {fmt(vertices[i])} is unassigned"
             )
         try:
-            return self.min_intervals(i, spins)
+            return self.min_intervals(i, spins, key)
         except InfeasibleContextError:
             raise _no_extension() from None
 
     def whole_graph_marginal(self, v, lam):
         """Exact marginal of v on a finite graph (oracle for bounded runs)
-        under the context ``lam`` keyed by vertex, ``conditional_marginal``
-        on the whole graph, as an IntervalPartition with no zone."""
-        key = ("oracle", v, tuple(sorted(lam.items())))
+        under the context ``lam`` keyed by vertex, as an IntervalPartition
+        with no zone: ``conditional_marginal``'s miss on the whole graph
+        (``marginals._exact_conditional``), on a ``Support`` of the graph's
+        vertices with factors of its own, compiled on the first call."""
+        oracle = self._oracle
+        if oracle is None:
+            oracle = self._oracle = Support(self.system, self.graph, self.graph.vertices())
+        digits = (None, *map(lam.get, oracle.vertices))
+        key = ("oracle", v, digits)
         part = self._parts.get(key)
         if part is None:
-            p = conditional_marginal(self.system, self.graph, v, lam, self.graph.vertices())
-            part = self._store(key, IntervalPartition((0.0, *p)))
+            p = _exact_conditional(oracle, oracle.label[v], digits)
+            part = self._store(key, IntervalPartition(p))
         return part
 
     def _store(self, key, part):
@@ -567,19 +579,24 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
     calls still waiting), so a window that raises part-way leaves the list
     as it found it, all 0.
 
-    Only an undecided call waits on the stack, as ``(v, y, part, free
-    sphere, iterator over the free sphere)``, v and the sphere as ids.
-    Every waiting call is the parent of the entry above it, so the call
-    being entered has depth ``len(stack) + 1``; that depth and the top
-    waiting call's iterator are kept in locals, changed only on a push or a
-    pop.  Each child leaves just its own spin in the list, so once the
-    iterator is spent the free sphere is exactly what the call zeroes after
-    resolving its zone.  The stack is empty between top-level calls.
+    The window loop enters each top-level call in place, through the one
+    block of code every call runs (budget, depth, draw, oracle, shortcut or
+    lookup, trace); a decided one leaves at once.  Only an undecided call
+    waits on the stack, as ``(v, y, part, free sphere, iterator over the
+    free sphere)``, v and the sphere as ids.  Every waiting call is the
+    parent of the entry above it, so the call being entered has depth
+    ``len(stack) + 1``; that depth and the top waiting call's iterator are
+    kept in locals, changed only on a push or a pop.  Each child leaves
+    just its own spin in the list, so once the iterator is spent the free
+    sphere is exactly what the call zeroes after resolving its zone.  A
+    call leaves the stack only after its conditional returns, so one that
+    raises is still there for the ``finally`` to zero its free sphere.  The
+    stack is empty between top-level calls.
 
     ``h`` caps the depth of the bounded variant (None for the unbounded
     sampler): a call entered at depth h + 1 reads the exact whole-graph
-    oracle, ``conditional_marginal`` on the whole graph, whose partition
-    has no zone, instead of v's min marginals, so it never recurses.  Only
+    oracle (``cache.whole_graph_marginal``), whose partition has no zone,
+    instead of v's min marginals, so it never recurses.  Only
     that call reads the context back by vertex.  Whether the oracle's
     enumeration fits the cap depends on the context, so that call takes no
     ``p1_bound`` shortcut.
@@ -587,7 +604,10 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
     A call reads v's memo entry once: its fourth field is the class bound on
     p_v^1, and an undecided call takes its free sphere from it.  A vertex
     with no entry yet gets the bound from ``cache.p1_bound``, and its
-    lookup, if it makes one, makes the entry.
+    lookup, if it makes one, makes the entry (``cache.entry``).  A lookup,
+    and a resolving call's sphere conditional once its sphere is assigned,
+    reads the cache's table under the key it builds from the entry; a miss
+    hands the key to ``min_intervals`` or ``sphere_conditional``.
 
     Counts are kept in locals and added to ``stats`` on exit; the trace, a
     budget trip and the returned spins name vertices, not ids.  Each window
@@ -600,7 +620,8 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
     trace = stats.trace
     ids = cache.window_ids()
     spins, vertices = ids.spins, ids.vertices
-    entries = cache._entries
+    entries, parts = cache._entries, cache._parts
+    entry_of = cache.entry
     p1_bound = cache.p1_bound
     min_intervals = cache.min_intervals
     sphere_conditional = cache.sphere_conditional
@@ -608,11 +629,8 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
     oracle_depth = 0 if h is None else h + 1
     calls = max_depth = undecided = 0
     stack = []
-    out = []
     fixed = list(map(ids.__getitem__, lam))
     tops = list(map(ids.__getitem__, window))
-    top = v = tops[0]
-    limit = budget
     # The depth of the call being entered, len(stack) + 1, and the top
     # waiting call's iterator, read only while the stack is not empty.
     depth = 1
@@ -620,68 +638,85 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
     try:
         for i, s in zip(fixed, lam.values()):
             spins[i] = s
-        while True:
-            calls += 1
-            if calls > limit:
-                fmt = cache.graph.format_bounded
-                raise BudgetExhaustedError(
-                    f"call budget {budget} exhausted for vertex {fmt(vertices[top])}: "
-                    f"entering vertex {fmt(vertices[v])} at depth {depth}",
-                    budget=budget,
-                    top=vertices[top],
-                    vertex=vertices[v],
-                    depth=depth,
-                )
-            if depth > max_depth:
-                max_depth = depth
-            y = draw()
-            if depth == oracle_depth:
-                context = dict(compress(zip(vertices, spins), spins))
-                part = cache.whole_graph_marginal(vertices[v], context)
-                spin = part.locate(y)
-            else:
-                # One read of v's memo entry gives its class bound; a vertex
-                # with no entry yet reads the bound off its class's frame.
-                entry = entries.get(v)
-                if 0.0 <= y < (p1_bound(vertices[v]) if entry is None else entry[3]):
-                    spin = 1
-                else:
-                    part = min_intervals(v, spins)
+        for top in tops:
+            # Each window vertex starts with a fresh budget.
+            v = top
+            limit = calls + budget
+            while True:
+                calls += 1
+                if calls > limit:
+                    fmt = cache.graph.format_bounded
+                    raise BudgetExhaustedError(
+                        f"call budget {budget} exhausted for vertex {fmt(vertices[top])}: "
+                        f"entering vertex {fmt(vertices[v])} at depth {depth}",
+                        budget=budget,
+                        top=vertices[top],
+                        vertex=vertices[v],
+                        depth=depth,
+                    )
+                if depth > max_depth:
+                    max_depth = depth
+                y = draw()
+                if depth == oracle_depth:
+                    context = dict(compress(zip(vertices, spins), spins))
+                    part = cache.whole_graph_marginal(vertices[v], context)
                     spin = part.locate(y)
-            if trace is not None:
-                trace.append((vertices[v], depth, spin == 0))
-            if spin == 0:
-                # Only a lookup leaves a call undecided (the oracle's
-                # partition has no zone), and it made v's entry if missing.
-                undecided += 1
-                free = [w for w in (entry or entries[v])[0] if not spins[w]]
-                children = iter(free)
-                stack.append((v, y, part, free, children))
-                depth += 1
-            elif stack:
-                spins[v] = spin
-            # Enter the top call's next free sphere vertex, resolving every
-            # call whose free sphere is now fully assigned on the way.  A
-            # call leaves the stack only once its free sphere is zeroed.
-            while stack and (v := next(children, None)) is None:
-                v, y, part, free, _ = stack[-1]
-                spin = part.locate_zone(y, sphere_conditional(v, spins))
-                for w in free:
-                    spins[w] = 0
-                stack.pop()
-                depth -= 1
-                if stack:
+                else:
+                    # One read of v's memo entry gives its class bound; a
+                    # vertex with no entry yet reads the bound off its
+                    # class's frame.  A hit is read off the table here; a
+                    # miss hands its key to the cache.
+                    entry = entries.get(v)
+                    if 0.0 <= y < (p1_bound(vertices[v]) if entry is None else entry[3]):
+                        spin = 1
+                    else:
+                        if entry is None:
+                            entry = entry_of(v)
+                        key = (entry[2], entry[1](spins))
+                        part = parts.get(key) or min_intervals(v, spins, key)
+                        spin = part.locate(y)
+                if trace is not None:
+                    trace.append((vertices[v], depth, spin == 0))
+                if spin:
+                    if not stack:
+                        # A decided top-level call never touches the stack.
+                        break
+                    spins[v] = spin
+                else:
+                    # Only a lookup leaves a call undecided (the oracle's
+                    # partition has no zone), so ``entry`` is v's.
+                    undecided += 1
+                    free = list(filterfalse(spins.__getitem__, entry[0]))
+                    children = iter(free)
+                    stack.append((v, y, part, free, children))
+                    depth += 1
+                # Enter the top call's next free sphere vertex, resolving every
+                # call whose free sphere is now fully assigned on the way.  A
+                # call leaves the stack only once its conditional is read and
+                # its free sphere zeroed.
+                while (v := next(children, None)) is None:
+                    v, y, part, free, _ = stack[-1]
+                    # The memo may have been cleared since v's lookup.
+                    entry = entries.get(v) or entry_of(v)
+                    key = (entry[2], entry[1](spins))
+                    cond = parts.get(key) if all(map(spins.__getitem__, entry[0])) else None
+                    if cond is None:
+                        # A miss, or a free sphere vertex, which raises.
+                        cond = sphere_conditional(v, spins, key)
+                    spin = part.locate_zone(y, cond)
+                    for w in free:
+                        spins[w] = 0
+                    stack.pop()
+                    depth -= 1
+                    if not stack:
+                        break
                     spins[v] = spin
                     children = stack[-1][4]
-            if not stack:
-                # v was the top-level call: its spin conditions the rest of
-                # the window, whose next vertex starts with a fresh budget.
-                spins[v] = spin
-                out.append(spin)
-                if len(out) == len(tops):
-                    return dict(zip(window, out))
-                top = v = tops[len(out)]
-                limit = calls + budget
+                if not stack:
+                    break
+            # The top-level call's spin conditions the rest of the window.
+            spins[top] = spin
+        return dict(zip(window, map(spins.__getitem__, tops)))
     finally:
         for i in chain(fixed, tops, *[waiting[3] for waiting in stack]):
             spins[i] = 0

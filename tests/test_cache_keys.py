@@ -346,3 +346,24 @@ def test_oracle_keys_each_context_variant_apart(graph, ell, systems, data):
         p = cache.whole_graph_marginal(v, lam).p
         assert p[0] == 0.0
         assert np.array_equal(p[1:], conditional_marginal(system, graph, v, lam, vertices))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_the_compiled_oracle_equals_conditional_marginal(data):
+    """The oracle compiles the whole graph's ``Support`` once per cache and
+    reads each context as digits.  One cache answers a run of drawn
+    contexts, from none to all but v assigned, so its one factor table
+    serves misses of every free count: each must be bit for bit
+    ``conditional_marginal`` on the whole graph."""
+    system, graph = hardcore(1.0), grid_graph(4, 4)
+    vertices = graph.vertices()
+    cache = MarginalCache(system, graph, 2)
+    for _ in range(data.draw(st.integers(1, 12))):
+        v = data.draw(st.sampled_from(vertices))
+        full = _feasible_assignment(data, system, graph, vertices)
+        kept = data.draw(st.lists(st.booleans(), min_size=len(vertices), max_size=len(vertices)))
+        lam = {w: s for (w, s), keep in zip(full.items(), kept) if keep and w != v}
+        p = cache.whole_graph_marginal(v, lam).p
+        assert p[0] == 0.0
+        assert np.array_equal(p[1:], conditional_marginal(system, graph, v, lam, vertices))

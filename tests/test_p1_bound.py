@@ -36,7 +36,7 @@ from ssms import (
 from ssms.bruteforce import ENUM_CAP, Factors, Support
 from ssms.errors import BudgetExhaustedError, InfeasibleContextError, SsmsError, TooLargeError
 from ssms.marginals import NEG_TOL, _ball_min_marginals, _ball_query
-from ssms.sampler import MarginalCache, _run
+from ssms.sampler import IntervalPartition, MarginalCache, _run
 
 
 def reference_run(cache, lam, v, rng, stats, budget, h=None):
@@ -132,11 +132,17 @@ GRAPHS = {
     # No class fits the enumeration cap: every run raises TooLargeError.
     "z2-ell4": (Z2, 4, [(0, 0)], ("hardcore(0.3)",)),
 }
+# On a finite graph the capped rows read the oracle at depth 2 and, with
+# h = 0, at every top-level call.
 GATE = [
     (g, s, h, trace)
     for g, (graph, _, _, systems) in GRAPHS.items()
     for s in systems
-    for h, trace in ((None, False), (1 if graph.is_finite() else None, True))
+    for h, trace in (
+        ((None, False), (1, True), (0, False))
+        if graph.is_finite()
+        else ((None, False), (None, True))
+    )
 ]
 
 
@@ -167,10 +173,13 @@ def test_shortcut_equals_the_engine_without_it(graph_id, system_id, h, trace):
 
 # Divergent runs that trip the budget: an uncapped coloring walk on Z^2,
 # and a capped one on the 3x3 grid that trips entering the oracle's depth.
+# At a budget of 1 the first child of any undecided top-level call trips,
+# after the window's decided ones (seed 3 trips at the second vertex).
 # (system, graph, radius, window, depth cap, budget)
 TRIPS = {
     "coloring(6)-z2-ell1": (coloring(6), Z2, 1, Z2.box((0, 0), (3, 3)), None, BUDGET),
     "coloring(4)-grid3x3-ell1-h4": (coloring(4), GRID, 1, GRID.vertices(), 4, 40),
+    "hardcore(1)-z2-ell2-budget1": (hardcore(1.0), Z2, 2, Z2.box((0, 0), (3, 3)), None, 1),
 }
 
 
@@ -220,14 +229,17 @@ def test_an_empty_window_leaves_the_stats_at_zero():
     assert len(spins) == 0 and stats == RecursionStats(trace=[])
 
 
-def test_the_gate_takes_the_shortcut_and_the_lookup():
+def test_the_gate_takes_the_shortcut_and_the_lookup(monkeypatch):
     # On the gate's own first Z^2 window, the shortcut assigns most calls
-    # and the lookup still serves the rest.
+    # and the lookup still serves the rest.  The engine reads hits off the
+    # cache's table itself, so a lookup is counted where every looked-up
+    # call goes next: locating its variate in the partition.
     sampler = WindowSampler(hardcore(0.3), Z2, 2)
-    cache = sampler._cache
     lookups = []
-    min_intervals = cache.min_intervals
-    cache.min_intervals = lambda i, spins: lookups.append(i) or min_intervals(i, spins)
+    locate = IntervalPartition.locate
+    monkeypatch.setattr(
+        IntervalPartition, "locate", lambda part, y: lookups.append(y) or locate(part, y)
+    )
     _, stats = sampler.sample_window(Z2.box((0, 0), (3, 3)), 0)
     assert 0 < len(lookups) < stats.total_calls / 2
 

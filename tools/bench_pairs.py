@@ -30,7 +30,9 @@ shows how fast the host ran.  The file is rewritten after every pair from the
 second on, so an interrupted session keeps the pairs it finished.  A later
 call with the same label and parent adds its workload and seed rows to the
 file and replaces only the rows it runs again.  A run that fails its
-exactness checks stops the driver, and its pair is not recorded.
+exactness checks stops the script, and so does a pair whose two sides'
+exact batches hash to different digests: a speed-up counts only with the
+same spins, counts and draws.  Neither pair is recorded.
 """
 
 import argparse
@@ -180,6 +182,12 @@ def main(argv=None):
                         print(f"error: {workload} seed {seed} pair {i + 1}: the"
                               f" {' and '.join(bad)} run failed its checks; stopping",
                               file=sys.stderr)
+                        return 1
+                    parent, change = pair["parent"]["digest"], pair["change"]["digest"]
+                    if parent != change:
+                        print(f"error: {workload} seed {seed} pair {i + 1}: the parent's"
+                              f" digest {parent} differs from the change's {change};"
+                              " stopping", file=sys.stderr)
                         return 1
                     pairs.append(pair)
                     if len(pairs) > 1:
