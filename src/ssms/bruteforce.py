@@ -182,22 +182,17 @@ class Factors:
         table, field, _, _ = self.axes(k)
         if table is not None:
             # One flat gather for every row, each block closed by a slot for
-            # its scalar, written just before the one product; of two rows
-            # the shorter is padded with the all-ones row (x * 1.0 == x).
-            block = factors + list(tails[0])
-            if len(tails) == 1:
-                block.append(0)
-                cells = table.take(block, axis=0)
-                cells[-1] = scalars[0]
-                return np.multiply.reduce(cells, axis=0, keepdims=True)
-            _, tail = tails
-            other = factors + list(tail)
-            width = max(len(block), len(other)) + 1
-            block += [0] * (width - len(block))
-            other += [0] * (width - len(other))
-            cells = table.take(block + other, axis=0).reshape(2, width, -1)
-            cells[0, -1] = scalars[0]
-            cells[1, -1] = scalars[1]
+            # its scalar, written just before the one product; a shorter
+            # block is padded with the all-ones row (x * 1.0 == x).
+            width = len(factors) + max(map(len, tails)) + 1
+            ids = []
+            for tail in tails:
+                ids += factors
+                ids += tail
+                ids += [0] * (width - len(factors) - len(tail))
+            cells = table.take(ids, axis=0).reshape(len(tails), width, -1)
+            for i, scalar in enumerate(scalars):
+                cells[i, -1] = scalar
             return np.multiply.reduce(cells, axis=1)
         out = np.empty((len(tails),) + field.shape)
         W = out[:1]
@@ -221,15 +216,16 @@ class Support:
     that other supports may share, or from one of its own.
     ``from_adjacency`` compiles one whose induced neighbour lists are
     already known, reading no graph: every radius-ell ball is compiled so
-    (``marginals._compile_ball``).  The constructor reads the graph, for a
-    support labelled in a caller's own order (``conditional_marginal``,
-    ``weight_tensor``'s callers).
+    (``marginals._compile_ball``), as is the p_v^1 bound's support on a
+    ball's labels (``sampler._p1_bound``).  The constructor reads the
+    graph, for a support labelled in a caller's own order
+    (``conditional_marginal``, ``weight_tensor``'s callers).
 
     An enumeration reads the support in label space: label i is
     ``vertices[i - 1]`` (``label`` maps back), ``adjacent_labels[i]`` lists
     its neighbours' labels in the graph's order and ``later_labels[i]`` those
     that come after it in vertex order; slot 0 is empty, so a context read
-    off the vertices as ``(None, *spins)`` is indexed by label.
+    off the vertices as ``(0, *spins)`` (0: unassigned) is indexed by label.
     """
 
     __slots__ = (
@@ -289,27 +285,6 @@ class Support:
 
     def _edges(self):
         return sum(map(len, self.later_labels))
-
-    def restrict(self, members):
-        """The support induced on the labels ``members``, with this one's
-        labels, factors and underflow flag.  It is monotone where this one
-        is: an induced subgraph of a bipartite graph is bipartite, and the
-        attractive test reads no graph.  Elsewhere, where this support has
-        an odd cycle, the induced graph is two-coloured again."""
-        members = set(members)
-        compiled = Support.__new__(Support)
-        for name in ("system", "vertices", "label", "underflows", "factors", "_b", "_A"):
-            setattr(compiled, name, getattr(self, name))
-        adjacent = [()] * len(self.adjacent_labels)
-        later = list(adjacent)
-        for u in members:
-            adjacent[u] = tuple([w for w in self.adjacent_labels[u] if w in members])
-            later[u] = tuple([w for w in self.later_labels[u] if w in members])
-        compiled.adjacent_labels = adjacent
-        compiled.later_labels = later
-        compiled.monotone = self.monotone or _is_monotone(self.system.A, adjacent)
-        compiled._pattern = None
-        return compiled
 
     def pattern(self):
         """This support's labels and adjacency with every positive field and
@@ -389,7 +364,7 @@ def weight_tensor(compiled, support, fixed):
     """
     label = compiled.label
     walk = [label[v] for v in support]
-    digits = [None] * len(compiled.adjacent_labels)
+    digits = [0] * len(compiled.adjacent_labels)
     free = []
     for v, u in zip(support, walk):
         s = fixed.get(v)
@@ -406,7 +381,7 @@ def weight_rows(compiled, free, walk, digits, extremes=None):
     with the spins ``digits`` pinned: an array of shape (1, q^k), the cells
     of one row, or of shape (2, q^k), two rows, with ``extremes``.
 
-    ``digits[i]`` is the spin pinned at label i, or None; ``walk`` lists
+    ``digits[i]`` is the spin pinned at label i, or 0; ``walk`` lists
     every free and pinned label once, and ``digits`` pins exactly the
     walk's pinned labels.  Each edge is read from its end earlier in vertex
     order (``Support.later_labels``), in walk order; labels in neither are
@@ -437,14 +412,14 @@ def weight_rows(compiled, free, walk, digits, extremes=None):
     b = compiled._b
     A = compiled._A
     # One code per label: the spin s >= 1 of a pinned label (its digit),
-    # ~j < 0 for the free label on axis j, and None off the walk.
+    # ~j < 0 for the free label on axis j, and 0 off the walk.
     codes = list(digits)
     for j, w in enumerate(free):
         codes[w] = ~j
     scalar = 1.0
     for u in walk:
         s = digits[u]
-        if s is not None:
+        if s:
             scalar *= b[s - 1]
     _, field, rows, pairs = compiled.factors.axes(k)
     factors = [field]
@@ -457,7 +432,7 @@ def weight_rows(compiled, free, walk, digits, extremes=None):
             row = rows[cu - 1]
             for w in later[u]:
                 cw = codes[w]
-                if cw is None:
+                if not cw:
                     continue  # outside the walk
                 if cw > 0:
                     scalar *= Au[cw - 1]
@@ -467,7 +442,7 @@ def weight_rows(compiled, free, walk, digits, extremes=None):
             ju = ~cu
             for w in later[u]:
                 cw = codes[w]
-                if cw is None:
+                if not cw:
                     continue
                 if cw > 0:
                     if rows[cw - 1] is not None:
@@ -501,7 +476,7 @@ def weight_rows(compiled, free, walk, digits, extremes=None):
         row2 = rows[s2]
         for u in adjacent[w]:
             c = codes[u]
-            if c is None:
+            if not c:
                 if u in later[w]:
                     # Both ends pinned by the extreme: one factor per edge.
                     scalar1 *= A1[1 if u in flip1 else 0]

@@ -126,11 +126,6 @@ class LocalGraph(ABC):
         layers, _ = self._layers(v, check_count(ell, 1, "radius") - 1)
         return tuple(sorted(u for layer in layers for u in layer))
 
-    def sphere_and_interior(self, v, ell):
-        """``(sphere(v, ell), ball_interior(v, ell))`` from one breadth-first search."""
-        layers, read = self._layers(v, check_count(ell, 1, "radius"))
-        return tuple(layers[-1]), tuple(sorted(read))
-
     def ball(self, v, ell):
         """Closed ball of radius ``ell``: interior plus sphere, sorted."""
         layers, _ = self._layers(v, ell)
@@ -164,15 +159,19 @@ class LocalGraph(ABC):
         return _format_vertex(v)
 
     def format_bounded(self, v):
-        """``format_vertex(v)`` for a vertex of at most FORMAT_MAX
-        coordinates; a longer one (a deep tree path) is cut to its first
-        and last FORMAT_ENDS coordinates around "..." plus its coordinate
+        """``format_vertex(v)`` with every tuple of more than FORMAT_MAX
+        coordinates, at any nesting level (a deep tree path, or the
+        endpoint of a line-graph edge over a tree), cut to its first and
+        last FORMAT_ENDS coordinates around "..." plus its coordinate
         count, so a message naming it stays short."""
-        if isinstance(v, tuple) and len(v) > FORMAT_MAX:
-            head = ",".join(map(_format_vertex, v[:FORMAT_ENDS]))
-            tail = ",".join(map(_format_vertex, v[-FORMAT_ENDS:]))
+        if not isinstance(v, tuple):
+            return self.format_vertex(v)
+        cut = self.format_bounded
+        if len(v) > FORMAT_MAX:
+            head = ",".join(map(cut, v[:FORMAT_ENDS]))
+            tail = ",".join(map(cut, v[-FORMAT_ENDS:]))
             return f"({head},...,{tail}; {len(v)} coordinates)"
-        return self.format_vertex(v)
+        return "(" + ",".join(map(cut, v)) + ")"
 
     def parse_vertex(self, text):
         v = self._parse_vertex(text)

@@ -36,7 +36,8 @@ the depth-capped oracle runs on the whole graph.  Each reports an
 infeasible context as ``InfeasibleBoundaryError`` (``_no_extension``).
 
 A miss is one pass (``_ball_rows``) in the label space of a compiled
-``Support``, given the context as digits: the spin or None at each label.
+``Support``, given the context as digits: the spin at each label, or 0
+where it is unassigned, as in the sampler's spin list.
 One function labels and compiles a radius-ell ball (``_compile_ball``):
 its sorted vertices are labels 1..n, for the cache's frames and for
 ``min_marginals`` and ``mixing_rate_estimate`` alike.
@@ -119,7 +120,7 @@ def conditional_marginal(system, graph, v, fixed, support):
                     f"{graph.format_vertex(w)} outside the support"
                 )
     compiled = Support(system, graph, support)
-    digits = (None, *map(spins.get, support))
+    digits = (0, *[spins.get(w, 0) for w in support])
     return np.array(_exact_conditional(compiled, compiled.label[v], digits)[1:])
 
 
@@ -156,9 +157,9 @@ def _compile_ball(system, graph, v, ell, factors):
     sphere, interior)``.  ``ball`` is the sorted ball, label i being
     ``ball[i - 1]``; ``support`` is its ``Support`` on those labels, with
     the factors ``factors`` (None: factors of its own); v, sphere and
-    interior are labels, sphere and interior in the order
-    ``sphere_and_interior`` gives them.  Each ball vertex's neighbor list
-    is read off the graph once: the breadth-first search reads the
+    interior are labels, sorted as ``graph.sphere`` and
+    ``graph.ball_interior`` give them.  Each ball vertex's neighbor list is
+    read off the graph once: the breadth-first search reads the
     interior's, and only the sphere's are read here.  The label adjacency
     is compiled with no further graph reads (``Support.from_adjacency``)."""
     layers, read = graph._layers(v, ell)
@@ -189,7 +190,7 @@ def _ball_query(system, graph, fixed, v, ell):
     if v in spins:
         raise ModelParameterError(f"target vertex {graph.format_vertex(v)} is already fixed")
     ball, support, v, sphere, interior = _compile_ball(system, graph, v, ell, None)
-    return support, v, sphere, interior, (None, *map(spins.get, ball))
+    return support, v, sphere, interior, (0, *[spins.get(w, 0) for w in ball])
 
 
 def _ball_rows(ball, v, sphere, interior, digits):
@@ -198,8 +199,8 @@ def _ball_rows(ball, v, sphere, interior, digits):
 
     ``ball`` is the compiled ``Support`` on sphere and interior, v, sphere
     and interior are its labels, and ``digits`` the context restricted to
-    the ball, the spin or None at each label (slot 0 unused), leaving v
-    free; the pinned labels are walked in label order.  A monotone
+    the ball, the spin or 0 (unassigned) at each label (slot 0 unused),
+    leaving v free; the pinned labels are walked in label order.  A monotone
     ball with a free sphere vertex scans its two extremal boundaries: it
     enumerates v and the free interior once, walking ``[v] + free interior
     + pinned``, and each extreme adds its boundary factors
@@ -212,18 +213,18 @@ def _ball_rows(ball, v, sphere, interior, digits):
     enumeration on the ball's 0/1 pattern (``Support.pattern``) tells which
     rows are feasible, and a feasible one raises ``TooLargeError``.
     """
-    # Spins are at least 1, so the pinned labels are the true digits.
+    # Spins are at least 1, so the pinned labels are the nonzero digits.
     pinned = list(compress(range(len(digits)), digits))
     q = ball.system.q
-    sphere_free = [w for w in sphere if digits[w] is None]
+    sphere_free = [w for w in sphere if not digits[w]]
     s = len(sphere_free)
     if s and ball.monotone:
         # v first among the free vertices, so its axis leads.
-        free = [v] + [w for w in interior if w != v and digits[w] is None]
+        free = [v] + [w for w in interior if w != v and not digits[w]]
         W = weight_rows(ball, free, free + pinned, digits, sphere_free)
         M = np.add.reduce(W.reshape(2, q, -1), axis=2)
     else:
-        free = sphere_free + [w for w in interior if digits[w] is None]
+        free = sphere_free + [w for w in interior if not digits[w]]
         W = weight_rows(ball, free, free + pinned, digits).reshape((q,) * len(free))
         jv = free.index(v)
         drop = tuple(j for j in range(s, len(free)) if j != jv)

@@ -54,7 +54,7 @@ stand in for it.
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse
+from itertools import chain, filterfalse
 from operator import itemgetter, length_hint
 
 import numpy as np
@@ -361,11 +361,11 @@ class MarginalCache:
     The engine reads hits off the table (``_parts``) itself and hands a
     miss's key to ``min_intervals`` or ``sphere_conditional``.  The bounded
     sampler's whole-graph oracle is ``conditional_marginal``'s miss on a
-    whole-graph ``Support`` compiled once, stored in the same table as a
-    partition with no zone.  The table is pure as well and is cleared when
-    it reaches ``_PARTS_CAP`` entries; a partition made again after a clear
-    is a new object, so a min partition splits its zone under it anew, to
-    the same edges.
+    whole-graph ``Support`` compiled once, read off the same spin list and
+    stored in the same table as a partition with no zone.  The table is
+    pure as well and is cleared when it reaches ``_PARTS_CAP`` entries; a
+    partition made again after a clear is a new object, so a min partition
+    splits its zone under it anew, to the same edges.
 
     The key of a lookup at v is ``(cls, spins)``: ``cls`` is the graph's
     ``ball_class(v)`` and ``spins`` the tuple v's getter reads off the spin
@@ -386,17 +386,16 @@ class MarginalCache:
     A miss is enumerated on the class's ball frame: the ball's sorted
     vertices, the i-th labelled i, with their induced edges, labelled and
     compiled once per class as every public ball query compiles its ball
-    (``marginals._compile_ball``).  The p1-bound miss runs on the same
-    labels, lists and monotone flag, restricted to v and its neighbours
-    (``Support.restrict``).  So a miss neither walks the graph nor compiles
-    a support.  A miss reads its digits straight from the key, as
-    ``(None, *spins)`` indexed by label with None for 0, and runs as one
-    pass over the frame's label lists (``marginals._ball_rows``).  All
-    frames share one ``Factors``, and each frame reserves its widest miss
-    in it when it is built (``Factors.reserve``), so one factor table, read
-    as a view by every narrower free count, serves every miss up to the
-    cut-over, not one table per free count or per class (on a tree every
-    vertex is a class).  Relabelling keeps the ball order and the sorted
+    (``marginals._compile_ball``), and the p1-bound miss on the frame's
+    labels and lists induced on v and its neighbours (``_p1_bound``), so a
+    miss never walks the graph.  A miss reads its digits straight from the
+    key, as ``(0, *spins)`` indexed by label, and runs as one pass over the
+    frame's label lists (``marginals._ball_rows``).  All frames share one
+    ``Factors``, and each frame reserves its widest miss in it when it is
+    built (``Factors.reserve``), so one factor table, read as a view by
+    every narrower free count, serves every miss up to the cut-over, not
+    one table per free count or per class (on a tree every vertex is a
+    class).  Relabelling keeps the ball order and the sorted
     neighbor lists, so the enumeration multiplies the same factors in the
     same order as on the graph itself and the marginals are bit-identical.
     Cached values are deterministic functions of their keys, so lookups
@@ -411,8 +410,6 @@ class MarginalCache:
         self._entries = {}
         self._frames = {}
         self._parts = {}
-        # A spin as a miss's digit: None for 0, unassigned.
-        self._digit = (None, *range(1, system.q + 1))
         self._factors = Factors(system)
         # The depth-capped oracle's whole-graph support (``whole_graph_marginal``).
         self._oracle = None
@@ -486,9 +483,9 @@ class MarginalCache:
         part = self._parts.get(key)
         if part is None:
             frame = self._frames[key[0]]
-            # The ball's spins as digits by frame label (label i is the
+            # The ball's spins are its digits by frame label (label i is the
             # ball's i-th vertex; slot 0 is empty).
-            digits = (None, *map(self._digit.__getitem__, key[1]))
+            digits = (0, *key[1])
             p = _ball_min_marginals(frame.support, frame.v, frame.sphere, frame.interior, digits)
             part = self._store(key, IntervalPartition(p))
         return part
@@ -512,16 +509,19 @@ class MarginalCache:
         except InfeasibleContextError:
             raise _no_extension() from None
 
-    def whole_graph_marginal(self, v, lam):
-        """Exact marginal of v on a finite graph (oracle for bounded runs)
-        under the context ``lam`` keyed by vertex, as an IntervalPartition
-        with no zone: ``conditional_marginal``'s miss on the whole graph
-        (``marginals._exact_conditional``), on a ``Support`` of the graph's
-        vertices with factors of its own, compiled on the first call."""
+    def whole_graph_marginal(self, i, spins):
+        """Exact marginal of the vertex of id i on a finite graph (oracle
+        for bounded runs) under ``spins`` as for ``min_intervals``, as an
+        IntervalPartition with no zone: ``conditional_marginal``'s miss
+        (``marginals._exact_conditional``) on a whole-graph ``Support`` with
+        factors of its own, compiled on the first call.  Its digits are the
+        spins of the graph's vertices, interned as met; its key names v."""
         oracle = self._oracle
         if oracle is None:
             oracle = self._oracle = Support(self.system, self.graph, self.graph.vertices())
-        digits = (None, *map(lam.get, oracle.vertices))
+        ids = self._ids
+        v = ids.vertices[i]
+        digits = (0, *[spins[ids[w]] for w in oracle.vertices])
         key = ("oracle", v, digits)
         part = self._parts.get(key)
         if part is None:
@@ -559,10 +559,15 @@ def _p1_bound(support, v, widest):
     if not (system.b[0] > 0.0 and (system.A[0] > 0.0).all()) or not support.fits(widest):
         return 0.0
     near = support.adjacent_labels[v]
-    # The frame's own label lists and flags, restricted to v and its
-    # neighbours, under the empty context as digits.
-    empty = [None] * len(support.adjacent_labels)
-    p = _ball_min_marginals(support.restrict((v, *near)), v, near, (v,), empty)
+    # The support induced on v and its neighbours, on the frame's labels
+    # and factors, under the empty context as digits.
+    members = {v, *near}
+    adjacent = [
+        tuple([w for w in nb if w in members]) if u in members else ()
+        for u, nb in enumerate(support.adjacent_labels[1:], 1)
+    ]
+    induced = Support.from_adjacency(system, adjacent, support.factors)
+    p = _ball_min_marginals(induced, v, near, (v,), [0] * len(support.adjacent_labels))
     return max(p[1] - NEG_TOL, 0.0)
 
 
@@ -595,11 +600,10 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
 
     ``h`` caps the depth of the bounded variant (None for the unbounded
     sampler): a call entered at depth h + 1 reads the exact whole-graph
-    oracle (``cache.whole_graph_marginal``), whose partition has no zone,
-    instead of v's min marginals, so it never recurses.  Only
-    that call reads the context back by vertex.  Whether the oracle's
-    enumeration fits the cap depends on the context, so that call takes no
-    ``p1_bound`` shortcut.
+    oracle (``cache.whole_graph_marginal``) off the same spin list instead
+    of v's min marginals; its partition has no zone, so it never recurses.
+    Whether the oracle's enumeration fits the cap depends on the context,
+    so that call takes no ``p1_bound`` shortcut.
 
     A call reads v's memo entry once: its fourth field is the class bound on
     p_v^1, and an undecided call takes its free sphere from it.  A vertex
@@ -658,8 +662,7 @@ def _run(cache, lam, window, rng, stats, budget, h=None):
                     max_depth = depth
                 y = draw()
                 if depth == oracle_depth:
-                    context = dict(compress(zip(vertices, spins), spins))
-                    part = cache.whole_graph_marginal(vertices[v], context)
+                    part = cache.whole_graph_marginal(v, spins)
                     spin = part.locate(y)
                 else:
                     # One read of v's memo entry gives its class bound; a

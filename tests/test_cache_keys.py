@@ -242,7 +242,7 @@ def test_id_keys_part_contexts_as_the_integer_codes_do(graph, ell, systems, data
     one ball vertex and, on a lattice or its line graph, the same contexts
     at translates of v, all looked up in one cache: two lookups get equal
     keys exactly when their contexts get equal integer codes, and each miss
-    reads its context as the digits ``(None, *map(lam.get, ball))``."""
+    reads its context as the digits ``(0, *[lam.get(w, 0) for w in ball])``."""
     system = data.draw(st.sampled_from(systems))
     v = _vertex(data, graph)
     contexts = [(v, lam) for lam in _contexts(data, system, graph, v, ell)]
@@ -269,7 +269,7 @@ def test_id_keys_part_contexts_as_the_integer_codes_do(graph, ell, systems, data
             keys.append(log.keys[-1])
             codes.append(integer_code(lam, ball, system.q))
             if len(log) > known:
-                assert read.pop() == (None, *map(lam.get, ball))
+                assert read.pop() == (0, *[lam.get(w, 0) for w in ball])
     assert read == []
     for key, code in zip(keys, codes):
         assert [k == key for k in keys] == [c == code for c in codes]
@@ -343,7 +343,7 @@ def test_oracle_keys_each_context_variant_apart(graph, ell, systems, data):
     cache = MarginalCache(system, graph, ell)
     for w in [v, *data.draw(st.lists(st.sampled_from(vertices), max_size=4, unique=True))]:
         lam = {x: s for x, s in full.items() if x != v and (x in base) != (x == w)}
-        p = cache.whole_graph_marginal(v, lam).p
+        p = lookup(cache, "whole_graph_marginal", v, lam).p
         assert p[0] == 0.0
         assert np.array_equal(p[1:], conditional_marginal(system, graph, v, lam, vertices))
 
@@ -364,6 +364,6 @@ def test_the_compiled_oracle_equals_conditional_marginal(data):
         full = _feasible_assignment(data, system, graph, vertices)
         kept = data.draw(st.lists(st.booleans(), min_size=len(vertices), max_size=len(vertices)))
         lam = {w: s for (w, s), keep in zip(full.items(), kept) if keep and w != v}
-        p = cache.whole_graph_marginal(v, lam).p
+        p = lookup(cache, "whole_graph_marginal", v, lam).p
         assert p[0] == 0.0
         assert np.array_equal(p[1:], conditional_marginal(system, graph, v, lam, vertices))

@@ -54,7 +54,7 @@ class CappedLaw:
     def _law(self, v, lam, depth):
         cache = self.cache
         if depth == self.oracle_depth:
-            return list(cache.whole_graph_marginal(v, lam).p[1:])
+            return list(lookup(cache, "whole_graph_marginal", v, lam).p[1:])
         part = lookup(cache, "min_intervals", v, lam)
         law = list(part.p[1:])
         if part.p[0] == 0.0:

@@ -69,7 +69,7 @@ def in_labels(ball, v, sphere, interior, context):
     for the vertex-space query ``(v, sphere, interior, context)``: v,
     sphere and interior as labels and the context as digits."""
     label = ball.label
-    digits = (None, *map(context.get, ball.vertices))
+    digits = (0, *[context.get(w, 0) for w in ball.vertices])
     return ball, label[v], [label[w] for w in sphere], [label[w] for w in interior], digits
 
 
@@ -373,7 +373,7 @@ def test_dispatched_min_marginals_equal_exhaustive_scan(graph_name, system_name,
     ell = data.draw(st.integers(1, max_ell))
     context = draw_context(data, system, graph, v, ell)
 
-    sphere, interior = graph.sphere_and_interior(v, ell)
+    sphere, interior = graph.sphere(v, ell), graph.ball_interior(v, ell)
     ball = Support(system, graph, sphere + interior)
     assert ball.monotone == (system.q == 2 and expect_monotone(system_name, graph_name))
 
@@ -448,7 +448,7 @@ def test_extremal_rows_equal_one_enumeration_per_extreme(graph_name, system_name
     v = data.draw(st.sampled_from(vertices))
     ell = data.draw(st.integers(1, max_ell))
     context = draw_context(data, system, graph, v, ell)
-    sphere, interior = graph.sphere_and_interior(v, ell)
+    sphere, interior = graph.sphere(v, ell), graph.ball_interior(v, ell)
     ball = Support(system, graph, sphere + interior)
     if not ball.monotone:
         assert graph_name == "line:z2" and system_name in REPULSIVE
@@ -520,7 +520,7 @@ def test_one_gather_equals_the_rows_per_extreme(graph_name, system_name, gather_
     v = data.draw(st.sampled_from(vertices))
     ell = data.draw(st.integers(1, max_ell))
     context = draw_context(data, system, graph, v, ell)
-    sphere, interior = graph.sphere_and_interior(v, ell)
+    sphere, interior = graph.sphere(v, ell), graph.ball_interior(v, ell)
     ball = Support(system, graph, sphere + interior, Factors(system))
     sphere_free = [w for w in sphere if w not in context]
     interior_free = [w for w in interior if w not in context]
@@ -570,7 +570,7 @@ def test_float_tail_equals_the_numpy_tail(data):
     upper = {(i, j): data.draw(weight) for i in range(q) for j in range(i, q)}
     system = SpinSystem(q, b, [[upper[min(i, j), max(i, j)] for j in range(q)] for i in range(q)])
     graph, ell, v = data.draw(st.sampled_from(TAIL_BALLS))
-    sphere, interior = graph.sphere_and_interior(v, ell)
+    sphere, interior = graph.sphere(v, ell), graph.ball_interior(v, ell)
     ball = Support(system, graph, sorted(sphere + interior))
     free_sphere = data.draw(st.sets(st.sampled_from(sphere), max_size=2))
     context = {
@@ -628,7 +628,7 @@ def draw_miss_context(data, system, graph, v, ell):
     spins on vertices just outside the ball.  Spins may be raw (possibly
     infeasible) or repaired; free vertices are cut to MISS_CELLS cells
     unless the draw leaves every ball vertex free."""
-    sphere, interior = graph.sphere_and_interior(v, ell)
+    sphere, interior = graph.sphere(v, ell), graph.ball_interior(v, ell)
     ball = sphere + interior
     raw = data.draw(st.booleans())
     spins = {}

@@ -258,6 +258,16 @@ def test_bounded_format_cuts_only_past_64_coordinates():
     assert g.format_bounded(3) == "3"
     lz = LineGraph(Lattice(2))
     assert lz.format_bounded(((0, 0), (0, 1))) == "((0,0),(0,1))"
+    # The tree edge between depths 100 and 101 is a pair of tree paths, 407
+    # characters in full: each endpoint is cut as the tree cuts it.
+    deep = (0,) + (1,) * 99
+    edge = (deep, deep + (0,))
+    lt = LineGraph(t)
+    assert edge in lt and len(lt.format_vertex(edge)) == 407
+    assert lt.format_bounded(edge) == (
+        "((0,1,1,1,1,1,1,1,...,1,1,1,1,1,1,1,1; 100 coordinates),"
+        "(0,1,1,1,1,1,1,1,...,1,1,1,1,1,1,1,0; 101 coordinates))"
+    )
 
 
 def test_parse_vertex_rejects_garbage():

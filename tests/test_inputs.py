@@ -61,7 +61,6 @@ COUNT_SITES = {
     "growth_bound": lambda x: Lattice(2).growth_bound(x),
     "sphere": lambda x: Lattice(2).sphere((0, 0), x),
     "ball_interior": lambda x: Lattice(2).ball_interior((0, 0), x),
-    "sphere_and_interior": lambda x: Lattice(2).sphere_and_interior((0, 0), x),
     "FiniteGraph": lambda x: FiniteGraph(x, []),
     "Lattice": lambda x: Lattice(x),
     "RegularTree": lambda x: RegularTree(x),

@@ -1,7 +1,7 @@
 """The label-space miss against the dict-keyed walk it replaced, bit for bit.
 
-A miss reads its context once as digits, the spin or None at each label of
-its compiled ``Support``, and walks the support's label lists
+A miss reads its context once as digits, the spin or 0 (unassigned) at each
+label of its compiled ``Support``, and walks the support's label lists
 (``bruteforce.weight_rows``); each row's pinned scalar is the last slot of
 the one gathered product.  ``reference_weight_rows`` and
 ``reference_ball_rows`` below are the walk it replaced, copied as it was:
@@ -201,7 +201,7 @@ def test_frame_misses_equal_the_dict_walk(system_name, gather_cap, data):
         cache = MarginalCache(system, graph, ell)
         ball_parts(cache, v)
         frame = cache._frames[graph.ball_class(v)]
-        digits = (None, *map(context.get, frame.ball))
+        digits = (0, *[context.get(w, 0) for w in frame.ball])
         on_frame = {i: context[w] for i, w in enumerate(frame.ball, 1) if w in context}
         args = (frame.support, frame.v, frame.sphere, frame.interior)
         assert attempt(_ball_rows, *args, digits) == attempt(reference_ball_rows, *args, on_frame)
@@ -233,7 +233,7 @@ def test_drawn_walks_equal_the_dict_walk(system_name, gather_cap, data):
         walk = data.draw(st.permutations(free + [w for w in members if w in context]))
         fixed = {w: context[w] for w in walk if w in context}
         label = ball.label
-        digits = [None] * (len(members) + 1)
+        digits = [0] * (len(members) + 1)
         for w, s in fixed.items():
             digits[label[w]] = s
         got = attempt(
@@ -276,7 +276,7 @@ def test_shuffled_conditionals_equal_the_dict_walk(system_name, data):
     # dict gives the same bits, for any order of the same support.
     system = SPACE_SYSTEMS[system_name]
     graph, v, ell = _draw_case(data)
-    sphere, interior = graph.sphere_and_interior(v, ell)
+    sphere, interior = graph.sphere(v, ell), graph.ball_interior(v, ell)
     support = list(sphere + interior)
     random.Random(data.draw(st.integers(0, 2**32))).shuffle(support)
     room = 2**10
@@ -399,7 +399,7 @@ def test_infeasible_rows_on_flagged_supports_stay_infeasible(system, fixed, want
     # The bits the walk gave before the underflow check, and the replaced
     # chain's on the same labels, the context keyed by label.
     assert [float.hex(float(x)) for x in got] == want
-    on_labels = {i: s for i, s in enumerate(digits) if s is not None}
+    on_labels = {i: s for i, s in enumerate(digits) if s != 0}
     want = reference_min_marginals(ball, v, sphere, interior, on_labels)
     assert got.tobytes() == np.array(want).tobytes()
 

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from test_cache_keys import lookup
 
 from ssms import (
     Lattice,
@@ -103,14 +104,16 @@ def test_exact_conditionals_share_their_errors():
     a, b = math.exp(199.0), math.exp(310.0 / 3)
     overflowing = SpinSystem(2, [b, b], [[a, a], [a, a]])
     g = path_graph(3)
-    for lookup in (
+    for marginal in (
         lambda system, v, fixed: conditional_marginal(system, g, v, fixed, [1, 2, 3]),
-        lambda system, v, fixed: MarginalCache(system, g, 1).whole_graph_marginal(v, fixed),
+        lambda system, v, fixed: lookup(
+            MarginalCache(system, g, 1), "whole_graph_marginal", v, fixed
+        ),
     ):
         with pytest.raises(TooLargeError, match="weights sum to inf"):
-            lookup(overflowing, 2, {})
+            marginal(overflowing, 2, {})
         with pytest.raises(InfeasibleBoundaryError, match="admits no positive-weight extension"):
-            lookup(hardcore(1.0), 3, {1: 2, 2: 2})
+            marginal(hardcore(1.0), 3, {1: 2, 2: 2})
 
 
 def test_marginal_on_lattice_needs_separating_context():

@@ -62,7 +62,7 @@ def reference_run(cache, lam, v, rng, stats, budget, h=None):
             if depth > max_depth:
                 max_depth = depth
             if len(stack) == h:
-                part = cache.whole_graph_marginal(v, lam)
+                part = lookup(cache, "whole_graph_marginal", v, lam)
             else:
                 part = lookup(cache, "min_intervals", v, lam)
             y = rng.next_double()
@@ -277,7 +277,7 @@ def test_bound_is_below_every_p1(graph, ell, systems, data):
     for lam in _contexts(data, system, graph, v, ell):
         assert bound <= lookup(cache, "min_intervals", v, lam).cum[0]
         if graph.is_finite() and system.q ** (len(graph.vertices()) - len(lam)) <= ENUM_CAP:
-            assert bound <= cache.whole_graph_marginal(v, lam).cum[0]
+            assert bound <= lookup(cache, "whole_graph_marginal", v, lam).cum[0]
 
 
 def test_an_infeasible_fixed_context_raises_before_any_draw():
@@ -376,7 +376,7 @@ def test_frames_compile_as_on_a_finite_graph(name, ell):
             assert compiled(frame.support) == compiled(want)
             ball, *query = _ball_query(system, graph, {}, v, ell)
             assert compiled(ball) == compiled(frame.support)
-            empty = (None,) * (len(frame.ball) + 1)
+            empty = (0,) * (len(frame.ball) + 1)
             assert query == [frame.v, frame.sphere, frame.interior, empty]
             widest = len(frame.interior) if want.monotone else len(frame.ball)
             assert frame.p1_bound == reference_p1_bound(system, labelled, frame.v, widest)

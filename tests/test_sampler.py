@@ -367,9 +367,10 @@ def test_every_window_leaves_the_spin_list_empty():
     # Under {1: 1, 7: 1} both take spin 2 and 4 resolves to 2.  With no
     # fixed end every call is undecided, so the walk trips the budget.
     # Under {1: 1, 7: 2} no interior fits the sphere's spins, so 4's sphere
-    # conditional raises while 4 still waits on the stack.  After each
-    # window every slot is 0 again, and a probe window draws as on a fresh
-    # sampler.
+    # conditional raises while 4 still waits on the stack.  A capped window
+    # (h=0) reads the whole-graph oracle, which interns every vertex of the
+    # path and reads their spins off the list.  After each window every
+    # slot is 0 again, and a probe window draws as on a fresh sampler.
     system, path = coloring(2), path_graph(7)
     sampler = WindowSampler(system, path, 2, budget=50)
     spins = sampler._cache._ids.spins
@@ -382,17 +383,18 @@ def test_every_window_leaves_the_spin_list_empty():
     want = probe(WindowSampler(system, path, 2, budget=50))
     assert want == ({4: 2}, RecursionStats(3, 2, 1), 3)
     windows = (
-        ({1: 1, 7: 1}, None),
-        ({}, BudgetExhaustedError),
-        ({1: 1, 7: 2}, InfeasibleBoundaryError),
+        ({1: 1, 7: 1}, None, None),
+        ({}, None, BudgetExhaustedError),
+        ({1: 1, 7: 2}, None, InfeasibleBoundaryError),
+        ({1: 1, 7: 1}, 0, None),
     )
-    for fixed, error in windows:
+    for fixed, h, error in windows:
         if error is None:
-            got, _ = sampler.sample_window([4], 5, fixed)
+            got, _ = sampler.sample_window([4], 5, fixed, h=h)
             assert got.as_dict() == {4: 2}
         else:
             with pytest.raises(error):
-                sampler.sample_window([4], 5, fixed)
+                sampler.sample_window([4], 5, fixed, h=h)
         assert spins and not any(spins)
         assert probe(sampler) == want
         assert not any(spins)

@@ -19,7 +19,9 @@ of the host's speed falls on both sides alike.  The copy of the parent is
 made under a temporary directory and removed at the end.
 
 It writes ``BENCH_<label>.json`` at the repository root: the commits,
-nproc, the Python and numpy versions, the seeds, and for each workload,
+nproc, the Python and numpy versions, the seeds, each side's
+``src_lines`` (the ``wc -l`` total of its ``src/ssms/*.py``, so a change
+that claims to be simpler shows its line count), and for each workload,
 seed and end-to-end metric of ``BENCHMARK.json`` both sides' per-run
 values, median, quartiles and spread (``bench/baseline.py``'s
 ``summarise``), and the pairs the working tree won (by the metric's
@@ -91,6 +93,11 @@ def run_once(tree, workload, seed, seconds):
         None,
     )
     return result
+
+
+def src_lines(tree):
+    """The ``wc -l`` total of ``src/ssms/*.py`` in ``tree``: its newlines."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "ssms").glob("*.py"))
 
 
 def wins(parent, change, better):
@@ -169,6 +176,7 @@ def main(argv=None):
         parent_tree = scratch / "parent"
         archive(meta["parent"], parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
+        meta["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for workload in args.workload:
             for seed in seeds:
                 pairs = []
